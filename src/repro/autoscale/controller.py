@@ -293,6 +293,7 @@ class AutoscaleController:
         self._tracer.instant(
             "autoscale.scale_down",
             track="autoscale",
+            ts=self.env.now,
             count=len(victims),
         )
         self._update_gauges()
@@ -332,6 +333,7 @@ class AutoscaleController:
         self._tracer.instant(
             "autoscale.preemption",
             track="autoscale",
+            ts=self.env.now,
             instance=instance.instance_id,
             price=self._spot_price_now(),
             bid=self.bid_price,

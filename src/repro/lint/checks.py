@@ -25,7 +25,17 @@ __all__ = [
 #: Packages whose code runs *inside* the simulated clock.  Real
 #: (threaded) runtimes living alongside them suppress RPR001 with a
 #: justified ``# repro: noqa-file[RPR001]`` instead.
-SIM_SCOPE = ("sim", "cloud", "hadoop", "dryad", "twister", "classiccloud")
+SIM_SCOPE = (
+    "sim",
+    "cloud",
+    "hadoop",
+    "dryad",
+    "twister",
+    "classiccloud",
+    "serve",
+    "chaos",
+    "autoscale",
+)
 
 _WALL_CLOCK_CALLS = {
     "time.time",
@@ -267,15 +277,25 @@ class SpanWallClockRule(Rule):
     code = "RPR007"
     name = "no-wall-clock-in-span"
     rationale = (
-        "Tracer.span() stamps wall time; inside simulation code the span "
-        "body mixing in its own wall-clock reads puts host-dependent "
+        "Tracer.span() stamps wall time, and so does Tracer.instant() "
+        "without ts=; inside simulation code either puts host-dependent "
         "numbers on the simulated timeline.  Sim-scoped code must record "
-        "spans with Tracer.add() and Environment.now timestamps."
+        "spans with Tracer.add() and instants with ts=, both from "
+        "Environment.now."
     )
     scope = SIM_SCOPE
 
     def check(self, module: ParsedModule) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
+            if self._is_unstamped_instant(node):
+                yield self.violation(
+                    module,
+                    node,
+                    "tracer instant without ts= in simulation code "
+                    "lands on the wall-clock track; pass "
+                    "ts=Environment.now",
+                )
+                continue
             if not isinstance(node, (ast.With, ast.AsyncWith)):
                 continue
             if not any(
@@ -296,6 +316,20 @@ class SpanWallClockRule(Rule):
                             "span with Tracer.add() and Environment.now "
                             "timestamps instead",
                         )
+
+    @staticmethod
+    def _is_unstamped_instant(node: ast.AST) -> bool:
+        """True for ``<anything>.instant(...)`` calls with no ``ts=``.
+
+        A ``**mapping`` argument may carry ``ts``, so it counts as
+        stamped.
+        """
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "instant"
+            and not any(kw.arg in ("ts", None) for kw in node.keywords)
+        )
 
     @staticmethod
     def _is_span_call(node: ast.expr) -> bool:

@@ -28,13 +28,14 @@ path.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.obs.context import Observability, WorkerCapture
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import Timeline
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Instant, Span, Tracer
 
 __all__ = [
     "chrome_trace",
@@ -57,10 +58,6 @@ _WORKER_PID_BASE = 10
 TASK_PHASES = ("task.queue_wait", "task.download", "task.compute", "task.upload")
 
 
-def _category(name: str) -> str:
-    return name.split(".", 1)[0]
-
-
 def chrome_trace(
     tracer: Tracer,
     metrics: "MetricsRegistry | None" = None,
@@ -71,14 +68,16 @@ def chrome_trace(
     """Render a tracer (plus registry / timeline / worker captures) as
     one merged Chrome trace document."""
     events: list[dict] = []
+    append = events.append
     tids: dict[tuple[int, str], int] = {}
+    categories: dict[str, str] = {}
 
     def tid_for(pid: int, track: str) -> int:
         key = (pid, track)
         tid = tids.get(key)
         if tid is None:
             tid = tids[key] = len(tids) + 1
-            events.append(
+            append(
                 {
                     "name": "thread_name",
                     "ph": "M",
@@ -89,41 +88,72 @@ def chrome_trace(
             )
         return tid
 
-    def emit_span(span, pid: int, track: str, extra_args: dict) -> None:
-        events.append(
-            {
-                "name": span.name,
-                "cat": _category(span.name),
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
-                "pid": pid,
-                "tid": tid_for(pid, track),
-                "args": {**span.args, **extra_args},
-            }
-        )
+    def emit_records(
+        spans: Iterable[Span],
+        instants: Iterable[Instant],
+        pid_for: Callable[[str], int],
+        prefix: str,
+        extra_args: dict,
+    ) -> None:
+        # One source's records.  ``lanes`` memoizes (pid, tid) per
+        # (domain, track) for this source; a miss resolves the pid before
+        # the tid, so metadata events land in first-seen order.
+        lanes: dict[tuple[str, str], tuple[int, int]] = {}
 
-    def emit_instant(instant, pid: int, track: str, extra_args: dict) -> None:
-        events.append(
-            {
-                "name": instant.name,
-                "cat": _category(instant.name),
-                "ph": "i",
-                "s": "t",  # thread-scoped
-                "ts": instant.ts * 1e6,
-                "pid": pid,
-                "tid": tid_for(pid, track),
-                "args": {**instant.args, **extra_args},
-            }
-        )
+        def lane(domain: str, track: str) -> tuple[int, int]:
+            pid = pid_for(domain)
+            found = lanes[(domain, track)] = (pid, tid_for(pid, prefix + track))
+            return found
 
-    def emit_counters(series_map: dict, pid: int) -> int:
+        for span in spans:
+            name = span.name
+            category = categories.get(name)
+            if category is None:
+                category = categories[name] = name.split(".", 1)[0]
+            pid, tid = lanes.get((span.domain, span.track)) or lane(
+                span.domain, span.track
+            )
+            append(
+                {
+                    "name": name,
+                    "cat": category,
+                    "ph": "X",
+                    "ts": span.start * 1e6,
+                    "dur": span.duration * 1e6,
+                    "pid": pid,
+                    "tid": tid,
+                    "args": {**span.args, **extra_args},
+                }
+            )
+        for instant in instants:
+            name = instant.name
+            category = categories.get(name)
+            if category is None:
+                category = categories[name] = name.split(".", 1)[0]
+            pid, tid = lanes.get((instant.domain, instant.track)) or lane(
+                instant.domain, instant.track
+            )
+            append(
+                {
+                    "name": name,
+                    "cat": category,
+                    "ph": "i",
+                    "s": "t",  # thread-scoped
+                    "ts": instant.ts * 1e6,
+                    "pid": pid,
+                    "tid": tid,
+                    "args": {**instant.args, **extra_args},
+                }
+            )
+
+    def emit_counters(series_map: dict, pid: int, prefix: str = "") -> int:
         emitted = 0
         for series in sorted(series_map):
+            name = prefix + series
             for ts, value in series_map[series]:
-                events.append(
+                append(
                     {
-                        "name": series,
+                        "name": name,
                         "cat": "timeline",
                         "ph": "C",
                         "ts": ts * 1e6,
@@ -136,7 +166,7 @@ def chrome_trace(
         return emitted
 
     for domain, pid in sorted(_DOMAIN_PIDS.items()):
-        events.append(
+        append(
             {
                 "name": "process_name",
                 "ph": "M",
@@ -145,12 +175,13 @@ def chrome_trace(
                 "args": {"name": _DOMAIN_NAMES[domain]},
             }
         )
-    for span in tracer.spans:
-        emit_span(span, _DOMAIN_PIDS.get(span.domain, 0), span.track, {})
-    for instant in tracer.instants:
-        emit_instant(
-            instant, _DOMAIN_PIDS.get(instant.domain, 0), instant.track, {}
-        )
+    emit_records(
+        tracer.spans,
+        tracer.instants,
+        lambda domain: _DOMAIN_PIDS.get(domain, 0),
+        "",
+        {},
+    )
     counter_events = 0
     if timeline is not None:
         counter_events += emit_counters(timeline.snapshot(), _DOMAIN_PIDS["sim"])
@@ -167,7 +198,7 @@ def chrome_trace(
         if pid is None:
             pid = worker_pids[key] = next_pid
             next_pid += 1
-            events.append(
+            append(
                 {
                     "name": "process_name",
                     "ph": "M",
@@ -197,21 +228,20 @@ def chrome_trace(
             entry["points"].append(capture.label)
         entry["spans"] += len(capture.spans)
         entry["instants"] += len(capture.instants)
-        point_args = {"point": capture.label} if capture.label else {}
         # Prefix tracks with the point label: points in one worker
         # process each start at sim time zero, so sharing rows would
         # stack unrelated spans on top of each other.
         prefix = f"{capture.label} · " if capture.label else ""
-        for span in capture.spans:
-            pid = worker_pid(capture.os_pid, span.domain)
-            emit_span(span, pid, prefix + span.track, point_args)
-        for instant in capture.instants:
-            pid = worker_pid(capture.os_pid, instant.domain)
-            emit_instant(instant, pid, prefix + instant.track, point_args)
+        emit_records(
+            capture.spans,
+            capture.instants,
+            partial(worker_pid, capture.os_pid),
+            prefix,
+            {"point": capture.label} if capture.label else {},
+        )
         if capture.timeline:
-            pid = worker_pid(capture.os_pid, "sim")
             counter_events += emit_counters(
-                {prefix + k: v for k, v in capture.timeline.items()}, pid
+                capture.timeline, worker_pid(capture.os_pid, "sim"), prefix
             )
 
     document: dict = {
@@ -242,6 +272,11 @@ def write_chrome_trace(
 
     Passing a full :class:`Observability` bundle exports its timeline
     and any adopted worker captures alongside the parent tracer.
+
+    The file is compact, sorted-key JSON: ``indent`` would force
+    CPython's pure-Python encoder, which costs several times the C
+    encoder on a large trace.  Pipe the file through
+    ``python -m json.tool`` to read it by eye.
     """
     timeline: "Timeline | None" = None
     workers: Iterable[WorkerCapture] = ()
@@ -251,10 +286,8 @@ def write_chrome_trace(
     else:
         tracer = obs
     document = chrome_trace(tracer, metrics, timeline=timeline, workers=workers)
-    Path(path).write_text(
-        json.dumps(document, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
     return document
 
 

@@ -126,6 +126,7 @@ class FairShareScheduler:
                     self._tracer.instant(
                         "serve.dispatch",
                         track="scheduler",
+                        ts=self.env.now,
                         tenant=name,
                         task_id=task.task_id,
                         queued=len(queue),

@@ -508,7 +508,10 @@ class JobService:
         abandoned = self.admission.abandon_remaining()
         if abandoned and self.tracer.enabled:
             self.tracer.instant(
-                "serve.abandoned", track="service", count=abandoned
+                "serve.abandoned",
+                track="service",
+                ts=self.env.now,
+                count=abandoned,
             )
         self.scheduler.stop()
         self._stopping = True
@@ -543,6 +546,7 @@ class JobService:
                 self.tracer.instant(
                     "serve.shed",
                     track="service",
+                    ts=self.env.now,
                     tenant=spec.name,
                     outcome=outcome.value,
                 )

@@ -21,6 +21,7 @@ FIXTURE_CODES = {
     "rpr005_float_time_eq.py": "RPR005",
     "rpr006_heap_tiebreak.py": "RPR006",
     "sim/rpr007_span_wall_clock.py": "RPR007",
+    "sim/rpr007_instant_trigger.py": "RPR007",
 }
 
 
@@ -61,6 +62,16 @@ class TestFixtures:
         assert result.ok
         assert result.violations == []
 
+    def test_stamped_instants_pass(self):
+        result = lint_file(FIXTURES / "sim" / "rpr007_instant_clean.py")
+        assert result.ok
+        assert result.violations == []
+
+    def test_unstamped_instant_noqa_suppresses(self):
+        result = lint_file(FIXTURES / "sim" / "rpr007_instant_noqa.py")
+        assert result.ok
+        assert {v.code for v in result.suppressed} == {"RPR007"}
+
     def test_noqa_suppression(self):
         result = lint_file(FIXTURES / "suppressed_noqa.py")
         assert result.ok
@@ -74,6 +85,13 @@ class TestScoping:
         assert rule.applies_to(Path("src/repro/sim/engine.py"))
         assert rule.applies_to(Path("src/repro/cloud/queue.py"))
         assert not rule.applies_to(Path("src/repro/core/backends.py"))
+
+    def test_event_driven_packages_are_sim_scoped(self):
+        # serve, chaos and autoscale run inside the simulated clock too.
+        for code in ("RPR001", "RPR007"):
+            (rule,) = [r for r in all_rules() if r.code == code]
+            for package in ("serve", "chaos", "autoscale"):
+                assert rule.applies_to(Path(f"src/repro/{package}/x.py"))
 
     def test_global_rules_apply_everywhere(self):
         (rule,) = [r for r in all_rules() if r.code == "RPR004"]

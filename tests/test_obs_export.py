@@ -16,6 +16,7 @@ from repro.core.application import get_application
 from repro.core.backends import make_backend
 from repro.core.task import RunResult
 from repro.obs import (
+    Observability,
     Tracer,
     chrome_trace,
     observe,
@@ -24,6 +25,9 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.context import WorkerCapture, worker_payload
+from repro.obs.tracer import Instant, Span
+from repro.serve import ServeConfig, default_tenants, run_serve
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -108,6 +112,141 @@ class TestAcceptance:
         assert "task.compute" in text
         assert "phase breakdown" in text
         assert "compute" in text
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+class TestWrittenFile:
+    """The file on disk: compact, sorted-key JSON of chrome_trace()."""
+
+    @pytest.fixture(scope="class")
+    def serve_bundle(self):
+        parent = Observability.make(label="serve-study")
+        for n in (1, 2):
+            label = f"serve-fleet-{n}"
+            child = Observability.make(label=label)
+            with observe(child):
+                run_serve(
+                    ServeConfig(
+                        tenants=default_tenants(),
+                        n_instances=n,
+                        duration_s=60.0,
+                        seed=42,
+                    )
+                )
+            parent.adopt_worker(worker_payload(child, label=label))
+        return parent
+
+    def test_file_is_the_document_with_sorted_keys(
+        self, serve_bundle, tmp_path
+    ):
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, serve_bundle)
+        raw = path.read_bytes()
+        expected = chrome_trace(
+            serve_bundle.tracer,
+            serve_bundle.metrics,
+            timeline=serve_bundle.timeline,
+            workers=serve_bundle.workers,
+        )
+        assert json.loads(raw) == expected
+        assert validate_chrome_trace(json.loads(raw)) == []
+        json.loads(raw, object_pairs_hook=_sorted_object)
+        # Compact: the only newline is the trailing one.
+        assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
+
+    def test_tracer_only_export(self, traced_run, tmp_path):
+        _, obs = traced_run
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, obs.tracer, obs.metrics)
+        assert json.loads(path.read_bytes()) == chrome_trace(
+            obs.tracer, obs.metrics
+        )
+
+
+class TestLayout:
+    def test_event_order_pids_and_tids_are_pinned(self):
+        # Metadata events appear where a pid or track is first seen;
+        # tids are numbered across the whole document; worker tracks
+        # and counters carry the point prefix.
+        tracer = Tracer(label="layout")
+        tracer.add("task.compute", track="w0", start=1.0, end=3.0,
+                   task_id="t1")
+        tracer.instant("serve.dispatch", track="scheduler", ts=0.5,
+                       tenant="a")
+        tracer.add("cache.lookup", track="host", start=0.25, end=0.5,
+                   domain="wall")
+        workers = [
+            WorkerCapture(
+                os_pid=4242,
+                label="p1",
+                spans=[
+                    Span("task.download", "w0", 0.0, 1.0),
+                    Span("sweep.point", "main", 0.0, 2.0, domain="wall"),
+                ],
+                instants=[Instant("chaos.crash", "chaos", 0.5,
+                                  args={"n": 1})],
+                timeline={"backlog": [(0.0, 2), (5.0, 1)]},
+            ),
+            WorkerCapture(
+                os_pid=4242,
+                label="p2",
+                spans=[Span("task.upload", "w0", 1.0, 1.5)],
+            ),
+        ]
+        document = chrome_trace(tracer, workers=workers)
+
+        def meta(name, pid, tid, value):
+            return {"name": name, "ph": "M", "pid": pid, "tid": tid,
+                    "args": {"name": value}}
+
+        def span(name, ts, dur, pid, tid, args):
+            return {"name": name, "cat": name.split(".")[0], "ph": "X",
+                    "ts": ts, "dur": dur, "pid": pid, "tid": tid,
+                    "args": args}
+
+        def counter(ts, value):
+            return {"name": "p1 · backlog", "cat": "timeline", "ph": "C",
+                    "ts": ts, "pid": 10, "tid": 0, "args": {"value": value}}
+
+        assert document["traceEvents"] == [
+            meta("process_name", 1, 0, "simulated time"),
+            meta("process_name", 2, 0, "wall time"),
+            meta("thread_name", 1, 1, "w0"),
+            span("task.compute", 1e6, 2e6, 1, 1, {"task_id": "t1"}),
+            meta("thread_name", 2, 2, "host"),
+            span("cache.lookup", 2.5e5, 2.5e5, 2, 2, {}),
+            meta("thread_name", 1, 3, "scheduler"),
+            {"name": "serve.dispatch", "cat": "serve", "ph": "i", "s": "t",
+             "ts": 5e5, "pid": 1, "tid": 3, "args": {"tenant": "a"}},
+            meta("process_name", 10, 0, "worker 4242 (simulated time)"),
+            meta("thread_name", 10, 4, "p1 · w0"),
+            span("task.download", 0.0, 1e6, 10, 4, {"point": "p1"}),
+            meta("process_name", 11, 0, "worker 4242 (wall time)"),
+            meta("thread_name", 11, 5, "p1 · main"),
+            span("sweep.point", 0.0, 2e6, 11, 5, {"point": "p1"}),
+            meta("thread_name", 10, 6, "p1 · chaos"),
+            {"name": "chaos.crash", "cat": "chaos", "ph": "i", "s": "t",
+             "ts": 5e5, "pid": 10, "tid": 6,
+             "args": {"n": 1, "point": "p1"}},
+            counter(0.0, 2),
+            counter(5e6, 1),
+            meta("thread_name", 10, 7, "p2 · w0"),
+            span("task.upload", 1e6, 5e5, 10, 7, {"point": "p2"}),
+        ]
+        assert document["otherData"] == {
+            "schema": "repro-trace-v1",
+            "label": "layout",
+            "workers": [
+                {"os_pid": 4242, "pids": {"sim": 10, "wall": 11},
+                 "points": ["p1", "p2"], "spans": 3, "instants": 1},
+            ],
+            "counter_events": 2,
+        }
 
 
 class TestBackendCoverage:

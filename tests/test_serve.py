@@ -7,6 +7,8 @@ import pytest
 from repro.autoscale.plan import AutoscalePlan
 from repro.cli import main
 from repro.cloud.spot import BidStrategy, SpotMarketModel
+from repro.obs import Observability, observe, write_chrome_trace
+from repro.obs.context import worker_payload
 from repro.serve import (
     ServeConfig,
     TenantSpec,
@@ -21,6 +23,26 @@ from repro.serve.tenants import peak_rate, rate_at
 def tenant_by_name(result, name):
     (stats,) = [t for t in result.tenants if t.name == name]
     return stats
+
+
+def traced_frontier(path):
+    """Fleets 1 and 2 under live bundles, merged and exported the way
+    ``repro serve --trace`` does it in-process."""
+    parent = Observability.make(label="serve-study")
+    for n in (1, 2):
+        label = f"serve-fleet-{n}"
+        child = Observability.make(label=label)
+        with observe(child):
+            run_serve(
+                ServeConfig(
+                    tenants=default_tenants(),
+                    n_instances=n,
+                    duration_s=120.0,
+                    seed=42,
+                )
+            )
+        parent.adopt_worker(worker_payload(child, label=label))
+    return write_chrome_trace(path, parent)
 
 
 class TestArrivalShapes:
@@ -174,8 +196,13 @@ class TestPreemption:
                 spot_market=market,
             ),
         )
-        result = run_serve(config)
+        with observe(label="preemption") as obs:
+            result = run_serve(config)
         assert result.extras["autoscale_preemptions"] > 0
+        # Controller and service instants are stamped in simulated time.
+        names = {i.name for i in obs.tracer.instants}
+        assert "autoscale.preemption" in names
+        assert all(i.domain == "sim" for i in obs.tracer.instants)
         assert result.extras["reappearances"] > 0
         assert result.admitted == result.completed
         assert result.abandoned == 0
@@ -202,6 +229,28 @@ class TestDeterminism:
             fleet_sizes=(1, 2), duration_s=120.0, seed=42, jobs=2
         )
         assert serialize_rows(serial) == serialize_rows(fanned)
+
+
+class TestTraceDeterminism:
+    def test_same_seed_traces_are_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        traced_frontier(first)
+        traced_frontier(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_dispatch_instants_sit_on_sim_pids(self, tmp_path):
+        document = traced_frontier(tmp_path / "trace.json")
+        sim_pids = {1} | {
+            worker["pids"]["sim"]
+            for worker in document["otherData"]["workers"]
+        }
+        dispatch = [
+            event
+            for event in document["traceEvents"]
+            if event["name"] == "serve.dispatch"
+        ]
+        assert dispatch
+        assert {event["pid"] for event in dispatch} <= sim_pids
 
 
 class TestConfigValidation:
