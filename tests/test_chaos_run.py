@@ -1,9 +1,16 @@
 """End-to-end chaos injection against the simulated Classic Cloud."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.chaos import ChaosPlan, RetryPolicy, SpeculationPolicy
-from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
+from repro.classiccloud import (
+    ClassicCloudConfig,
+    ClassicCloudFramework,
+    LocalAugmentation,
+)
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.core.application import get_application
 from repro.obs import Observability, observe
@@ -121,3 +128,74 @@ class TestBusyGauge:
         assert series, "busy gauge never sampled"
         assert series[-1][1] == 0
         assert min(value for _, value in series) >= 0
+
+
+def run_digest(result) -> str:
+    """SHA-256 over the makespan, the sorted extras and every record's
+    identity and timing fields."""
+    payload = {
+        "makespan_seconds": result.makespan_seconds,
+        "extras": sorted(result.extras.items()),
+        "records": [
+            (
+                r.task_id,
+                r.worker,
+                r.started_at,
+                r.finished_at,
+                r.attempt,
+                r.was_duplicate,
+                r.speculative,
+                r.won,
+            )
+            for r in result.records
+        ],
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGolden:
+    """Seeded outputs of the polling worker, pinned byte for byte."""
+
+    def test_chaos_retry_speculation_digest(self, cap3):
+        config = chaos_config(
+            fault_plan=FaultPlan(
+                straggler_probability=0.3, straggler_slowdown=8.0
+            ),
+            chaos=ChaosPlan.at_intensity(1.0, seed=5, horizon_s=100.0),
+            retry_policy=RetryPolicy(
+                attempts=6, base_delay_s=0.5, max_delay_s=15.0
+            ),
+            speculation=SpeculationPolicy(
+                poll_s=10.0, min_completed=3, threshold_multiplier=1.5
+            ),
+        )
+        _, result = run(config)
+        assert result.extras["speculative_launched"] > 0
+        assert result.extras["chaos_faults_injected"] > 0
+        assert run_digest(result) == (
+            "91616541a684c4e69b6931ae294a473dd7cfc839260ccf0a74ca7f1f87b95118"
+        )
+
+    def test_poison_crash_augmentation_digest(self, cap3):
+        # Poison respawn, a crash with restart, the dead-letter queue and
+        # WAN-attached local workers in one run.
+        tasks = cap3_task_specs(24, reads_per_file=200)
+        config = chaos_config(
+            workers_per_instance=4,
+            fault_plan=FaultPlan(
+                poison_task_ids=frozenset({tasks[3].task_id}),
+                worker_crashes=[
+                    WorkerCrash(worker_index=1, at_time=5.0, restart_after=10.0)
+                ],
+            ),
+            max_task_attempts=3,
+            visibility_timeout_s=60.0,
+            local_augmentation=LocalAugmentation(n_workers=2),
+        )
+        result = ClassicCloudFramework(config).run(cap3, tasks)
+        assert result.failed == {tasks[3].task_id}
+        assert any(r.worker.startswith("local-") for r in result.records)
+        assert run_digest(result) == (
+            "d472f80dce1040b6940ae5a0a7684d1860454f35f1aee069c1b1179f1f45603a"
+        )

@@ -1,6 +1,8 @@
 """The job service layer: admission books, fairness, faults, determinism."""
 
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -177,27 +179,42 @@ class TestFairness:
             assert stats.admitted == stats.completed + stats.abandoned
 
 
+def preemption_config():
+    """A hostile spot market on a mixed-bid elastic fleet."""
+    market = SpotMarketModel(spike_probability=0.5, interval_s=60.0)
+    return ServeConfig(
+        tenants=default_tenants(),
+        n_instances=2,
+        duration_s=240.0,
+        visibility_timeout_s=60.0,
+        seed=2,
+        autoscale=AutoscalePlan(
+            min_instances=1,
+            max_instances=4,
+            bid=BidStrategy.mixed(1.0),
+            spot_market=market,
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def preempted():
+    """One observed run of :func:`preemption_config`: (obs, result)."""
+    with observe(label="preemption") as obs:
+        result = run_serve(preemption_config())
+    return obs, result
+
+
+def sha256_json(payload) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestPreemption:
-    def test_preempted_jobs_complete_idempotently(self):
-        # A hostile spot market on a mixed-bid elastic fleet: workers
-        # get preempted mid-job, the visibility timeout returns the job,
-        # and every admitted job still completes exactly once.
-        market = SpotMarketModel(spike_probability=0.5, interval_s=60.0)
-        config = ServeConfig(
-            tenants=default_tenants(),
-            n_instances=2,
-            duration_s=240.0,
-            visibility_timeout_s=60.0,
-            seed=2,
-            autoscale=AutoscalePlan(
-                min_instances=1,
-                max_instances=4,
-                bid=BidStrategy.mixed(1.0),
-                spot_market=market,
-            ),
-        )
-        with observe(label="preemption") as obs:
-            result = run_serve(config)
+    def test_preempted_jobs_complete_idempotently(self, preempted):
+        # Workers get preempted mid-job, the visibility timeout returns
+        # the job, and every admitted job still completes exactly once.
+        obs, result = preempted
         assert result.extras["autoscale_preemptions"] > 0
         # Controller and service instants are stamped in simulated time.
         names = {i.name for i in obs.tracer.instants}
@@ -209,6 +226,38 @@ class TestPreemption:
         # Duplicate deliveries were recognised, not double-counted.
         for stats in result.tenants:
             assert stats.completed <= stats.admitted
+
+    def test_preemption_closes_the_busy_gauge(self, preempted):
+        """Every busy ``+1`` is paired with a ``-1``, including for the
+        workers interrupted mid-job by a spot preemption."""
+        obs, result = preempted
+        assert result.extras["autoscale_preemptions"] > 0
+        series = obs.timeline.series("workers.busy")
+        assert series, "busy gauge never sampled"
+        assert series[-1][1] == 0
+        assert min(value for _, value in series) >= 0
+
+
+class TestGolden:
+    """Digests of seeded service output; any change to the simulated
+    worker fleet that moves a single event shows up here."""
+
+    def test_frontier_digest(self):
+        rows, _ = serve_study(
+            fleet_sizes=(1, 2), duration_s=120.0, seed=42, jobs=1
+        )
+        digest = hashlib.sha256(
+            serialize_rows(rows).encode("utf-8")
+        ).hexdigest()
+        assert digest == (
+            "9c4fb21534144d6a7d2c177fc33e914a7bca5343305b93e780c38379b312d47a"
+        )
+
+    def test_preemption_result_digest(self, preempted):
+        _, result = preempted
+        assert sha256_json(result.to_dict()) == (
+            "96214a4ded90af3af98b0472a6da4d76a51dbd58328034dda64c13b38aaa9785"
+        )
 
 
 class TestDeterminism:
