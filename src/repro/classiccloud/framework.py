@@ -21,10 +21,11 @@ from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
-from repro.chaos.retry import RetryPolicy, run_with_retry
+from repro.chaos.retry import RetryPolicy
 from repro.chaos.speculation import BackupCopy, SpeculationPolicy
+from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.billing import CostMeter
-from repro.cloud.compute import CloudProvider, VmInstance
+from repro.cloud.compute import CloudProvider
 from repro.cloud.failures import FaultPlan
 from repro.cloud.instance_types import (
     InstanceType,
@@ -33,19 +34,14 @@ from repro.cloud.instance_types import (
 )
 from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
 from repro.cloud.queue import MessageQueue, StaleReceiptError
-from repro.cloud.storage import BlobNotFound, BlobStore, StorageUnavailable
+from repro.cloud.storage import BlobStore
 from repro.core.application import Application
-from repro.core.task import RunResult, TaskRecord, TaskSpec
+from repro.core.task import RunResult, TaskSpec
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, Interrupt, make_environment
+from repro.sim.engine import Environment, make_environment
 from repro.sim.rng import RngRegistry
 
 __all__ = ["ClassicCloudConfig", "ClassicCloudFramework", "LocalAugmentation"]
-
-#: The workers' eventual-consistency download loop, expressed as a
-#: retry policy: 241 attempts at a flat 0.5 s — byte-identical in
-#: timing (and RNG consumption: none) to the historical ``for`` loop.
-_DOWNLOAD_RETRY = RetryPolicy.fixed(attempts=241, delay_s=0.5)
 
 
 @dataclass(frozen=True)
@@ -270,19 +266,29 @@ class _SimRun:
             visibility_timeout_s=60.0,
             miss_probability=0.0,
         )
-        self.records: list[TaskRecord] = []
         self.completed: set[str] = set()
         self.measure_start = 0.0
         self.preload_seconds = 0.0
-        self._worker_counter = 0
-        self._busy_workers = 0
-        self._worker_instance: dict[int, VmInstance] = {}
-        self._all_workers: list = []
-        # Resilience bookkeeping (chaos / speculation / retry runs).
-        self._task_started_at: dict[str, float] = {}
-        self._finished_ids: set[str] = set()
+        self.workers = WorkerFleet(
+            env=self.env,
+            rng=self.rng,
+            obs=self.obs,
+            task_queue=self.task_queue,
+            storage=self.storage,
+            perf_model=lambda task: app.perf_model,
+            keep_polling=lambda: len(self.completed) < len(tasks),
+            on_complete=self.monitor_queue.send,
+            workers_per_instance=config.workers_per_instance,
+            threads=config.threads_per_worker,
+            poll_backoff_s=config.poll_backoff_s,
+            fault_plan=config.fault_plan,
+            retry_policy=config.retry_policy,
+            slots=self._slots,
+            respawn_poisoned=self._respawn_after_poison,
+        )
+        self.records = self.workers.records
+        # Speculation bookkeeping.
         self._backup_sent: set[str] = set()
-        self._recoveries: list[float] = []
         self.speculative_launched = 0
         self.chaos: ChaosController | None = None
         if config.chaos is not None:
@@ -295,7 +301,7 @@ class _SimRun:
                     i for i in self.cloud.instances if i.is_running
                 ],
                 workers=lambda: [
-                    p for p in self._all_workers if p.is_alive
+                    p for p in self.workers.processes if p.is_alive
                 ],
                 crash_worker=lambda p: p.interrupt("chaos-crash"),
                 restart_worker=self._restart_worker_like,
@@ -311,7 +317,7 @@ class _SimRun:
                 config.workers_per_instance,
                 self.task_queue,
                 self.rng.stream("spot-market"),
-                spawn_workers=self._spawn_instance_workers,
+                spawn_workers=self.workers.spawn_instance,
                 is_done=lambda: self._accounted_tasks() >= len(self.tasks),
             )
 
@@ -404,6 +410,7 @@ class _SimRun:
                 first_done.add(record.task_id)
                 if record.speculative:
                     speculative_wins += 1
+        recoveries = self.workers.recoveries
         extras = {
             "tasks_completed": float(len(self.completed)),
             "tasks_failed": float(n_failed),
@@ -413,11 +420,9 @@ class _SimRun:
             # on a redelivered message — how long the visibility-timeout
             # recovery path took, averaged over recoveries.
             "chaos_mttr_s": (
-                sum(self._recoveries) / len(self._recoveries)
-                if self._recoveries
-                else 0.0
+                sum(recoveries) / len(recoveries) if recoveries else 0.0
             ),
-            "chaos_recoveries": float(len(self._recoveries)),
+            "chaos_recoveries": float(len(recoveries)),
             "speculative_launched": float(self.speculative_launched),
             "speculative_wins": float(speculative_wins),
             "lost_deletes": float(self.task_queue.stats.lost_deletes),
@@ -478,10 +483,8 @@ class _SimRun:
 
         # Client populates the scheduling queue while workers consume.
         self.env.process(self._client(), name="client")
-        workers: list = []
         for instance in instances:
-            procs = self._spawn_instance_workers(instance)
-            workers.extend(procs)
+            procs = self.workers.spawn_instance(instance)
             if self.controller is not None:
                 self.controller.track(instance, procs)
         if self.controller is not None:
@@ -491,18 +494,17 @@ class _SimRun:
         if config.local_augmentation is not None:
             aug = config.local_augmentation
             host = _LocalHost(aug.machine)
-            for w in range(aug.n_workers):
-                workers.append(
-                    self._spawn_worker(
-                        host,
-                        concurrent_workers=aug.n_workers,
-                        wan_bandwidth_bps=aug.wan_bandwidth_mbps * 1e6 / 8.0,
-                        wan_latency_s=aug.wan_latency_s,
-                        prefix="local",
-                    )
+            for _ in range(aug.n_workers):
+                self.workers.spawn(
+                    host,
+                    concurrent_workers=aug.n_workers,
+                    wan_bandwidth_bps=aug.wan_bandwidth_mbps * 1e6 / 8.0,
+                    wan_latency_s=aug.wan_latency_s,
+                    prefix="local",
                 )
         # Fault injection: schedule crashes against the global worker
         # index (instance-major order, matching spawn order).
+        workers = self.workers.processes
         for crash in config.fault_plan.worker_crashes:
             if 0 <= crash.worker_index < len(workers):
                 self.env.process(
@@ -520,46 +522,21 @@ class _SimRun:
         yield completion
         return self.env.now - self.measure_start
 
-    def _spawn_instance_workers(self, instance) -> list:
-        """Start the configured workers on one (possibly fresh) instance."""
-        return [
-            self._spawn_worker(instance)
-            for _ in range(self.config.workers_per_instance)
-        ]
+    def _slots(self) -> int:
+        """Currently provisioned worker slots (utilization denominator)."""
+        if self.controller is not None:
+            return (
+                len(self.controller.active_instances())
+                * self.config.workers_per_instance
+            )
+        return self.config.total_workers
 
-    def _spawn_worker(
-        self,
-        host,
-        concurrent_workers: int | None = None,
-        wan_bandwidth_bps: float | None = None,
-        wan_latency_s: float = 0.0,
-        prefix: str = "worker",
-    ):
-        self._worker_counter += 1
-        name = f"{prefix}-{self._worker_counter}"
-        if concurrent_workers is None:
-            concurrent_workers = self.config.workers_per_instance
-        process = self.env.process(
-            self._worker(
-                host, name, concurrent_workers, wan_bandwidth_bps, wan_latency_s
-            ),
-            name=name,
-        )
-        self._worker_instance[id(process)] = host
-        self._all_workers.append(process)
-        return process
-
-    def _respawn_after_poison(
-        self, host, concurrent_workers, wan_bandwidth_bps, wan_latency_s
-    ):
+    def _respawn_after_poison(self, host, *link):
+        """Replace a poisoned worker on its host, with the same link
+        (concurrent workers, WAN bandwidth and latency)."""
         yield self.env.timeout(self.config.fault_plan.poison_restart_s)
         if host.is_running:
-            self._spawn_worker(
-                host,
-                concurrent_workers=concurrent_workers,
-                wan_bandwidth_bps=wan_bandwidth_bps,
-                wan_latency_s=wan_latency_s,
-            )
+            self.workers.spawn(host, *link)
 
     def _crasher(self, worker_process, crash):
         delay = self.measure_start + crash.at_time - self.env.now
@@ -568,25 +545,19 @@ class _SimRun:
             worker_process.interrupt("fault-injected crash")
         if crash.restart_after is not None:
             yield self.env.timeout(crash.restart_after)
-            # Replacement worker on the same instance as the victim.
-            instance = self._worker_instance.get(id(worker_process))
-            if instance is not None and instance.is_running:
-                self._spawn_worker(instance)
+            self._restart_worker_like(worker_process)
 
     # -- chaos hooks -----------------------------------------------------------
     def _restart_worker_like(self, victim) -> None:
         """Replacement worker on the crash victim's instance, if alive."""
-        host = self._worker_instance.get(id(victim))
+        host = self.workers.host_of(victim)
         if host is not None and host.is_running:
-            self._spawn_worker(host)
+            self.workers.spawn(host)
 
     def _chaos_preempt(self, instance) -> None:
         """Provider-initiated reclaim of one instance and its workers."""
-        for process in self._all_workers:
-            if (
-                process.is_alive
-                and self._worker_instance.get(id(process)) is instance
-            ):
+        for process in self.workers.processes:
+            if process.is_alive and self.workers.host_of(process) is instance:
                 process.interrupt("chaos-preempted")
         if instance.is_running:
             self.cloud.terminate(instance, preempted=True)
@@ -622,7 +593,7 @@ class _SimRun:
                 tid = task.task_id
                 if tid in self.completed or tid in self._backup_sent:
                     continue
-                started = self._task_started_at.get(tid)
+                started = self.workers.started_at.get(tid)
                 if started is None or now - started <= cutoff:
                     continue
                 self._backup_sent.add(tid)
@@ -682,242 +653,3 @@ class _SimRun:
                 yield from self.monitor_queue.delete(msg)
             except StaleReceiptError:
                 pass
-
-    # -- the worker ------------------------------------------------------------
-    def _sample_busy(self, delta: int) -> None:
-        """Timeline samples: busy workers + utilization over sim time.
-
-        Every ``+1`` is paired with a ``-1``: the normal path emits it
-        after the task completes, and the Interrupt recovery path emits
-        it for a worker killed mid-task (poison / preemption / chaos),
-        so the gauge returns to zero when the run drains.
-        """
-        if not self.obs.enabled:
-            return
-        self._busy_workers += delta
-        now = self.env.now
-        timeline = self.obs.timeline
-        timeline.sample("workers.busy", now, self._busy_workers)
-        if self.controller is not None:
-            slots = (
-                len(self.controller.active_instances())
-                * self.config.workers_per_instance
-            )
-        else:
-            slots = self.config.total_workers
-        if slots > 0:
-            timeline.sample(
-                "workers.utilization", now, self._busy_workers / slots
-            )
-
-    def _worker(
-        self,
-        host,
-        name: str,
-        concurrent_workers: int,
-        wan_bandwidth_bps: float | None = None,
-        wan_latency_s: float = 0.0,
-    ):
-        config = self.config
-        rng = self.rng.stream(f"{name}-jitter")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        retry_policy = config.retry_policy
-        backoff_rng = (
-            self.rng.stream(f"{name}-backoff")
-            if retry_policy is not None
-            else None
-        )
-        tracer = self.tracer
-        wait_start = self.env.now
-        busy = False  # whether a +1 busy sample awaits its -1
-        empty_streak = 0
-        try:
-            while len(self.completed) < len(self.tasks):
-                # Scale-in: a draining (or already terminated) host stops
-                # taking new tasks; the current task was finished first.
-                if host.draining or not host.is_running:
-                    return
-                msg = yield from self.task_queue.receive()
-                if wan_latency_s:
-                    yield self.env.timeout(wan_latency_s)
-                if msg is None:
-                    # With a retry policy the empty-receive backoff grows
-                    # (jittered) instead of hammering a drained queue at
-                    # a fixed period.
-                    if retry_policy is not None:
-                        empty_streak = min(empty_streak + 1, 30)
-                        yield self.env.timeout(
-                            config.poll_backoff_s
-                            + retry_policy.backoff_s(
-                                empty_streak, backoff_rng
-                            )
-                        )
-                    else:
-                        yield self.env.timeout(config.poll_backoff_s)
-                    continue
-                empty_streak = 0
-                body = msg.body
-                speculative = isinstance(body, BackupCopy)
-                task: TaskSpec = body.task if speculative else body
-                started = self.env.now
-                self._task_started_at[task.task_id] = started
-                first_attempt = msg.receive_count == 1
-
-                # Poison task: executing its input kills the worker.
-                # The message reappears after the visibility timeout and
-                # — with a redrive policy — eventually dead-letters.
-                if task.task_id in config.fault_plan.poison_task_ids:
-                    self.env.process(
-                        self._respawn_after_poison(
-                            host,
-                            concurrent_workers,
-                            wan_bandwidth_bps,
-                            wan_latency_s,
-                        ),
-                        name=f"{name}-respawn",
-                    )
-                    return
-
-                self._sample_busy(+1)
-                busy = True
-
-                try:
-                    # Download the input file over HTTP, retrying through
-                    # eventual-consistency 404s.  Bounded: a key that
-                    # never appears is a configuration error, not a
-                    # consistency blip, and must fail loudly rather than
-                    # hang the run.
-                    t0 = self.env.now
-                    try:
-                        yield from run_with_retry(
-                            self.env,
-                            _DOWNLOAD_RETRY,
-                            lambda: self.storage.get(
-                                task.input_key,
-                                bandwidth_bps=wan_bandwidth_bps,
-                                extra_latency_s=wan_latency_s,
-                            ),
-                            retryable=(BlobNotFound,),
-                        )
-                    except BlobNotFound:
-                        raise RuntimeError(
-                            f"input {task.input_key!r} never became "
-                            "visible in storage"
-                        ) from None
-                    download_time = self.env.now - t0
-
-                    # Execute the program.
-                    service = task_runtime_seconds(
-                        self.app.perf_model,
-                        task.work_units,
-                        host.machine,
-                        concurrent_workers=concurrent_workers,
-                        threads=config.threads_per_worker,
-                        clock_ghz=host.effective_clock_ghz(),
-                    )
-                    plan = config.fault_plan
-                    if (
-                        plan.straggler_probability
-                        and straggle_rng.random()
-                        < plan.straggler_probability
-                    ):
-                        service *= plan.straggler_slowdown
-                    # Small service-time noise on top of instance jitter.
-                    service *= float(rng.uniform(0.98, 1.02))
-                    t1 = self.env.now
-                    yield self.env.timeout(service)
-                    compute_time = self.env.now - t1
-
-                    # Upload the result (idempotent overwrite on
-                    # re-execution).
-                    t2 = self.env.now
-                    yield from self.storage.put(
-                        task.output_key,
-                        task.output_size,
-                        bandwidth_bps=wan_bandwidth_bps,
-                        extra_latency_s=wan_latency_s,
-                    )
-                    upload_time = self.env.now - t2
-                except StorageUnavailable:
-                    # Retry budget exhausted mid-attempt: abandon it.
-                    # The undeleted message reappears after the
-                    # visibility timeout and another worker re-executes
-                    # the task — the recovery path the paper relies on.
-                    self._sample_busy(-1)
-                    busy = False
-                    wait_start = self.env.now
-                    continue
-
-                # Delete the message; a stale receipt means the task was
-                # re-delivered meanwhile — our (identical) result stands.
-                was_duplicate = not first_attempt
-                try:
-                    yield from self.task_queue.delete(msg)
-                except StaleReceiptError:
-                    was_duplicate = True
-                yield from self.monitor_queue.send(task.task_id)
-
-                # First finisher wins; a backup copy (or the original it
-                # raced) landing second is redundant work, same as a
-                # redelivered duplicate.
-                finished_before = task.task_id in self._finished_ids
-                self._finished_ids.add(task.task_id)
-                won = not was_duplicate and not finished_before
-                if (
-                    not finished_before
-                    and msg.receive_count > 1
-                    and msg.first_received_at is not None
-                ):
-                    # Completed on a redelivery: the visibility-timeout
-                    # recovery path repaired lost work — record how long
-                    # it took (MTTR numerator).
-                    self._recoveries.append(
-                        self.env.now - msg.first_received_at
-                    )
-                self.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        worker=name,
-                        started_at=started,
-                        finished_at=self.env.now,
-                        download_time=download_time,
-                        compute_time=compute_time,
-                        upload_time=upload_time,
-                        attempt=msg.receive_count,
-                        was_duplicate=was_duplicate,
-                        speculative=speculative,
-                        won=won,
-                    )
-                )
-                # Spans mirror the record exactly (same env.now readings,
-                # emitted with no intervening yields), so Chrome-trace
-                # phase totals agree with analysis.phase_breakdown.
-                if tracer.enabled:
-                    tid = task.task_id
-                    tracer.add(
-                        "task.queue_wait", track=name,
-                        start=wait_start, end=started, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.download", track=name,
-                        start=t0, end=t0 + download_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.compute", track=name,
-                        start=t1, end=t1 + compute_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.upload", track=name,
-                        start=t2, end=t2 + upload_time, task_id=tid,
-                    )
-                self._sample_busy(-1)
-                busy = False
-                wait_start = self.env.now
-        except Interrupt:
-            # Crashed (poison / preemption / chaos): the in-flight
-            # message reappears after the visibility timeout.  Emit the
-            # busy end-sentinel the completion path would have emitted
-            # so the sampled gauge doesn't stay inflated forever.
-            if busy:
-                self._sample_busy(-1)
-            return

@@ -6,9 +6,9 @@ BLAST / GTM jobs, the :class:`~repro.serve.admission.AdmissionController`
 sheds what the quotas and the global backlog cap refuse, the
 :class:`~repro.serve.scheduler.FairShareScheduler` dispatches admitted
 jobs into the same at-least-once message queue the ClassicCloud
-framework uses, and a polling worker fleet (static or autoscaled, spot
-preemption included) executes them with the blob-storage and perf-model
-behaviour of a batch run.
+framework uses, and the ClassicCloud polling workers themselves — one
+:class:`~repro.classiccloud.worker.WorkerFleet`, static or autoscaled,
+spot preemption included — execute them exactly as in a batch run.
 
 Fault tolerance is inherited, not reimplemented: a worker preempted
 mid-job simply dies with its message in flight, the message reappears
@@ -29,18 +29,18 @@ from dataclasses import dataclass, field
 
 from repro.apps.perfmodels import task_runtime_seconds
 from repro.autoscale.controller import AutoscaleController
-from repro.chaos.retry import RetryPolicy, run_with_retry
 from repro.autoscale.plan import AutoscalePlan
+from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.billing import CostMeter
 from repro.cloud.compute import CloudProvider
 from repro.cloud.instance_types import InstanceType, get_instance_type
 from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
-from repro.cloud.queue import MessageQueue, StaleReceiptError
-from repro.cloud.storage import BlobNotFound, BlobStore
+from repro.cloud.queue import MessageQueue
+from repro.cloud.storage import BlobStore
 from repro.core.application import Application, get_application
-from repro.core.task import TaskRecord, TaskSpec
+from repro.core.task import TaskRecord
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, Interrupt, make_environment
+from repro.sim.engine import Environment, make_environment
 from repro.sim.rng import RngRegistry
 from repro.serve.admission import AdmissionController, AdmissionOutcome
 from repro.serve.scheduler import FairShareScheduler
@@ -53,11 +53,6 @@ __all__ = [
     "TenantStats",
     "run_serve",
 ]
-
-#: Download-through-404 stance: fixed 0.5 s polls for up to two minutes,
-#: timing-identical to the historical inline loop (241 attempts).
-_DOWNLOAD_RETRY = RetryPolicy.fixed(attempts=241, delay_s=0.5)
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -337,12 +332,24 @@ class JobService:
         )
         self._jobs: dict[str, _JobMeta] = {}
         self._completed: set[str] = set()
-        self.records: list[TaskRecord] = []
         self.measure_start = 0.0
-        self._worker_counter = 0
-        self._busy_workers = 0
         self._instances: list = []
         self._stopping = False
+        # The Classic Cloud polling worker, shared with the batch
+        # framework.  No utilization series: serve reports fleet slots
+        # from its own monitor.
+        self.workers = WorkerFleet(
+            env=self.env,
+            rng=self.rng,
+            obs=self.obs,
+            task_queue=self.task_queue,
+            storage=self.storage,
+            perf_model=lambda task: self._jobs[task.task_id].app.perf_model,
+            keep_polling=lambda: not self._stopping,
+            on_complete=self._record_completion,
+            workers_per_instance=config.workers_per_instance,
+            poll_backoff_s=config.poll_backoff_s,
+        )
         self.controller: AutoscaleController | None = None
         if config.autoscale is not None:
             self.controller = AutoscaleController(
@@ -353,7 +360,7 @@ class JobService:
                 config.workers_per_instance,
                 _BacklogView(self.admission),
                 self.rng.stream("spot-market"),
-                spawn_workers=self._spawn_instance_workers,
+                spawn_workers=self.workers.spawn_instance,
                 is_done=lambda: self._stopping,
             )
 
@@ -421,7 +428,7 @@ class JobService:
             total_cost=report.total_cost,
             amortized_cost=report.total_amortized_cost,
             extras=extras,
-            records=self.records,
+            records=self.workers.records,
         )
 
     def _tenant_stats(self, spec: TenantSpec) -> TenantStats:
@@ -484,7 +491,7 @@ class JobService:
             )
         self.env.process(self.scheduler.run(), name="scheduler")
         for instance in instances:
-            procs = self._spawn_instance_workers(instance)
+            procs = self.workers.spawn_instance(instance)
             if self.controller is not None:
                 self.controller.track(instance, procs)
         if self.controller is not None:
@@ -580,142 +587,16 @@ class JobService:
             )
             yield self.env.timeout(5.0)
 
-    def _sample_busy(self, delta: int) -> None:
-        if not self.obs.enabled:
-            return
-        self._busy_workers += delta
-        self.obs.timeline.sample(
-            "workers.busy", self.env.now, self._busy_workers
-        )
-
-    # -- the worker fleet --------------------------------------------------
-    def _spawn_instance_workers(self, instance) -> list:
-        return [
-            self._spawn_worker(instance)
-            for _ in range((self.config.workers_per_instance))
-        ]
-
-    def _spawn_worker(self, host):
-        self._worker_counter += 1
-        name = f"worker-{self._worker_counter}"
-        return self.env.process(self._worker(host, name), name=name)
-
-    def _worker(self, host, name: str):
-        """Identical shape to the ClassicCloud polling worker."""
-        config = self.config
-        jitter_rng = self.rng.stream(f"{name}-jitter")
-        tracer = self.tracer
-        wait_start = self.env.now
-        busy = False
-        try:
-            while not self._stopping:
-                if host.draining or not host.is_running:
-                    return
-                msg = yield from self.task_queue.receive()
-                if msg is None:
-                    yield self.env.timeout(config.poll_backoff_s)
-                    continue
-                task: TaskSpec = msg.body
-                meta = self._jobs[task.task_id]
-                started = self.env.now
-                self._sample_busy(+1)
-                busy = True
-
-                # Download through eventual-consistency 404s (bounded).
-                t0 = self.env.now
-                try:
-                    yield from run_with_retry(
-                        self.env,
-                        _DOWNLOAD_RETRY,
-                        lambda: self.storage.get(task.input_key),
-                        retryable=(BlobNotFound,),
-                    )
-                except BlobNotFound:
-                    raise RuntimeError(
-                        f"input {task.input_key!r} never became "
-                        "visible in storage"
-                    ) from None
-                download_time = self.env.now - t0
-
-                service = task_runtime_seconds(
-                    meta.app.perf_model,
-                    task.work_units,
-                    host.machine,
-                    concurrent_workers=config.workers_per_instance,
-                    clock_ghz=host.effective_clock_ghz(),
-                )
-                service *= float(jitter_rng.uniform(0.98, 1.02))
-                t1 = self.env.now
-                yield self.env.timeout(service)
-                compute_time = self.env.now - t1
-
-                t2 = self.env.now
-                yield from self.storage.put(task.output_key, task.output_size)
-                upload_time = self.env.now - t2
-
-                was_duplicate = msg.receive_count > 1
-                try:
-                    yield from self.task_queue.delete(msg)
-                except StaleReceiptError:
-                    was_duplicate = True
-
-                self._record_completion(
-                    meta, task, name, started, msg.receive_count,
-                    was_duplicate,
-                )
-                self.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        worker=name,
-                        started_at=started,
-                        finished_at=self.env.now,
-                        download_time=download_time,
-                        compute_time=compute_time,
-                        upload_time=upload_time,
-                        attempt=msg.receive_count,
-                        was_duplicate=was_duplicate,
-                        won=not was_duplicate,
-                    )
-                )
-                if tracer.enabled:
-                    tid = task.task_id
-                    tracer.add(
-                        "task.queue_wait", track=name,
-                        start=wait_start, end=started, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.download", track=name,
-                        start=t0, end=t0 + download_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.compute", track=name,
-                        start=t1, end=t1 + compute_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.upload", track=name,
-                        start=t2, end=t2 + upload_time, task_id=tid,
-                    )
-                self._sample_busy(-1)
-                busy = False
-                wait_start = self.env.now
-        except Interrupt:
-            # Preempted/crashed: the message reappears and retries.  If
-            # the interrupt landed mid-task, close the busy gauge so the
-            # +1 sampled at pick-up is paired with a -1.
-            if busy:
-                self._sample_busy(-1)
-            return
-
-    def _record_completion(
-        self, meta, task, worker, started, receive_count, was_duplicate
-    ) -> None:
+    # -- completions -------------------------------------------------------
+    def _record_completion(self, task_id: str) -> None:
         """Count each job once, however many times it executed."""
+        meta = self._jobs[task_id]
         metrics = self.obs.metrics
-        if task.task_id in self._completed:
+        if task_id in self._completed:
             self.admission.duplicate(meta.tenant)
             metrics.counter("serve.duplicates").inc()
             return
-        self._completed.add(task.task_id)
+        self._completed.add(task_id)
         latency = self.env.now - meta.submitted_at
         self.admission.complete(meta.tenant, latency)
         metrics.counter("serve.completed").inc()

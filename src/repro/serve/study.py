@@ -17,7 +17,6 @@ completion order, so any job count yields byte-identical tables.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -26,6 +25,7 @@ from repro.autoscale.plan import AutoscalePlan
 from repro.core.report import format_table
 from repro.serve.service import ServeConfig, ServeResult, run_serve
 from repro.serve.tenants import TenantSpec
+from repro.sim.engine import sanitize_requested
 from repro.sweep.runner import resolve_jobs
 
 __all__ = [
@@ -110,14 +110,6 @@ class ServeStudyRow:
         return asdict(self)
 
 
-def _sanitizing() -> bool:
-    # DES-sanitizing tokens force inline runs (same rule as the sweep
-    # runner): the instrumented event loop must stay in-process.
-    raw = os.environ.get("REPRO_SANITIZE", "")
-    tokens = {t for t in raw.replace(",", " ").lower().split() if t}
-    return bool(tokens - {"threads", "0", "false", "off"})
-
-
 def _run_point(config: ServeConfig) -> ServeResult:
     """Worker-process entry: run one fleet point, drop bulky records."""
     return replace(run_serve(config), records=[])
@@ -157,7 +149,8 @@ def serve_study(
         for n in fleet_sizes
     ]
     n_jobs = min(resolve_jobs(jobs), len(configs))
-    if n_jobs <= 1 or _sanitizing():
+    # The instrumented event loop must stay in-process.
+    if n_jobs <= 1 or sanitize_requested():
         results = [_run_point(config) for config in configs]
     else:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -622,31 +622,34 @@ class Environment:
         return None
 
 
+def sanitize_requested() -> bool:
+    """Whether ``REPRO_SANITIZE`` asks for the DES sanitizer.
+
+    The variable is a token list: ``1``/``true``/``sim``/``all`` enable
+    the DES sanitizer; a bare ``threads`` enables only the thread
+    sanitizer (:mod:`repro.lint.threadsan`), which instruments the
+    threaded runtimes and must *not* put simulations on the
+    instrumented loop; ``0``/``false``/``off`` or unset enable nothing.
+    """
+    raw = os.environ.get("REPRO_SANITIZE", "")
+    tokens = set(raw.replace(",", " ").lower().split())
+    return bool(tokens - {"threads", "0", "false", "off"})
+
+
 def make_environment(
     initial_time: float = 0.0, sanitize: bool | None = None
 ) -> Environment:
     """Environment factory honouring the sanitizer opt-in.
 
-    With ``sanitize=True`` — or ``sanitize=None`` and ``REPRO_SANITIZE``
-    set in the process environment — returns an instrumented
+    With ``sanitize=True`` — or ``sanitize=None`` and
+    :func:`sanitize_requested` — returns an instrumented
     :class:`repro.lint.sanitizer.SanitizedEnvironment` (imported lazily
     to keep the kernel free of lint dependencies); otherwise a plain
     :class:`Environment`.  Every simulated backend builds its event loop
     through this factory.
-
-    ``REPRO_SANITIZE`` is a token list: ``1``/``true``/``sim``/``all``
-    enable this DES sanitizer; a bare ``threads`` enables only the
-    thread sanitizer (:mod:`repro.lint.threadsan`) and must *not* put
-    the simulation on the instrumented loop.
     """
     if sanitize is None:
-        raw = os.environ.get("REPRO_SANITIZE", "")
-        tokens = {
-            token
-            for token in raw.replace(",", " ").lower().split()
-            if token
-        }
-        sanitize = bool(tokens - {"threads", "0", "false", "off"})
+        sanitize = sanitize_requested()
     if sanitize:
         from repro.lint.sanitizer import SanitizedEnvironment
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.context import current as _current_obs
+from repro.sim.engine import sanitize_requested
 from repro.sweep.cache import ResultCache
 from repro.sweep.points import (
     InlinePoint,
@@ -96,16 +97,6 @@ def resolve_jobs(jobs: "int | None" = None) -> int:
     return jobs
 
 
-def _sanitizing() -> bool:
-    # Only DES-sanitizing tokens force inline execution and bypass the
-    # cache: the thread sanitizer (REPRO_SANITIZE=threads) instruments
-    # the *threaded* runtimes and does not change simulated results, so
-    # cached points stay valid and workers stay usable.
-    raw = os.environ.get("REPRO_SANITIZE", "")
-    tokens = {t for t in raw.replace(",", " ").lower().split() if t}
-    return bool(tokens - {"threads", "0", "false", "off"})
-
-
 def _chunk_pending(
     pending: "list[tuple[int, PointSpec]]", workers: int
 ) -> "list[list[tuple[int, PointSpec]]]":
@@ -142,7 +133,10 @@ def run_points(
     pass one own its lifecycle.
     """
     jobs = resolve_jobs(jobs)
-    sanitizing = _sanitizing()
+    # Only the DES sanitizer forces inline execution and bypasses the
+    # cache: the thread sanitizer does not change simulated results, so
+    # cached points stay valid and workers stay usable.
+    sanitizing = sanitize_requested()
     use_cache = cache is not None and not sanitizing
     total = len(points)
     obs = _current_obs()

@@ -8,7 +8,11 @@ from repro.lint.sanitizer import (
     SanitizedEnvironment,
     SanitizerError,
 )
-from repro.sim.engine import Environment, make_environment
+from repro.sim.engine import (
+    Environment,
+    make_environment,
+    sanitize_requested,
+)
 
 
 def make_queue(env, **kwargs):
@@ -34,10 +38,25 @@ class TestFactory:
         env = make_environment()
         assert type(env) is Environment
 
-    def test_env_var_opts_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    @pytest.mark.parametrize(
+        "raw, des",
+        [
+            ("", False),
+            ("threads", False),
+            ("1", True),
+            ("sim,threads", True),
+            ("all", True),
+            ("off", False),
+        ],
+        ids=["empty", "threads", "1", "sim,threads", "all", "off"],
+    )
+    def test_env_var_tokens(self, monkeypatch, raw, des):
+        # Only DES tokens put simulations on the instrumented loop; the
+        # sweep runner and serve study read the same helper.
+        monkeypatch.setenv("REPRO_SANITIZE", raw)
+        assert sanitize_requested() is des
         env = make_environment()
-        assert isinstance(env, SanitizedEnvironment)
+        assert isinstance(env, SanitizedEnvironment) is des
 
     def test_explicit_flag_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
