@@ -135,8 +135,8 @@ class WorkerFleet:
         host,
         name: str,
         concurrent_workers: int,
-        wan_bandwidth_bps: float | None = None,
-        wan_latency_s: float = 0.0,
+        wan_bandwidth_bps: float | None,
+        wan_latency_s: float,
     ):
         env = self.env
         storage = self.storage
