@@ -6,8 +6,15 @@ timestamp, scheduling sequence number and label — are byte-identical.
 This is the executable form of the kernel's determinism promise.
 """
 
-from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
-from repro.cloud.failures import FaultPlan
+import hashlib
+import json
+
+from repro.classiccloud import (
+    ClassicCloudConfig,
+    ClassicCloudFramework,
+    LocalAugmentation,
+)
+from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.core.application import get_application
 from repro.workloads.genome import cap3_task_specs
 
@@ -51,3 +58,87 @@ def test_sanitizer_finds_no_kernel_violations_in_cap3_run():
     report = env.sanitizer_report()
     assert report.double_triggers == []
     assert report.events_fired == len(env.trace)
+
+
+# -- golden digests -------------------------------------------------------
+#
+# The kernel's scheduling program, pinned: the (time, seq) column of the
+# sanitized trace (labels dropped, so renaming an event type does not
+# move them) and each queue's request accounting.  A change that adds,
+# drops or reorders one scheduling action, or one queue request, shows
+# up here.
+
+
+def trace_slots_digest(env) -> str:
+    """SHA-256 over the ``time #seq`` columns of the kernel trace."""
+    slots = "\n".join(" ".join(line.split(" ", 2)[:2]) for line in env.trace)
+    return hashlib.sha256(slots.encode("utf-8")).hexdigest()
+
+
+def queue_stats_digest(env) -> str:
+    """SHA-256 over every registered queue's request counters."""
+    rows = [
+        (
+            queue.name,
+            queue.stats.requests,
+            queue.stats.empty_receives,
+            queue.stats.received,
+            queue.stats.deleted,
+        )
+        for queue in env._queues
+    ]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+def play_poison_crash_augmentation():
+    """Poison respawn, a crash with restart, the dead-letter queue and
+    WAN-attached local workers, on the instrumented loop."""
+    tasks = cap3_task_specs(24, reads_per_file=200)
+    config = ClassicCloudConfig(
+        provider="aws",
+        instance_type="HCXL",
+        n_instances=2,
+        workers_per_instance=4,
+        seed=13,
+        fault_plan=FaultPlan(
+            poison_task_ids=frozenset({tasks[3].task_id}),
+            worker_crashes=[
+                WorkerCrash(worker_index=1, at_time=5.0, restart_after=10.0)
+            ],
+        ),
+        consistency_window_s=0.0,
+        max_task_attempts=3,
+        visibility_timeout_s=60.0,
+        local_augmentation=LocalAugmentation(n_workers=2),
+        sanitize=True,
+    )
+    framework = ClassicCloudFramework(config)
+    result = framework.run(get_application("cap3"), tasks)
+    assert result.failed == {tasks[3].task_id}
+    return result, framework.last_environment
+
+
+class TestGoldenSchedule:
+    def test_cap3_trace_slots_digest(self):
+        _, env = play_cap3(seed=7)
+        assert trace_slots_digest(env) == (
+            "93a0ab13a7b7b1570520976aa9cf723b783815b63e4e390ed16ed9915268e738"
+        )
+
+    def test_cap3_queue_stats_digest(self):
+        _, env = play_cap3(seed=7)
+        assert queue_stats_digest(env) == (
+            "4e59c3f5203f937ee6078bced763027cf68c3ce3ac7ed1b0644964853fc7bb01"
+        )
+
+    def test_poison_crash_augmentation_trace_slots_digest(self):
+        _, env = play_poison_crash_augmentation()
+        assert trace_slots_digest(env) == (
+            "7d9a68bf418c1e9c995596ea95381cfd431aaf6390546a7966b2d16fd10949bb"
+        )
+
+    def test_poison_crash_augmentation_queue_stats_digest(self):
+        _, env = play_poison_crash_augmentation()
+        assert queue_stats_digest(env) == (
+            "dc4f45dfb9e8f6c009bd94fa93b2bb2f7745d8013bbf7e88a6b0debad822293c"
+        )
