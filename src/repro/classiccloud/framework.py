@@ -635,21 +635,24 @@ class _SimRun:
         return len(accounted)
 
     def _completion_watcher(self):
-        poll = self.config.poll_backoff_s
         deadline = self.config.max_sim_seconds
-        while self._accounted_tasks() < len(self.tasks):
-            if self.env.now > deadline:
-                missing = len(self.tasks) - len(self.completed)
-                raise RuntimeError(
-                    f"run exceeded max_sim_seconds={deadline} with "
-                    f"{missing} tasks incomplete (all workers dead?)"
-                )
-            msg = yield from self.monitor_queue.receive()
-            if msg is None:
-                yield self.env.timeout(poll)
-                continue
+        n_tasks = len(self.tasks)
+
+        def keep_going() -> bool:
+            return self._accounted_tasks() < n_tasks and self.env.now <= deadline
+
+        poll_backoff_s = self.config.poll_backoff_s
+        while (
+            msg := (yield from self.monitor_queue.poll(keep_going, poll_backoff_s))
+        ) is not None:
             self.completed.add(msg.body)
             try:
                 yield from self.monitor_queue.delete(msg)
             except StaleReceiptError:
                 pass
+        if self._accounted_tasks() < n_tasks:
+            missing = n_tasks - len(self.completed)
+            raise RuntimeError(
+                f"run exceeded max_sim_seconds={deadline} with "
+                f"{missing} tasks incomplete (all workers dead?)"
+            )

@@ -32,7 +32,9 @@ class WorkerFleet:
     A worker polls the scheduling queue, downloads the input from blob
     storage, runs the program, uploads the output, deletes the message,
     runs its owner's completion step and records a :class:`TaskRecord`
-    with matching ``task.*`` phase spans.
+    with matching ``task.*`` phase spans.  Idle polling runs through
+    :meth:`~repro.cloud.queue.MessageQueue.poll`: one re-armed heap
+    entry per worker, not a generator round trip per empty receive.
 
     Owners supply only what differs between them.  ``perf_model(task)``
     picks a task's perf model; workers poll while ``keep_polling()``;
@@ -153,28 +155,31 @@ class WorkerFleet:
         wait_start = env.now
         busy = False  # whether a +1 busy sample awaits its -1
         empty_streak = 0
+
+        def keep_going() -> bool:
+            # Scale-in: a draining (or already terminated) host stops
+            # taking new tasks; the current task was finished first.
+            return (
+                self.keep_polling() and not host.draining and host.is_running
+            )
+
+        def backoff() -> float:
+            # The empty-receive backoff grows (jittered) instead of
+            # hammering a drained queue at a fixed period.
+            nonlocal empty_streak
+            empty_streak = min(empty_streak + 1, 30)
+            return retry_policy.backoff_s(empty_streak, backoff_rng)
+
         try:
-            while self.keep_polling():
-                # Scale-in: a draining (or already terminated) host stops
-                # taking new tasks; the current task was finished first.
-                if host.draining or not host.is_running:
-                    return
-                msg = yield from self.task_queue.receive()
-                if wan_latency_s:
-                    yield env.timeout(wan_latency_s)
+            while True:
+                msg = yield from self.task_queue.poll(
+                    keep_going,
+                    self.poll_backoff_s,
+                    extra_latency_s=wan_latency_s,
+                    backoff=backoff if retry_policy is not None else None,
+                )
                 if msg is None:
-                    # With a retry policy the empty-receive backoff grows
-                    # (jittered) instead of hammering a drained queue at
-                    # a fixed period.
-                    if retry_policy is not None:
-                        empty_streak = min(empty_streak + 1, 30)
-                        yield env.timeout(
-                            self.poll_backoff_s
-                            + retry_policy.backoff_s(empty_streak, backoff_rng)
-                        )
-                    else:
-                        yield env.timeout(self.poll_backoff_s)
-                    continue
+                    return
                 empty_streak = 0
                 body = msg.body
                 speculative = isinstance(body, BackupCopy)

@@ -24,13 +24,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
 
 from repro.cloud.billing import CostMeter
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 
 __all__ = ["Message", "MessageQueue", "QueueStats", "StaleReceiptError"]
 
@@ -288,17 +288,50 @@ class MessageQueue:
         while True:
             self._promote_due()
             if self._visible:
-                break
+                return self._take(visibility_timeout_s)
             if self.env.now >= deadline:
-                self.stats.empty_receives += 1
-                self._m_empty_receives.inc()
+                self._empty()
                 return None
             yield self.env.timeout(
                 min(0.2, max(1e-6, deadline - self.env.now))
             )
+
+    def poll(
+        self,
+        keep_going: Callable[[], bool],
+        backoff_s: float,
+        extra_latency_s: float = 0.0,
+        backoff: Callable[[], float] | None = None,
+    ) -> Generator:
+        """Receive until a message arrives (process).  Returns the first
+        :class:`Message` taken, or ``None`` once ``keep_going()`` is
+        false at the top of a cycle (checked before any request is sent).
+
+        Each cycle is one metered request, the check, an optional
+        ``extra_latency_s`` wait (a WAN round trip, after every check)
+        and, on an empty receive, a wait of ``backoff_s`` plus
+        ``backoff()`` when given.  The cycles run on one re-armed heap
+        entry rather than a generator round trip per request; they
+        schedule exactly what a loop of :meth:`receive` and
+        ``env.timeout`` calls would, at the same ``(time, sequence)``
+        slots, with the same RNG draws in the same order.
+        """
+        if backoff_s < 0 or extra_latency_s < 0:
+            raise ValueError("poll delays must be non-negative")
+        if not keep_going():
+            return None
+        waiter = Event(self.env)
+        _PollEntry(
+            self, waiter, keep_going, backoff_s, extra_latency_s, backoff
+        )._request()
+        return (yield waiter)
+
+    def _take(self, visibility_timeout_s: float | None = None) -> Message | None:
+        """Take one visible message: the miss draw, the index draw, the
+        duplicate draw, then hide it.  ``None`` on an eventual-
+        consistency miss.  Needs at least one visible message."""
         if self.miss_probability and self.rng.random() < self.miss_probability:
-            self.stats.empty_receives += 1
-            self._m_empty_receives.inc()
+            self._empty()
             return None
         index = int(self.rng.integers(len(self._visible)))
         message_id = self._visible[index]
@@ -330,6 +363,11 @@ class MessageQueue:
         # Hand back a snapshot: the receipt of *this* receive must not
         # mutate when the message is later re-received by someone else.
         return replace(message)
+
+    def _empty(self) -> None:
+        """Count one empty receive."""
+        self.stats.empty_receives += 1
+        self._m_empty_receives.inc()
 
     def delete(self, message: Message) -> Generator:
         """Delete a received message (process).
@@ -388,3 +426,107 @@ class MessageQueue:
         """Messages receivable at this instant (test helper)."""
         self._promote_due()
         return len(self._visible)
+
+
+# _PollEntry phases: what the entry does when it next fires.
+_CHECK, _WAN, _WAKE = range(3)
+
+
+class _PollEntry(Event):
+    """One poller's heap entry, re-armed in place for every step of
+    :meth:`MessageQueue.poll`.
+
+    Each step is one ``env._enqueue`` of this entry: the request latency
+    (then the check), the optional WAN delay, the backoff (then the
+    wake).  No Timeout, callback list or generator resume is spent per
+    step.  The entry resumes the poller parked on ``waiter`` inline —
+    the way a fired Timeout resumes its process — when it takes a
+    message or ``keep_going()`` turns false.  If the poller was
+    interrupted (``Process.interrupt`` detaches it from ``waiter``),
+    the entry fires once more as a no-op and is not re-armed.
+
+    ``_processed`` stays False across re-arms; the sanitizer catches an
+    entry armed twice for one cycle by tracking what is in its heap.
+    """
+
+    __slots__ = (
+        "_queue",
+        "_waiter",
+        "_keep_going",
+        "_backoff_s",
+        "_extra_latency_s",
+        "_backoff",
+        "_phase",
+        "_message",
+    )
+
+    #: Label in the sanitizer's event trace.
+    name = "queue.poll"
+
+    def __init__(
+        self,
+        queue: MessageQueue,
+        waiter: Event,
+        keep_going: Callable[[], bool],
+        backoff_s: float,
+        extra_latency_s: float,
+        backoff: Callable[[], float] | None,
+    ):
+        self.env = queue.env
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self._processed = False
+        self._queue = queue
+        self._waiter = waiter
+        self._keep_going = keep_going
+        self._backoff_s = backoff_s
+        self._extra_latency_s = extra_latency_s
+        self._backoff = backoff
+        self._message: Message | None = None
+
+    def _request(self) -> None:
+        queue = self._queue
+        queue._meter_request()
+        self._phase = _CHECK
+        self.env._enqueue(self, queue._latency())
+
+    def _resume_poller(self, message: Message | None) -> None:
+        waiter = self._waiter
+        waiter._value = message
+        waiter._ok = True
+        waiter._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        if not self._waiter.callbacks:
+            return  # the poller was interrupted: fire as a no-op
+        phase = self._phase
+        if phase == _CHECK:
+            queue = self._queue
+            queue._promote_due()
+            if queue._visible:
+                message = queue._take()
+            else:
+                queue._empty()
+                message = None
+            if self._extra_latency_s:
+                self._message = message
+                self._phase = _WAN
+                self.env._enqueue(self, self._extra_latency_s)
+                return
+        elif phase == _WAN:
+            message = self._message
+        else:  # _WAKE
+            if self._keep_going():
+                self._request()
+            else:
+                self._resume_poller(None)
+            return
+        if message is not None:
+            self._resume_poller(message)
+            return
+        delay = self._backoff_s
+        if self._backoff is not None:
+            delay += self._backoff()
+        self._phase = _WAKE
+        self.env._enqueue(self, delay)

@@ -7,7 +7,10 @@ Environment` that, while the simulation runs,
   event type, process name) — two runs with the same seed must produce
   byte-identical traces;
 * detects events fired or re-enqueued **twice** (a kernel-contract
-  violation; raises in strict mode);
+  violation; raises in strict mode), including a re-armed event — a
+  :meth:`~repro.cloud.queue.MessageQueue.poll` entry, whose
+  ``processed`` flag never sets — enqueued again while it is still
+  waiting in the heap;
 * counts **same-timestamp ties**, i.e. places where only the
   scheduling-order guarantee keeps the run deterministic;
 * tracks processes so a post-run report can list those that ended the
@@ -68,6 +71,11 @@ class SanitizerReport:
         return "\n".join(lines)
 
 
+def _label(event: Event) -> str:
+    """Trace label: the event's ``name`` if it has one, else its type."""
+    return getattr(event, "name", None) or type(event).__name__
+
+
 class SanitizedEnvironment(Environment):
     """Instrumented event loop.  ``strict=True`` raises on violations
     (double triggers / re-enqueues); the trace and the statistical
@@ -93,6 +101,8 @@ class SanitizedEnvironment(Environment):
         self.tracer = ambient if ambient.enabled else Tracer(label="sanitizer")
         self.same_time_ties = 0
         self._double_triggers: list[str] = []
+        # Events waiting in the heap: one slot per event at a time.
+        self._armed: set[Event] = set()
         self._processes: list[Process] = []
         self._queues: list = []
 
@@ -112,6 +122,12 @@ class SanitizedEnvironment(Environment):
                 f"{type(event).__name__} re-enqueued after its callbacks "
                 f"already ran (t={self.now!r})"
             )
+        elif event in self._armed:
+            self._flag(
+                f"{_label(event)} enqueued again before it fired "
+                f"(t={self.now!r})"
+            )
+        self._armed.add(event)
         super()._enqueue(event, delay)
 
     def step(self) -> None:
@@ -122,10 +138,10 @@ class SanitizedEnvironment(Environment):
             self._flag(
                 f"{type(event).__name__} fired twice (t={time!r}, seq={seq})"
             )
-        label = getattr(event, "name", None) or type(event).__name__
         self.tracer.instant(
-            label, track=self.KERNEL_TRACK, ts=time, seq=seq
+            _label(event), track=self.KERNEL_TRACK, ts=time, seq=seq
         )
+        self._armed.discard(event)
         super().step()
         if self._heap and self._heap[0][0] == time:
             self.same_time_ties += 1

@@ -1,10 +1,19 @@
 """Tests for the simulated Classic Cloud framework."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
+from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.failures import FaultPlan, WorkerCrash
+from repro.cloud.queue import MessageQueue
+from repro.cloud.storage import BlobStore
 from repro.core.application import get_application
+from repro.lint.sanitizer import SanitizedEnvironment
+from repro.obs import Observability
+from repro.sim.rng import RngRegistry
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -197,6 +206,52 @@ class TestFaultTolerance:
         config = small_config(consistency_window_s=5.0)
         result = ClassicCloudFramework(config).run(cap3, tasks)
         assert result.completed_task_ids == {t.task_id for t in tasks}
+
+
+class TestIdleWorkerInterrupt:
+    def test_crash_while_parked_in_poll(self):
+        """A worker crashed while idle-polling ends through its Interrupt
+        handler; its armed poll entry fires once as a no-op and is not
+        re-armed, so the event heap drains."""
+        env = SanitizedEnvironment(strict=True)
+        obs = Observability.make(label="idle-crash")
+        queue = MessageQueue(env, "tasks", np.random.default_rng(2))
+        fleet = WorkerFleet(
+            env=env,
+            rng=RngRegistry(2),
+            obs=obs,
+            task_queue=queue,
+            storage=BlobStore(env, "blobs", np.random.default_rng(3)),
+            perf_model=lambda task: None,
+            keep_polling=lambda: True,
+            on_complete=lambda task_id: None,
+            workers_per_instance=1,
+        )
+        worker = fleet.spawn(SimpleNamespace(draining=False, is_running=True))
+        crash_at = 5.3
+        requests_at_crash = []
+
+        def crasher():
+            yield env.timeout(crash_at)
+            requests_at_crash.append(queue.stats.requests)
+            worker.interrupt("chaos-preempted")
+
+        env.process(crasher(), name="crasher")
+        env.run(until=100.0)
+
+        assert not worker.is_alive
+        assert worker.ok and worker.value is None  # the handler returned
+        assert env.peek() == float("inf")  # nothing left armed
+        assert queue.stats.requests == requests_at_crash[0] > 1
+        fired_after_crash = [
+            line for line in env.trace
+            if line.endswith(" queue.poll") and float(line.split()[0]) > crash_at
+        ]
+        assert len(fired_after_crash) == 1
+        assert obs.timeline.series("workers.busy") == []
+        report = env.sanitizer_report()
+        assert report.pending_processes == []
+        assert report.double_triggers == []
 
 
 class TestSequentialEstimate:

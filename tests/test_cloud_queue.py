@@ -1,6 +1,6 @@
 """Tests for the simulated message queue (SQS / Azure Queue)."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -423,3 +423,105 @@ def test_delete_loss_defaults_off():
         return env.now, q.rng.bit_generator.state
 
     assert play() == play(delete_loss_probability=0.0)
+
+
+# -- poll(): the re-armed poll entry against a receive() loop -------------
+
+
+def reference_poll(queue, keep_going, backoff_s, extra_latency_s=0.0,
+                   backoff=None):
+    """What :meth:`MessageQueue.poll` replaces: receive() in a loop with
+    an ``env.timeout`` WAN delay and backoff."""
+    env = queue.env
+    while keep_going():
+        msg = yield from queue.receive()
+        if extra_latency_s:
+            yield env.timeout(extra_latency_s)
+        if msg is not None:
+            return msg
+        delay = backoff_s
+        if backoff is not None:
+            delay += backoff()
+        yield env.timeout(delay)
+    return None
+
+
+POLL_CASES = {
+    "empty-queue": dict(),
+    "late-send": dict(send_at=7.3),
+    "misses": dict(send_at=0.5, miss_probability=0.6),
+    "wan-latency": dict(send_at=7.3, extra_latency_s=0.08),
+    "jittered-backoff": dict(send_at=7.3, jitter=True),
+}
+
+
+def run_poller(poller, send_at=None, miss_probability=0.0,
+               extra_latency_s=0.0, jitter=False):
+    """One seeded poll against a fresh queue; everything observable."""
+    env = Environment()
+    q = make_queue(
+        env,
+        rng=np.random.default_rng(11),
+        latency_sigma=0.35,
+        propagation_delay_s=0.05,
+        miss_probability=miss_probability,
+    )
+    backoff_rng = np.random.default_rng(3)
+    backoff = (lambda: float(backoff_rng.uniform(0.0, 0.5))) if jitter else None
+    if send_at is not None:
+        def late_send():
+            yield env.timeout(send_at)
+            yield from q.send("late")
+
+        env.process(late_send())
+    msg = env.run(
+        until=env.process(
+            poller(
+                q,
+                lambda: env.now < 20.0,
+                1.0,
+                extra_latency_s=extra_latency_s,
+                backoff=backoff,
+            )
+        )
+    )
+    return dict(
+        message=None if msg is None else (msg.message_id, msg.receipt),
+        now=env.now,
+        events_scheduled=env.events_scheduled,
+        stats=asdict(q.stats),
+        rng=q.rng.bit_generator.state,
+        backoff_rng=backoff_rng.bit_generator.state,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(POLL_CASES))
+def test_poll_matches_a_receive_loop(case):
+    poll = run_poller(MessageQueue.poll, **POLL_CASES[case])
+    assert poll == run_poller(reference_poll, **POLL_CASES[case])
+    assert poll["stats"]["requests"] > 1
+    if case == "empty-queue":
+        assert poll["message"] is None
+    else:
+        assert poll["message"] is not None
+
+
+def test_poll_told_to_stop_sends_no_request():
+    env = Environment()
+    q = make_queue(env)
+    drive(env, q.send("t"))
+    requests, scheduled = q.stats.requests, env.events_scheduled
+    poller = q.poll(lambda: False, 1.0)
+    with pytest.raises(StopIteration) as stop:
+        next(poller)
+    assert stop.value.value is None
+    assert q.stats.requests == requests
+    assert env.events_scheduled == scheduled
+
+
+def test_poll_rejects_negative_delays():
+    q = make_queue(Environment())
+    with pytest.raises(ValueError):
+        next(q.poll(lambda: True, -1.0))
+    with pytest.raises(ValueError):
+        next(q.poll(lambda: True, 1.0, extra_latency_s=-0.1))

@@ -130,6 +130,19 @@ class TestViolations:
         with pytest.raises(SanitizerError):
             env._enqueue(event, 0.0)
 
+    def test_poll_entry_armed_twice_for_one_cycle_raises(self):
+        # A poll entry is re-armed in place and never marked processed,
+        # so only the sanitizer's in-heap tracking can see a second arm.
+        env = SanitizedEnvironment(strict=True)
+        q = make_queue(env)
+        env.process(q.poll(lambda: True, 1.0), name="poller")
+        env.step()  # the bootstrap parks the poller; its entry is armed
+        (entry,) = [item[2] for item in env._heap]
+        assert entry.name == "queue.poll"
+        assert not entry.processed
+        with pytest.raises(SanitizerError, match="enqueued again"):
+            entry._request()
+
     def test_non_strict_mode_records_instead(self):
         env = SanitizedEnvironment(strict=False)
         event = env.event()
