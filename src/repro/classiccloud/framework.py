@@ -650,6 +650,8 @@ class _SimRun:
                 yield from self.monitor_queue.delete(msg)
             except StaleReceiptError:
                 pass
+        # poll() returned None: every task is accounted for, or the
+        # watchdog deadline passed first.
         if self._accounted_tasks() < n_tasks:
             missing = n_tasks - len(self.completed)
             raise RuntimeError(
