@@ -17,7 +17,6 @@ byte for byte, preemption timing included.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -27,9 +26,9 @@ from repro.cloud.failures import FaultPlan
 from repro.cloud.spot import BidStrategy, SpotMarketModel
 from repro.core.application import get_application
 from repro.core.backends import make_backend
-from repro.core.report import format_table
-from repro.core.task import TaskSpec
+from repro.core.report import format_table, serialize_rows
 from repro.sweep import point_for, run_points
+from repro.workloads import study_task_specs
 
 __all__ = [
     "AutoscaleStudyRow",
@@ -68,22 +67,6 @@ class AutoscaleStudyRow:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _tasks_for(app_name: str, n_files: int) -> list[TaskSpec]:
-    if app_name == "cap3":
-        from repro.workloads.genome import cap3_task_specs
-
-        return cap3_task_specs(n_files, reads_per_file=400)
-    if app_name == "blast":
-        from repro.workloads.protein import blast_task_specs
-
-        return blast_task_specs(n_files, inhomogeneous_base=False, seed=3)
-    if app_name == "gtm":
-        from repro.workloads.pubchem import gtm_task_specs
-
-        return gtm_task_specs(n_files)
-    raise KeyError(f"unknown study application {app_name!r}")
 
 
 def autoscale_study(
@@ -131,7 +114,7 @@ def autoscale_study(
             point_for(
                 get_application(app_name),
                 backend,
-                _tasks_for(app_name, n_files),
+                study_task_specs(app_name, n_files),
             )
         )
     results = run_points(points, jobs=jobs, cache=cache)
@@ -171,11 +154,4 @@ def render_frontier(rows: Sequence[AutoscaleStudyRow]) -> str:
             for r in rows
         ],
         title="Autoscale study: cost vs makespan frontier",
-    )
-
-
-def serialize_rows(rows: Sequence[AutoscaleStudyRow]) -> str:
-    """Canonical JSON for the frontier (the determinism surface)."""
-    return json.dumps(
-        [row.to_dict() for row in rows], sort_keys=True, indent=2
     )

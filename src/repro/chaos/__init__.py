@@ -20,12 +20,14 @@ deterministically:
   duplicates reconcile idempotently.
 * :func:`chaos_study` — the campaign: sweep fault intensity against
   mitigation settings and report MTTR, redundant-work fraction,
-  makespan inflation and goodput (``python -m repro chaos``).
+  makespan inflation and goodput (``python -m repro chaos``);
+  :func:`chaos_point` builds one campaign cell's sweep point.
 """
 
 from repro.chaos.campaign import (
     CAMPAIGN_MITIGATIONS,
     ChaosStudyRow,
+    chaos_point,
     chaos_study,
     mitigation_settings,
     render_resilience,
@@ -45,6 +47,7 @@ __all__ = [
     "ChaosStudyRow",
     "RetryPolicy",
     "SpeculationPolicy",
+    "chaos_point",
     "chaos_study",
     "mitigation_settings",
     "render_resilience",

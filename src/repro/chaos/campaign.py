@@ -14,18 +14,18 @@ byte for byte (``jobs=1`` and ``jobs=8`` included).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.speculation import SpeculationPolicy
-from repro.core.report import format_table
+from repro.core.report import format_table, serialize_rows
 
 __all__ = [
     "CAMPAIGN_MITIGATIONS",
     "ChaosStudyRow",
+    "chaos_point",
     "chaos_study",
     "mitigation_settings",
     "render_resilience",
@@ -88,20 +88,43 @@ class ChaosStudyRow:
         return asdict(self)
 
 
-def _tasks_for(app_name: str, n_files: int):
-    if app_name == "cap3":
-        from repro.workloads.genome import cap3_task_specs
+def chaos_point(
+    app_name: str,
+    intensity: float,
+    mitigation: str,
+    *,
+    n_files: int,
+    n_instances: int,
+    workers_per_instance: int,
+    seed: int,
+    horizon_s: float,
+):
+    """The sweep point of one campaign cell (see :func:`chaos_study`)."""
+    from repro.core.application import get_application
+    from repro.core.backends import make_backend
+    from repro.sweep import point_for
+    from repro.workloads import study_task_specs
 
-        return cap3_task_specs(n_files, reads_per_file=400)
-    if app_name == "blast":
-        from repro.workloads.protein import blast_task_specs
-
-        return blast_task_specs(n_files, inhomogeneous_base=False, seed=3)
-    if app_name == "gtm":
-        from repro.workloads.pubchem import gtm_task_specs
-
-        return gtm_task_specs(n_files)
-    raise KeyError(f"unknown campaign application {app_name!r}")
+    retry, speculation = mitigation_settings(mitigation)
+    chaos = (
+        ChaosPlan.at_intensity(intensity, seed=seed, horizon_s=horizon_s)
+        if intensity > 0
+        else None
+    )
+    backend = make_backend(
+        "ec2",
+        n_instances=n_instances,
+        workers_per_instance=workers_per_instance,
+        seed=seed,
+        chaos=chaos,
+        retry_policy=retry,
+        speculation=speculation,
+    )
+    return point_for(
+        get_application(app_name),
+        backend,
+        study_task_specs(app_name, n_files),
+    )
 
 
 def chaos_study(
@@ -124,9 +147,7 @@ def chaos_study(
     the grid itself doesn't contain one), never worker completion
     order — a determinism requirement, like every study in this repo.
     """
-    from repro.core.application import get_application
-    from repro.core.backends import make_backend
-    from repro.sweep import point_for, run_points
+    from repro.sweep import run_points
 
     grid = [
         (app_name, float(intensity), mitigation)
@@ -138,30 +159,19 @@ def chaos_study(
         if (app_name, 0.0, "none") not in grid:
             grid.insert(0, (app_name, 0.0, "none"))
 
-    points = []
-    for app_name, intensity, mitigation in grid:
-        retry, speculation = mitigation_settings(mitigation)
-        chaos = (
-            ChaosPlan.at_intensity(intensity, seed=seed, horizon_s=horizon_s)
-            if intensity > 0
-            else None
-        )
-        backend = make_backend(
-            "ec2",
+    points = [
+        chaos_point(
+            app_name,
+            intensity,
+            mitigation,
+            n_files=n_files,
             n_instances=n_instances,
             workers_per_instance=workers_per_instance,
             seed=seed,
-            chaos=chaos,
-            retry_policy=retry,
-            speculation=speculation,
+            horizon_s=horizon_s,
         )
-        points.append(
-            point_for(
-                get_application(app_name),
-                backend,
-                _tasks_for(app_name, n_files),
-            )
-        )
+        for app_name, intensity, mitigation in grid
+    ]
     results = run_points(points, jobs=jobs, cache=cache)
 
     baseline_makespan = {
@@ -216,11 +226,4 @@ def render_resilience(rows: Sequence[ChaosStudyRow]) -> str:
             for r in rows
         ],
         title="Chaos campaign: fault intensity vs mitigation",
-    )
-
-
-def serialize_rows(rows: Sequence[ChaosStudyRow]) -> str:
-    """Canonical JSON for the campaign (the determinism surface)."""
-    return json.dumps(
-        [row.to_dict() for row in rows], sort_keys=True, indent=2
     )

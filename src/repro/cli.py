@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from repro.cloud.failures import FaultPlan
 from repro.cloud.instance_types import AZURE_INSTANCE_TYPES, EC2_INSTANCE_TYPES
@@ -451,6 +452,38 @@ def _resolved_jobs_or_none(args, out) -> "int | None":
         return None
 
 
+@contextmanager
+def _traced(trace: "str | None", label: str):
+    """Observe the block under a live bundle labelled ``label`` when
+    ``trace`` names an output file; yields the bundle, or ``None``."""
+    if trace is None:
+        yield None
+        return
+    from repro.obs import observe
+
+    with observe(label=label) as obs:
+        yield obs
+
+
+def _write_trace(path: str, obs, out) -> None:
+    """Export ``obs`` as a Chrome trace, then print its summary and
+    where it went (with the merged worker count when there is one)."""
+    from repro.obs import summarize_chrome_trace, write_chrome_trace
+
+    document = write_chrome_trace(path, obs)
+    workers = document["otherData"].get("workers", [])
+    merged = f", {len(workers)} worker process(es) merged" if workers else ""
+    print(file=out)
+    print(summarize_chrome_trace(document), file=out)
+    print(file=out)
+    print(
+        f"trace written to {path} "
+        f"({len(document['traceEvents'])} events{merged}; open in "
+        "chrome://tracing or ui.perfetto.dev)",
+        file=out,
+    )
+
+
 def _cmd_run(args, out) -> int:
     if _resolved_jobs_or_none(args, out) is None:
         return 2
@@ -500,7 +533,6 @@ def _cmd_run(args, out) -> int:
     from repro.sweep.points import InlinePoint, point_for, run_inline
     from repro.sweep.runner import run_points
 
-    obs = None
     if args.trace or args.sanitize:
         # Tracing needs the span stream of this process and the
         # sanitizer report needs the live backend's event loop, so
@@ -508,13 +540,7 @@ def _cmd_run(args, out) -> int:
         point = InlinePoint(
             app=app, backend=backend, tasks=tasks, label=backend.name
         )
-        if args.trace:
-            from repro.obs import Observability, observe
-
-            obs = Observability.make(label=f"{args.app}-{args.backend}")
-            with observe(obs):
-                r = run_inline(point)
-        else:
+        with _traced(args.trace, f"{args.app}-{args.backend}") as obs:
             r = run_inline(point)
     else:
         cache = None if args.no_cache else default_cache()
@@ -576,18 +602,7 @@ def _cmd_run(args, out) -> int:
             print("sanitizer report:", file=out)
             print(env.sanitizer_report().summary(), file=out)
     if args.trace:
-        from repro.obs import summarize_chrome_trace, write_chrome_trace
-
-        document = write_chrome_trace(args.trace, obs)
-        print(file=out)
-        print(summarize_chrome_trace(document), file=out)
-        print(file=out)
-        print(
-            f"trace written to {args.trace} "
-            f"({len(document['traceEvents'])} events; open in "
-            "chrome://tracing or ui.perfetto.dev)",
-            file=out,
-        )
+        _write_trace(args.trace, obs, out)
     return 0
 
 
@@ -625,16 +640,7 @@ def _cmd_sweep(args, out) -> int:
             file=out,
         )
 
-    obs = None
-    if args.trace:
-        from repro.obs import Observability, observe
-
-        obs = Observability.make(label=f"{args.app}-sweep")
-        with observe(obs):
-            results = run_points(
-                points, jobs=args.jobs, cache=cache, progress=show_progress
-            )
-    else:
+    with _traced(args.trace, f"{args.app}-sweep") as obs:
         results = run_points(
             points, jobs=args.jobs, cache=cache, progress=show_progress
         )
@@ -647,35 +653,14 @@ def _cmd_sweep(args, out) -> int:
         title=f"{args.app} sweep ({args.files} files)",
     ), file=out)
     if args.trace:
-        from repro.obs import summarize_chrome_trace, write_chrome_trace
-
-        document = write_chrome_trace(args.trace, obs)
-        workers = document["otherData"].get("workers", [])
-        print(file=out)
-        print(summarize_chrome_trace(document), file=out)
-        print(file=out)
-        print(
-            f"trace written to {args.trace} "
-            f"({len(document['traceEvents'])} events, "
-            f"{len(workers)} worker process(es) merged; open in "
-            "chrome://tracing or ui.perfetto.dev)",
-            file=out,
-        )
+        _write_trace(args.trace, obs, out)
     return 0
 
 
 def _cmd_serve(args, out) -> int:
     if _resolved_jobs_or_none(args, out) is None:
         return 2
-    from repro.serve import (
-        ServeConfig,
-        default_tenants,
-        frontier_rows,
-        render_frontier,
-        run_serve,
-        serialize_rows,
-        serve_study,
-    )
+    from repro.serve import render_frontier, serialize_rows, serve_study
 
     try:
         fleet_sizes = tuple(
@@ -698,33 +683,7 @@ def _cmd_serve(args, out) -> int:
             max_instances=args.max_instances,
             bid=BidStrategy.mixed(args.spot_fraction),
         )
-    if args.trace:
-        # Tracing needs each point's span stream: run the points
-        # in-process sequentially, each in a private bundle adopted as
-        # one synthetic worker process of the merged export.
-        from repro.obs import Observability, observe
-        from repro.obs.context import worker_payload
-
-        obs = Observability.make(label="serve-study")
-        results = []
-        for n in fleet_sizes:
-            config = ServeConfig(
-                tenants=default_tenants(),
-                provider=args.provider,
-                instance_type=args.instance_type,
-                n_instances=n,
-                workers_per_instance=args.workers,
-                duration_s=args.duration,
-                seed=args.seed,
-                autoscale=autoscale,
-            )
-            label = f"serve-fleet-{n}"
-            child = Observability.make(label=label)
-            with observe(child):
-                results.append(run_serve(config))
-            obs.adopt_worker(worker_payload(child, label=label))
-        rows = frontier_rows(results)
-    else:
+    with _traced(args.trace, "serve-study") as obs:
         rows, results = serve_study(
             fleet_sizes,
             provider=args.provider,
@@ -748,20 +707,7 @@ def _cmd_serve(args, out) -> int:
             handle.write(serialize_rows(rows) + "\n")
         print(f"frontier rows written to {args.json}", file=out)
     if args.trace:
-        from repro.obs import summarize_chrome_trace, write_chrome_trace
-
-        document = write_chrome_trace(args.trace, obs)
-        workers = document["otherData"].get("workers", [])
-        print(file=out)
-        print(summarize_chrome_trace(document), file=out)
-        print(file=out)
-        print(
-            f"trace written to {args.trace} "
-            f"({len(document['traceEvents'])} events, "
-            f"{len(workers)} fleet point(s) merged; open in "
-            "chrome://tracing or ui.perfetto.dev)",
-            file=out,
-        )
+        _write_trace(args.trace, obs, out)
     return 0
 
 
@@ -1038,6 +984,7 @@ def _cmd_chaos(args, out) -> int:
         return 2
     from repro.chaos import (
         CAMPAIGN_MITIGATIONS,
+        chaos_point,
         chaos_study,
         render_resilience,
         serialize_rows,
@@ -1105,44 +1052,29 @@ def _cmd_chaos(args, out) -> int:
             handle.write(serialize_rows(rows) + "\n")
         print(f"resilience rows written to {args.json}", file=out)
     if args.trace:
-        from repro.chaos import ChaosPlan, mitigation_settings
-        from repro.core.application import get_application
-        from repro.core.backends import make_backend
-        from repro.obs import (
-            Observability,
-            observe,
-            summarize_chrome_trace,
-            write_chrome_trace,
-        )
+        # Trace the campaign's own (highest intensity, retry+speculation)
+        # cell, so the trace explains a row of the table.
+        from repro.sweep import run_point
 
         intensity = max(intensities) if intensities else 1.0
-        retry, speculation = mitigation_settings("retry+speculation")
-        backend = make_backend(
-            "ec2",
+        point = chaos_point(
+            args.app,
+            intensity,
+            "retry+speculation",
+            n_files=n_files,
             n_instances=args.instances,
             workers_per_instance=args.workers,
             seed=args.seed,
-            chaos=ChaosPlan.at_intensity(
-                intensity, seed=args.seed, horizon_s=horizon
-            ),
-            retry_policy=retry,
-            speculation=speculation,
+            horizon_s=horizon,
         )
-        obs = Observability.make(label=f"chaos-{args.app}")
-        with observe(obs):
-            backend.run(
-                get_application(args.app),
-                _tasks_for(args.app, n_files, False, args.seed),
-            )
-        document = write_chrome_trace(args.trace, obs)
-        print(file=out)
-        print(summarize_chrome_trace(document), file=out)
+        with _traced(args.trace, f"chaos-{args.app}") as obs:
+            traced = run_point(point)
         print(
-            f"trace written to {args.trace} "
-            f"({len(document['traceEvents'])} events; open in "
-            "chrome://tracing or ui.perfetto.dev)",
+            f"traced cell: intensity {intensity:.2f}, retry+speculation, "
+            f"makespan {traced.makespan_s:,.1f} s",
             file=out,
         )
+        _write_trace(args.trace, obs, out)
     return 0
 
 

@@ -7,6 +7,7 @@ in a recognizable layout.  :data:`FEATURE_MATRIX` is the paper's Table 3
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "feature_matrix_rows",
     "format_series",
     "format_table",
+    "serialize_rows",
 ]
 
 # Table 3: Summary of cloud technology features.
@@ -147,3 +149,11 @@ def format_series(
             row.append(value_format.format(value) if value is not None else "-")
         rows.append(row)
     return format_table(headers, rows, title=title)
+
+
+def serialize_rows(rows: Sequence) -> str:
+    """Canonical JSON for a study's rows (the determinism surface): each
+    row's ``to_dict()``, keys sorted, two-space indent."""
+    return json.dumps(
+        [row.to_dict() for row in rows], sort_keys=True, indent=2
+    )

@@ -730,7 +730,8 @@ class _FunctionAnalyzer:
                 ):
                     self._mark_entry(node.args[0], "is_thread_entry")
                 elif self._bound_to_executor(
-                    receiver.id, ("ProcessPoolExecutor",)
+                    receiver.id,
+                    ("ProcessPoolExecutor", "SweepPool", "shared_pool"),
                 ):
                     self.fn.pool_submissions.append(
                         PoolSubmission(

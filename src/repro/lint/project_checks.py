@@ -253,8 +253,9 @@ class PoolCaptureRule(ProjectRule):
     name = "non-picklable-pool-capture"
     rationale = (
         "Lambdas and nested functions cannot be pickled; shipping one "
-        "to a ProcessPoolExecutor or embedding one in a PointSpec "
-        "fails only at runtime, on the worker."
+        "to a process pool (ProcessPoolExecutor or SweepPool) or "
+        "embedding one in a PointSpec fails only at runtime, on the "
+        "worker."
     )
 
     def check_project(self, project: ProjectModel) -> Iterator[Violation]:
@@ -266,7 +267,7 @@ class PoolCaptureRule(ProjectRule):
                         yield self.project_violation(
                             fn.path,
                             sub.node,
-                            f"{problem} submitted to a ProcessPoolExecutor "
+                            f"{problem} submitted to a process pool "
                             f"in {fn.qualname} cannot be pickled",
                         )
                 for arg in sub.payload_args:

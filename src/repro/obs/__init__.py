@@ -23,6 +23,7 @@ from repro.obs.context import (
     WorkerCapture,
     current,
     observe,
+    run_captured,
     worker_payload,
 )
 from repro.obs.export import (
@@ -71,6 +72,7 @@ __all__ = [
     "phase_fractions",
     "phase_fractions_by_point",
     "render_report",
+    "run_captured",
     "series_from_trace",
     "summarize_chrome_trace",
     "validate_chrome_trace",

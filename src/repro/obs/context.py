@@ -18,11 +18,15 @@ and callers opt in for the duration of one run::
 
 The context is **thread-local** at the point of lookup: a run grabs its
 bundle once on the driving thread and closes over it, so worker threads
-it spawns publish into the same bundle.  Sweep worker *processes* start
-fresh — when the parent's bundle is live, ``_run_chunk`` installs a
-private bundle per point, serializes it with :func:`worker_payload`,
-and the parent folds it back in with :meth:`Observability.adopt_worker`
-so the exported trace tells the whole multi-process story.
+it spawns publish into the same bundle.  Sweep and serve points run in
+worker *processes* that start fresh — when the parent's bundle is live,
+each point runs through :func:`run_captured`, which installs a private
+bundle, runs the point and serializes the bundle with
+:func:`worker_payload`; the parent folds it back in with
+:meth:`Observability.adopt_worker` so the exported trace tells the
+whole multi-process story.  ``serve_study`` runs its fleet points
+through the same helper in-process at one job, so its merged trace has
+one capture per fleet at any job count.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.timeline import NULL_TIMELINE, Timeline
@@ -41,8 +46,11 @@ __all__ = [
     "WorkerCapture",
     "current",
     "observe",
+    "run_captured",
     "worker_payload",
 ]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -152,3 +160,20 @@ def observe(obs: "Observability | None" = None, label: str = ""):
         yield obs
     finally:
         stack.pop()
+
+
+def run_captured(
+    label: str, fn: "Callable[..., T]", *args: object
+) -> "tuple[T, dict]":
+    """Run ``fn(*args)`` under a fresh, private live bundle.
+
+    Returns ``(result, payload)``, the payload being the bundle's
+    :func:`worker_payload` under ``label``.  Each point gets its own
+    tracer/registry/timeline (points run by one process must not share
+    a sim-time axis); module-level and picklable, so a pool worker can
+    run it as well as the parent.
+    """
+    obs = Observability.make(label=label)
+    with observe(obs):
+        result = fn(*args)
+    return result, worker_payload(obs, label=label)

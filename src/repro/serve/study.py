@@ -9,23 +9,26 @@ SLO and waste idle capacity — the frontier quantifies the trade the
 paper's static batch sizing never sees.
 
 Fleet points are independent seeded simulations, so the study fans them
-out over worker processes exactly like :mod:`repro.sweep` fans out
-sweep points; results are ordered by the fleet-size grid, never by
-completion order, so any job count yields byte-identical tables.
+out over the shared :class:`~repro.sweep.pool.SweepPool` that
+:mod:`repro.sweep` fans sweep points out over; results are ordered by
+the fleet-size grid, never by completion order, so any job count yields
+byte-identical tables.  Under a live observability bundle every fleet
+runs in a private bundle labelled ``serve-fleet-N`` — in a worker or,
+at one job, in-process — and the parent adopts it, so the merged trace
+has one capture per fleet at any job count.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from repro.autoscale.plan import AutoscalePlan
-from repro.core.report import format_table
+from repro.core.report import format_table, serialize_rows
+from repro.obs.context import current, run_captured
 from repro.serve.service import ServeConfig, ServeResult, run_serve
 from repro.serve.tenants import TenantSpec
-from repro.sim.engine import sanitize_requested
+from repro.sweep.pool import shared_pool
 from repro.sweep.runner import resolve_jobs
 
 __all__ = [
@@ -110,8 +113,12 @@ class ServeStudyRow:
         return asdict(self)
 
 
-def _run_point(config: ServeConfig) -> ServeResult:
-    """Worker-process entry: run one fleet point, drop bulky records."""
+def _run_point(config: ServeConfig, capture: bool = False):
+    """Run one fleet point and drop its bulky records; with ``capture``,
+    under a private bundle, returning ``(result, payload)``."""
+    if capture:
+        label = f"serve-fleet-{config.n_instances}"
+        return run_captured(label, _run_point, config)
     return replace(run_serve(config), records=[])
 
 
@@ -131,7 +138,10 @@ def serve_study(
 
     Row order is the ``fleet_sizes x tenants`` product order, never
     worker completion order, so any ``jobs`` count serialises
-    identically.
+    identically.  At ``jobs > 1`` the fleets run on the shared
+    :class:`~repro.sweep.pool.SweepPool`.  Under a live bundle each
+    fleet runs in a private ``serve-fleet-N`` bundle that the current
+    bundle adopts, in fleet order.
     """
     if tenants is None:
         tenants = default_tenants()
@@ -149,12 +159,18 @@ def serve_study(
         for n in fleet_sizes
     ]
     n_jobs = min(resolve_jobs(jobs), len(configs))
-    # The instrumented event loop must stay in-process.
-    if n_jobs <= 1 or sanitize_requested():
-        results = [_run_point(config) for config in configs]
+    obs = current()
+    capture = obs.enabled
+    if n_jobs <= 1:
+        results = [_run_point(config, capture) for config in configs]
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_point, configs))
+        pool = shared_pool(n_jobs)
+        futures = [pool.submit(_run_point, c, capture) for c in configs]
+        results = [future.result() for future in futures]
+    if capture:
+        for _, payload in results:
+            obs.adopt_worker(payload)
+        results = [result for result, _ in results]
     return frontier_rows(results), results
 
 
@@ -210,11 +226,4 @@ def render_frontier(rows: Sequence[ServeStudyRow]) -> str:
             for r in rows
         ],
         title="Serve study: sustained-load cost vs latency frontier",
-    )
-
-
-def serialize_rows(rows: Sequence[ServeStudyRow]) -> str:
-    """Canonical JSON for the frontier (the determinism surface)."""
-    return json.dumps(
-        [row.to_dict() for row in rows], sort_keys=True, indent=2
     )

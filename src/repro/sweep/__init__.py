@@ -12,8 +12,9 @@ the reproduction harness exploit that itself:
   in per-worker chunks (``--jobs`` / ``REPRO_JOBS``, default
   ``os.cpu_count()``) with deterministic result ordering;
 * :mod:`repro.sweep.pool` — :class:`SweepPool`: the persistent,
-  lazily-started worker pool those chunks execute on, reused across
-  ``run_points`` calls, studies, and the bench suite;
+  lazily-started worker pool those chunks (and serve fleet points)
+  execute on, reused across ``run_points`` calls, studies, and the
+  bench suite;
 * :mod:`repro.sweep.cache` — a content-addressed result cache under
   ``.repro-cache/`` keyed by app + perf-model + backend config + task
   digest + version salt (``REPRO_NO_CACHE`` escape hatch);

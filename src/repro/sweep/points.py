@@ -31,7 +31,6 @@ __all__ = [
     "PointSpec",
     "point_for",
     "run_point",
-    "run_point_captured",
 ]
 
 
@@ -233,21 +232,6 @@ def run_point(spec: PointSpec) -> PointResult:
     return _measure(
         spec.build_backend(), spec.app.build(), list(spec.tasks), spec.label
     )
-
-
-def run_point_captured(spec: PointSpec) -> "tuple[PointResult, dict]":
-    """Execute one point under a fresh, private observability bundle.
-
-    Each point gets its own tracer/registry/timeline (points in one
-    worker process must not share a sim-time axis), and the capture is
-    returned as a picklable payload for the parent to adopt.
-    """
-    from repro.obs.context import Observability, observe, worker_payload
-
-    obs = Observability.make(label=spec.label)
-    with observe(obs):
-        result = run_point(spec)
-    return result, worker_payload(obs, label=spec.label)
 
 
 def run_inline(point: InlinePoint) -> PointResult:

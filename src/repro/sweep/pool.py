@@ -6,11 +6,20 @@ call, which is why BENCH_2 measured parallel sweeps *slower* than serial
 on small point counts.  :class:`SweepPool` amortizes that cost: workers
 are spawned lazily on the first submission, warmed by an initializer
 that pre-imports the heavy ``repro`` modules, and then reused across
-``run_points`` calls, studies, and the bench suite.
+``run_points`` calls, studies, the serve frontier and the bench suite.
+It is the only process pool in the package.
 
-Dispatch is *chunked*: callers submit lists of :class:`~repro.sweep.
-points.PointSpec` and each chunk crosses the process boundary as one
-pickle, one future, and one result message instead of n of each.
+:meth:`SweepPool.submit` runs any picklable ``fn(*args)`` on a worker;
+:meth:`SweepPool.submit_chunk` goes through it with a list of
+:class:`~repro.sweep.points.PointSpec`, so each chunk crosses the
+process boundary as one pickle, one future, and one result message
+instead of n of each.
+
+Workers inherit ``REPRO_SANITIZE`` when they spawn.  A pool whose
+workers were spawned under a different sanitizer setting than the
+parent's at submission time is recycled first, so every point runs the
+way the parent asked — sanitized or plain — whenever the pool was
+warmed.
 
 Lifecycle: ``close()`` or use the pool as a context manager.  Most code
 should go through :func:`shared_pool`, a process-wide singleton that is
@@ -23,15 +32,12 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.obs.context import current as _current_obs
-from repro.sweep.points import (
-    PointResult,
-    PointSpec,
-    run_point,
-    run_point_captured,
-)
+from repro.obs.context import run_captured
+from repro.sim.engine import sanitize_requested
+from repro.sweep.points import PointSpec, run_point
 
 __all__ = ["SweepPool", "shared_pool", "shutdown_shared_pool"]
 
@@ -57,30 +63,25 @@ def _run_chunk(specs: "list[PointSpec]", capture: bool = False):
     """Worker-side entry point: execute one chunk of specs in order.
 
     With ``capture=False`` (the default) returns a plain list of
-    :class:`PointResult`.  With ``capture=True`` — set when the parent's
-    observability bundle is live — each point runs under its own fresh
-    worker-side bundle (see :func:`repro.sweep.points.
-    run_point_captured`) and the return value is ``(results,
-    payloads)``, where each payload is the picklable capture the parent
-    merges into its trace.
+    :class:`~repro.sweep.points.PointResult`.  With ``capture=True`` —
+    set when the parent's observability bundle is live — each point runs
+    under its own private bundle (see :func:`repro.obs.context.
+    run_captured`) and the return value is ``(results, payloads)``,
+    where each payload is the picklable capture the parent merges into
+    its trace.
     """
     if not capture:
         return [run_point(spec) for spec in specs]
-    results: "list[PointResult]" = []
-    payloads: list[dict] = []
-    for spec in specs:
-        result, payload = run_point_captured(spec)
-        results.append(result)
-        payloads.append(payload)
-    return results, payloads
+    pairs = [run_captured(spec.label, run_point, spec) for spec in specs]
+    return [result for result, _ in pairs], [payload for _, payload in pairs]
 
 
 class SweepPool:
     """A lazily-started, reusable process pool for sweep points.
 
     The underlying ``ProcessPoolExecutor`` is created on the first
-    :meth:`submit_chunk` call, not in ``__init__``, so building a pool
-    object is free and serial code paths never spawn processes.
+    :meth:`submit` call, not in ``__init__``, so building a pool object
+    is free and serial code paths never spawn processes.
     """
 
     def __init__(self, workers: int):
@@ -90,24 +91,34 @@ class SweepPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._executor: "ProcessPoolExecutor | None" = None
+        self._sanitized = False  # REPRO_SANITIZE as the workers saw it
         self._lock = threading.Lock()
         self.spawns = 0  # cold executor starts over this pool's lifetime
-        self.submissions = 0  # chunks submitted
+        self.submissions = 0  # calls submitted
         self.reuses = 0  # submissions that found the executor already warm
 
     # -- lifecycle --------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
+        sanitized = sanitize_requested()
+        stale = None
         with self._lock:
+            if self._executor is not None and self._sanitized != sanitized:
+                # Workers spawned under the other sanitizer setting.
+                stale, self._executor = self._executor, None
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers, initializer=_warm_worker
                 )
+                self._sanitized = sanitized
                 self.spawns += 1
                 _current_obs().metrics.counter("sweep.pool.spawns").inc()
             else:
                 self.reuses += 1
                 _current_obs().metrics.counter("sweep.pool.reuses").inc()
-            return self._executor
+            executor = self._executor
+        if stale is not None:
+            stale.shutdown(wait=True)
+        return executor
 
     @property
     def started(self) -> bool:
@@ -127,26 +138,29 @@ class SweepPool:
         self.close()
 
     # -- dispatch ---------------------------------------------------------
+    def submit(self, fn: Callable, *args: object) -> "Future":
+        """Run ``fn(*args)`` on a warm worker; ``fn`` and ``args`` must
+        pickle.  A broken or shut-down executor is recycled once and the
+        submission retried."""
+        executor = self._ensure_executor()
+        self.submissions += 1
+        try:
+            return executor.submit(fn, *args)
+        except RuntimeError:
+            self.close()
+            return self._ensure_executor().submit(fn, *args)
+
     def submit_chunk(
         self, specs: Sequence[PointSpec], capture: bool = False
     ) -> "Future":
         """Submit one chunk; the future resolves to a list of
-        :class:`PointResult` in the chunk's order (or to
-        ``(results, payloads)`` when ``capture`` is set — see
+        :class:`~repro.sweep.points.PointResult` in the chunk's order (or
+        to ``(results, payloads)`` when ``capture`` is set — see
         :func:`_run_chunk`)."""
-        executor = self._ensure_executor()
-        self.submissions += 1
         metrics = _current_obs().metrics
         metrics.counter("sweep.pool.chunks").inc()
         metrics.counter("sweep.pool.chunk_points").inc(len(specs))
-        try:
-            return executor.submit(_run_chunk, list(specs), capture)
-        except RuntimeError:
-            # A broken/shutdown executor: recycle once and retry.
-            self.close()
-            return self._ensure_executor().submit(
-                _run_chunk, list(specs), capture
-            )
+        return self.submit(_run_chunk, list(specs), capture)
 
     def stats(self) -> "dict[str, int]":
         return {
@@ -164,9 +178,11 @@ _shared_lock = threading.Lock()
 def shared_pool(workers: int) -> SweepPool:
     """The process-wide pool, recycled when ``workers`` changes.
 
-    Successive ``run_points`` calls (and whole studies / bench suites)
-    asking for the same worker count get the *same* warm pool back;
-    asking for a different count closes the old pool and starts fresh.
+    Successive ``run_points`` calls (and whole studies, serve frontiers
+    and bench suites) asking for the same worker count get the *same*
+    warm pool back; asking for a different count closes the old pool and
+    starts fresh.  A ``REPRO_SANITIZE`` change recycles the workers at
+    the next submission (see :meth:`SweepPool.submit`).
     """
     global _shared
     with _shared_lock:

@@ -16,10 +16,10 @@ with worker-side capture: each worker installs a private tracer per
 point and the parent adopts the shipped spans/metrics, so a traced
 ``--jobs N`` sweep exports one merged multi-process Chrome trace.
 
-Sanitized runs (``REPRO_SANITIZE`` with a DES token) bypass the cache
-*and* the worker pool: they exist to observe the simulation in-process,
-so every point executes inline and nothing is served from or stored to
-the cache.
+Sanitized runs (``REPRO_SANITIZE`` with a DES token) take the same
+path: the sanitizer changes no simulated result, so they use the cache
+and the pool like any other run, and pool workers run their points on
+the instrumented event loop (see :mod:`repro.sweep.pool`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import sanitize_requested
 from repro.sweep.cache import ResultCache
 from repro.sweep.points import (
     InlinePoint,
@@ -133,11 +132,7 @@ def run_points(
     pass one own its lifecycle.
     """
     jobs = resolve_jobs(jobs)
-    # Only the DES sanitizer forces inline execution and bypasses the
-    # cache: the thread sanitizer does not change simulated results, so
-    # cached points stay valid and workers stay usable.
-    sanitizing = sanitize_requested()
-    use_cache = cache is not None and not sanitizing
+    use_cache = cache is not None
     total = len(points)
     obs = _current_obs()
     metrics = obs.metrics
@@ -175,7 +170,7 @@ def run_points(
             m_points.inc()
             notify(index, point.label, "done")
 
-    if len(pending) <= 1 or jobs == 1 or sanitizing:
+    if len(pending) <= 1 or jobs == 1:
         for index, spec in pending:
             notify(index, spec.label, "start")
             results[index] = run_point(spec)

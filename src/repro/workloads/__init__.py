@@ -18,6 +18,8 @@ File emission goes through :mod:`repro.workloads.store`, a
 content-addressed artifact store under ``.repro-cache/workloads/`` that
 materializes each dataset exactly once and hard-links it into place so
 every consumer shares one read-only copy (``REPRO_NO_CACHE`` opts out).
+:func:`study_task_specs` is the fixed per-app task list the autoscale
+and chaos studies sweep.
 """
 
 from repro.workloads.genome import (
@@ -53,7 +55,21 @@ __all__ = [
     "generate_pubchem_points",
     "generate_read_records",
     "gtm_task_specs",
+    "study_task_specs",
     "write_blast_workload",
     "write_cap3_workload",
     "write_gtm_workload",
 ]
+
+
+def study_task_specs(app_name: str, n_files: int):
+    """The autoscale and chaos studies' workload: ``n_files`` homogeneous
+    tasks of ``app_name`` (``cap3``, ``blast`` or ``gtm``) from fixed
+    generator seeds, so a study's cells differ only in deployment."""
+    if app_name == "cap3":
+        return cap3_task_specs(n_files, reads_per_file=400)
+    if app_name == "blast":
+        return blast_task_specs(n_files, inhomogeneous_base=False, seed=3)
+    if app_name == "gtm":
+        return gtm_task_specs(n_files)
+    raise KeyError(f"unknown study application {app_name!r}")

@@ -206,11 +206,9 @@ class TestStudy:
         assert by_fraction[1.0].preemptions >= 1
         assert by_fraction[0.0].preemptions == 0
 
-    def test_extras_survive_the_result_cache(self, tmp_path, monkeypatch):
+    def test_extras_survive_the_result_cache(self, tmp_path):
         from repro.sweep.cache import ResultCache
 
-        # The runner bypasses the cache while the sanitizer is active.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         cache = ResultCache(tmp_path)
         cold = autoscale_study(jobs=1, cache=cache, **self.STUDY_KWARGS)
         warm = autoscale_study(jobs=1, cache=cache, **self.STUDY_KWARGS)

@@ -106,3 +106,26 @@ class TestCli:
         assert (1.0, "retry+speculation") in cells
         for row in payload:
             assert row["completed"] == 8.0 or row["completed"] == 8
+
+    def test_trace_plays_the_defended_row(self, tmp_path):
+        report, trace = tmp_path / "rows.json", tmp_path / "trace.json"
+        out = io.StringIO()
+        code = main(
+            [
+                "chaos", "--smoke", "--files", "8", "--jobs", "1",
+                "--no-cache", "--json", str(report), "--trace", str(trace),
+            ],
+            out=out,
+        )
+        assert code == 0
+        (row,) = [
+            row
+            for row in json.loads(report.read_text(encoding="utf-8"))
+            if (row["intensity"], row["mitigation"])
+            == (1.0, "retry+speculation")
+        ]
+        assert (
+            f"retry+speculation, makespan {row['makespan_s']:,.1f} s"
+            in out.getvalue()
+        )
+        assert f"trace written to {trace}" in out.getvalue()

@@ -71,6 +71,17 @@ class TestFixtures:
         assert result.ok
         assert "RPR104" in {v.code for v in result.suppressed}
 
+    def test_rpr104_sweep_pool_submit_trigger(self):
+        result = lint_file(FIXTURES / "rpr104_submit_trigger.py")
+        assert not result.ok
+        assert {v.code for v in result.violations} == {"RPR104"}
+        (violation,) = result.violations
+        assert "lambda" in violation.message
+
+    def test_rpr104_shared_pool_submit_clean(self):
+        result = lint_file(FIXTURES / "rpr104_submit_clean.py")
+        assert result.ok, [v.format() for v in result.violations]
+
     def test_rpr104_dict_payload_trigger(self):
         result = lint_file(FIXTURES / "rpr104_payload_trigger.py")
         assert not result.ok

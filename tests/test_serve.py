@@ -9,7 +9,12 @@ import pytest
 from repro.autoscale.plan import AutoscalePlan
 from repro.cli import main
 from repro.cloud.spot import BidStrategy, SpotMarketModel
-from repro.obs import Observability, observe, write_chrome_trace
+from repro.obs import (
+    Observability,
+    observe,
+    validate_chrome_trace,
+    write_chrome_trace,
+)
 from repro.obs.context import worker_payload
 from repro.serve import (
     ServeConfig,
@@ -28,8 +33,9 @@ def tenant_by_name(result, name):
 
 
 def traced_frontier(path):
-    """Fleets 1 and 2 under live bundles, merged and exported the way
-    ``repro serve --trace`` does it in-process."""
+    """Fleets 1 and 2 under live bundles, merged and exported by a
+    hand-written per-fleet capture loop: the oracle for the trace that
+    ``serve_study`` writes under a live bundle."""
     parent = Observability.make(label="serve-study")
     for n in (1, 2):
         label = f"serve-fleet-{n}"
@@ -287,6 +293,26 @@ class TestTraceDeterminism:
         traced_frontier(second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_serial_study_trace_equals_the_capture_loop(self, tmp_path):
+        oracle, study = tmp_path / "oracle.json", tmp_path / "study.json"
+        traced_frontier(oracle)
+        with observe(Observability.make(label="serve-study")) as obs:
+            serve_study((1, 2), duration_s=120.0, seed=42, jobs=1)
+        write_chrome_trace(study, obs)
+        assert study.read_bytes() == oracle.read_bytes()
+
+    def test_pooled_study_trace_has_one_capture_per_fleet(self, tmp_path):
+        with observe(Observability.make(label="serve-study")) as obs:
+            rows, _ = serve_study((1, 2), duration_s=120.0, seed=42, jobs=2)
+        assert [c.label for c in obs.workers] == [
+            "serve-fleet-1",
+            "serve-fleet-2",
+        ]
+        document = write_chrome_trace(tmp_path / "trace.json", obs)
+        assert validate_chrome_trace(document) == []
+        serial, _ = serve_study((1, 2), duration_s=120.0, seed=42, jobs=1)
+        assert serialize_rows(rows) == serialize_rows(serial)
+
     def test_dispatch_instants_sit_on_sim_pids(self, tmp_path):
         document = traced_frontier(tmp_path / "trace.json")
         sim_pids = {1} | {
@@ -322,6 +348,27 @@ class TestConfigValidation:
 
 
 class TestCliServe:
+    def test_pooled_trace_merges_every_fleet(self, tmp_path):
+        out = io.StringIO()
+        trace = tmp_path / "trace.json"
+        code = main(
+            [
+                "serve", "--seed", "42", "--duration", "60",
+                "--fleet", "1,2", "--jobs", "2", "--trace", str(trace),
+            ],
+            out=out,
+        )
+        assert code == 0
+        assert f"trace written to {trace}" in out.getvalue()
+        document = json.loads(trace.read_text(encoding="utf-8"))
+        assert validate_chrome_trace(document) == []
+        points = [
+            point
+            for worker in document["otherData"]["workers"]
+            for point in worker["points"]
+        ]
+        assert sorted(points) == ["serve-fleet-1", "serve-fleet-2"]
+
     def test_smoke_prints_frontier(self, tmp_path):
         out = io.StringIO()
         json_path = tmp_path / "frontier.json"

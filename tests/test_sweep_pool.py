@@ -11,6 +11,7 @@ import pytest
 from repro.cloud.failures import FaultPlan
 from repro.core.application import get_application
 from repro.core.backends import make_backend
+from repro.obs import observe
 from repro.sweep.points import point_for, run_point
 from repro.sweep.pool import SweepPool, shared_pool, shutdown_shared_pool
 from repro.sweep.runner import _chunk_pending, run_points
@@ -145,11 +146,27 @@ class TestParity:
             run_points(points, jobs=2, pool=pool)
             assert pool.stats()["submissions"] >= 2
 
-    def test_sanitizer_forces_inline_execution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_pool_warmed_before_sanitize_runs_points_sanitized(
+        self, monkeypatch
+    ):
+        def kernel_captures(obs):
+            return [
+                any(i.track == "kernel" for i in capture.instants)
+                for capture in obs.workers
+            ]
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         points = _points(2)
-        with SweepPool(2) as pool:
-            results = run_points(points, jobs=2, pool=pool)
-            assert not pool.started  # everything ran inline
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert repr(results) == repr(run_points(points, jobs=1))
+        with observe(label="plain") as plain:
+            plain_results = run_points(points, jobs=2)
+        pool = shared_pool(2)
+        assert pool.started  # warmed without the sanitizer
+        spawns = pool.spawns
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with observe(label="sanitized") as sanitized:
+            sanitized_results = run_points(points, jobs=2)
+        assert shared_pool(2) is pool
+        assert pool.spawns == spawns + 1  # recycled on the new setting
+        assert kernel_captures(plain) == [False, False]
+        assert kernel_captures(sanitized) == [True, True]
+        assert repr(sanitized_results) == repr(plain_results)

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.chaos import chaos_point
 from repro.cloud.failures import FaultPlan
 from repro.core.application import get_application
 from repro.core.backends import make_backend
@@ -134,16 +135,37 @@ class TestRunPoints:
         results = run_points(points, jobs=4, cache=cache)
         assert [r.label for r in results] == [p.label for p in points]
 
-    def test_sanitize_env_bypasses_cache(self, tmp_path, monkeypatch):
-        app = get_application("cap3")
-        tasks = _tasks()
-        spec = point_for(app, _backends()[0], tasks)
-        cache = ResultCache(tmp_path)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        run_points([spec], jobs=1, cache=cache)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.stores) == (0, 0, 0)
-        assert stats.entries == 0
+    @pytest.mark.parametrize("kind", ["chaos-retry-speculation", "hadoop"])
+    def test_sanitized_miss_stores_the_plain_entry(
+        self, kind, tmp_path, monkeypatch
+    ):
+        if kind == "hadoop":
+            spec = point_for(
+                get_application("cap3"), make_backend("hadoop"), _tasks()
+            )
+        else:
+            spec = chaos_point(
+                "cap3", 1.0, "retry+speculation", n_files=16,
+                n_instances=2, workers_per_instance=8, seed=13,
+                horizon_s=90.0,
+            )
+        entries = {}
+        for mode in ("plain", "sanitized"):
+            if mode == "plain":
+                monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SANITIZE", "1")
+            cache = ResultCache(tmp_path / mode)
+            run_points([spec], jobs=1, cache=cache)
+            run_points([spec], jobs=1, cache=cache)
+            stats = cache.stats()
+            assert (stats.misses, stats.stores, stats.hits) == (1, 1, 1)
+            entries[mode] = {
+                path.relative_to(cache.root): path.read_bytes()
+                for path in cache.root.glob("*/*.json")
+            }
+        assert len(entries["plain"]) == 1
+        assert entries["sanitized"] == entries["plain"]
 
 
 class _StubBackend:
