@@ -1,22 +1,11 @@
-"""Deployment shapes and backend builders shared by the benchmarks.
+"""Quiet backend builders shared by the non-figure benchmarks.
 
-The paper's instance-type studies hold total cores at 16 while varying
-the type; these are the exact axis labels from Figures 3/4, 7/8 and
-12/13: ``L - 8 x 2``, ``XL - 4 x 4``, ``HCXL - 2 x 8``, ``HM4XL - 2 x 8``.
+The paper figures declare their own deployments in :mod:`repro.figures`.
 """
 
 from __future__ import annotations
 
-from repro.cloud.failures import FaultPlan
 from repro.core.backends import Backend, make_backend
-
-# (instance type, n_instances, workers_per_instance) at 16 cores total.
-EC2_16_CORE_SHAPES: list[tuple[str, int, int]] = [
-    ("L", 8, 2),
-    ("XL", 4, 4),
-    ("HCXL", 2, 8),
-    ("HM4XL", 2, 8),
-]
 
 
 def quiet_ec2(
@@ -26,11 +15,7 @@ def quiet_ec2(
     **kwargs,
 ) -> Backend:
     """A deterministic, fault-free EC2 backend."""
-    defaults = dict(
-        fault_plan=FaultPlan.none(),
-        consistency_window_s=0.0,
-        seed=17,
-    )
+    defaults = dict(consistency_window_s=0.0, seed=17)
     defaults.update(kwargs)
     return make_backend(
         "ec2",
@@ -48,11 +33,7 @@ def quiet_azure(
     **kwargs,
 ) -> Backend:
     """A deterministic, fault-free Azure backend."""
-    defaults = dict(
-        fault_plan=FaultPlan.none(),
-        consistency_window_s=0.0,
-        seed=17,
-    )
+    defaults = dict(consistency_window_s=0.0, seed=17)
     defaults.update(kwargs)
     return make_backend(
         "azure",
@@ -62,9 +43,3 @@ def quiet_azure(
         **defaults,
     )
 
-
-def ec2_16core_backends(**kwargs) -> list[Backend]:
-    """The four Figure 3/4-style deployments."""
-    return [
-        quiet_ec2(itype, n, w, **kwargs) for itype, n, w in EC2_16_CORE_SHAPES
-    ]

@@ -6,12 +6,14 @@ with ``-s`` to see them live), writes them to ``benchmarks/results/``,
 and asserts the paper's qualitative shape (who wins, by what rough
 factor, where crossovers fall).
 
-The study-based benchmarks route their sweeps through
-:mod:`repro.sweep` via the ``sweep_kwargs`` fixture: worker processes
-come from ``REPRO_JOBS`` (default ``os.cpu_count()``) and completed
-points are reused through the content-addressed cache under
-``.repro-cache/``.  Set ``REPRO_NO_CACHE=1`` when you want the timing
-columns to measure fresh simulation instead of cache reads.
+The paper-figure benchmarks take their study and tables from
+:data:`repro.figures.FIGURES` through :func:`run_figure`, so
+``python -m repro figures <id>`` prints what they record.  Those studies
+route their sweeps through :mod:`repro.sweep`: worker processes come
+from ``REPRO_JOBS`` (default ``os.cpu_count()``) and completed points
+are reused through the content-addressed cache under ``.repro-cache/``.
+Set ``REPRO_NO_CACHE=1`` when you want the timing columns to measure
+fresh simulation instead of cache reads.
 """
 
 from pathlib import Path
@@ -19,14 +21,6 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def sweep_kwargs():
-    """``jobs=``/``cache=`` plumbing for study-based benchmarks."""
-    from repro.sweep import default_cache
-
-    return {"jobs": None, "cache": default_cache()}
 
 
 @pytest.fixture
@@ -44,3 +38,15 @@ def emit():
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under benchmark timing and return its value."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def run_figure(benchmark, emit, figure_id: str):
+    """Run paper figure ``figure_id`` once under benchmark timing, record
+    each of its tables and return its data for the shape assertions."""
+    from repro.figures import FIGURES
+
+    figure = FIGURES[figure_id]
+    data = run_once(benchmark, figure.study)
+    for name, text in figure.tables(data).items():
+        emit(name, text)
+    return data

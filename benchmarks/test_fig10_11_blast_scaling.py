@@ -12,67 +12,13 @@ Paper findings to reproduce:
 * EC2's is the lowest — HCXL's limited memory shared across 8 workers.
 """
 
-from repro.cluster import get_cluster
-from repro.core.application import get_application
-from repro.core.backends import make_backend
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
-from repro.core.report import format_series
-from repro.workloads.protein import blast_task_specs
-
-from benchmarks._shapes import quiet_azure, quiet_ec2
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 FILE_COUNTS = [128, 256, 384, 512]
 
 
-def backends():
-    return {
-        "EC2 (16xHCXL)": quiet_ec2(n_instances=16),
-        "Azure (16xLarge)": quiet_azure(
-            instance_type="Large", n_instances=16, workers_per_instance=4
-        ),
-        "Hadoop (iDataplex)": make_backend(
-            "hadoop", cluster=get_cluster("idataplex").subset(16)
-        ),
-        "DryadLINQ (HPC)": make_backend(
-            "dryadlinq", cluster=get_cluster("hpc-blast").subset(8)
-        ),
-    }
-
-
 def test_fig10_11_blast_scaling(benchmark, emit):
-    app = get_application("blast")
-
-    def study():
-        out = {}
-        for name, backend in backends().items():
-            eff_points, time_points = {}, {}
-            for n_files in FILE_COUNTS:
-                tasks = blast_task_specs(n_files, seed=6)
-                result = backend.run(app, tasks)
-                t1 = backend.estimate_sequential_time(app, tasks)
-                eff_points[n_files] = parallel_efficiency(
-                    t1, result.makespan_seconds, backend.total_cores
-                )
-                time_points[n_files] = average_time_per_file_per_core(
-                    result.makespan_seconds, backend.total_cores, n_files
-                )
-            out[name] = (eff_points, time_points)
-        return out
-
-    results = run_once(benchmark, study)
-    efficiency_series = {n: e for n, (e, _) in results.items()}
-    time_series = {n: t for n, (_, t) in results.items()}
-    emit(
-        "fig10_blast_parallel_efficiency",
-        format_series("query files", efficiency_series,
-                      title="Figure 10: BLAST parallel efficiency"),
-    )
-    emit(
-        "fig11_blast_time_per_query_file",
-        format_series("query files", time_series, value_format="{:.1f}",
-                      title="Figure 11: BLAST per-query-file per-core time (s)"),
-    )
+    efficiency_series, _ = run_figure(benchmark, emit, "fig10_11")
 
     final = {name: series[FILE_COUNTS[-1]] for name, series in
              efficiency_series.items()}

@@ -10,39 +10,11 @@ Paper findings to reproduce:
 * L (2 cores per memory bus) beats the 4-8 core types on per-core terms.
 """
 
-from repro.core.application import get_application
-from repro.core.experiment import instance_type_study
-from repro.core.report import format_table
-from repro.workloads.pubchem import gtm_task_specs
-
-from benchmarks._shapes import ec2_16core_backends
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 
-def test_fig12_13_gtm_ec2_instance_types(benchmark, emit, sweep_kwargs):
-    app = get_application("gtm")
-    tasks = gtm_task_specs(n_files=64)
-
-    def study():
-        return instance_type_study(
-            app, ec2_16core_backends(), tasks, **sweep_kwargs
-        )
-
-    rows = run_once(benchmark, study)
-    emit(
-        "fig12_13_gtm_instance_types",
-        format_table(
-            ["deployment", "compute time (s)", "cost $ (hour units)",
-             "amortized $"],
-            [
-                [r.label, f"{r.compute_time_s:,.0f}", f"{r.compute_cost:.2f}",
-                 f"{r.amortized_cost:.2f}"]
-                for r in rows
-            ],
-            title="Figures 12+13: GTM Interpolation on EC2 instance types "
-                  "(64 PubChem splits, 16 cores)",
-        ),
-    )
+def test_fig12_13_gtm_ec2_instance_types(benchmark, emit):
+    rows = run_figure(benchmark, emit, "fig12_13")
 
     by_type = {r.label.split(" ")[0]: r for r in rows}
     times = {k: r.compute_time_s for k, r in by_type.items()}

@@ -14,74 +14,18 @@ Paper findings to reproduce:
   lowest.
 """
 
-from repro.cluster import get_cluster
-from repro.core.application import get_application
-from repro.core.backends import make_backend
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
-from repro.core.report import format_table
-from repro.workloads.pubchem import gtm_task_specs
+from repro.core.metrics import parallel_efficiency
 
-from benchmarks._shapes import quiet_azure, quiet_ec2
-from benchmarks.conftest import run_once
-
-
-def backends():
-    return {
-        "Azure Small (64x1)": quiet_azure(n_instances=64),
-        "EC2 Large (32x2)": quiet_ec2(
-            instance_type="L", n_instances=32, workers_per_instance=2
-        ),
-        "EC2 HCXL (8x8)": quiet_ec2(n_instances=8),
-        "EC2 HM4XL (8x8)": quiet_ec2(
-            instance_type="HM4XL", n_instances=8, workers_per_instance=8
-        ),
-        "Hadoop (8 of 24 cores)": make_backend(
-            "hadoop", cluster=get_cluster("gtm-hadoop").subset(8)
-        ),
-        "DryadLINQ (16-core nodes)": make_backend(
-            "dryadlinq", cluster=get_cluster("gtm-dryad").subset(4)
-        ),
-    }
+from benchmarks.conftest import run_figure
 
 
 def test_fig14_15_gtm_scaling(benchmark, emit):
-    app = get_application("gtm")
-    tasks = gtm_task_specs(n_files=264)
+    results = run_figure(benchmark, emit, "fig14_15")
 
-    def study():
-        out = {}
-        for name, backend in backends().items():
-            result = backend.run(app, tasks)
-            t1 = backend.estimate_sequential_time(app, tasks)
-            out[name] = (
-                backend.total_cores,
-                result.makespan_seconds,
-                parallel_efficiency(
-                    t1, result.makespan_seconds, backend.total_cores
-                ),
-                average_time_per_file_per_core(
-                    result.makespan_seconds, backend.total_cores, len(tasks)
-                ),
-            )
-        return out
-
-    results = run_once(benchmark, study)
-    emit(
-        "fig14_15_gtm_scaling",
-        format_table(
-            ["platform", "cores", "makespan (s)", "efficiency",
-             "s/file/core"],
-            [
-                [name, cores, f"{makespan:,.0f}", f"{eff:.3f}",
-                 f"{per_core:.1f}"]
-                for name, (cores, makespan, eff, per_core) in results.items()
-            ],
-            title="Figures 14+15: GTM Interpolation across platforms "
-                  "(264 x 100k points)",
-        ),
-    )
-
-    eff = {name: values[2] for name, values in results.items()}
+    eff = {
+        name: parallel_efficiency(r.t1_s, r.makespan_s, r.cores)
+        for name, r in results.items()
+    }
     # Azure Small: overall best efficiency.
     assert eff["Azure Small (64x1)"] == max(eff.values())
     # EC2 ranking: Large best efficiency, HCXL well below.

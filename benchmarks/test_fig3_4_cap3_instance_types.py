@@ -11,39 +11,13 @@ Paper findings to reproduce (shape, not absolute seconds):
   16-core deployments cost the same $2.72 in hour units.
 """
 
-from repro.core.application import get_application
-from repro.core.experiment import instance_type_study
-from repro.core.report import format_table
-from repro.workloads.genome import cap3_task_specs
+import pytest
 
-from benchmarks._shapes import ec2_16core_backends
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 
-def test_fig3_4_cap3_ec2_instance_types(benchmark, emit, sweep_kwargs):
-    app = get_application("cap3")
-    tasks = cap3_task_specs(n_files=200, reads_per_file=200)
-
-    def study():
-        return instance_type_study(
-            app, ec2_16core_backends(), tasks, **sweep_kwargs
-        )
-
-    rows = run_once(benchmark, study)
-    emit(
-        "fig3_4_cap3_instance_types",
-        format_table(
-            ["deployment", "compute time (s)", "cost $ (hour units)",
-             "amortized $"],
-            [
-                [r.label, f"{r.compute_time_s:,.0f}", f"{r.compute_cost:.2f}",
-                 f"{r.amortized_cost:.2f}"]
-                for r in rows
-            ],
-            title="Figures 3+4: Cap3 on EC2 instance types "
-                  "(200 files x 200 reads, 16 cores)",
-        ),
-    )
+def test_fig3_4_cap3_ec2_instance_types(benchmark, emit):
+    rows = run_figure(benchmark, emit, "fig3_4")
 
     by_type = {r.label.split(" ")[0]: r for r in rows}
     times = {k: r.compute_time_s for k, r in by_type.items()}
@@ -58,8 +32,6 @@ def test_fig3_4_cap3_ec2_instance_types(benchmark, emit, sweep_kwargs):
     assert costs["HCXL"] == min(costs.values())
     assert costs["HM4XL"] == max(costs.values())
     # Hour-unit costs land on the paper's exact price points for a <1h run.
-    import pytest
-
     assert costs["HCXL"] == pytest.approx(2 * 0.68)
     assert costs["L"] == pytest.approx(8 * 0.34)
     assert costs["XL"] == pytest.approx(4 * 0.68)

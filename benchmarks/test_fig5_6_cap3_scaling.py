@@ -13,69 +13,14 @@ Paper findings to reproduce:
   Azure's) per-file times.
 """
 
-from repro.cluster import get_cluster
-from repro.core.application import get_application
-from repro.core.experiment import scalability_study
-from repro.core.backends import make_backend
-from repro.core.report import format_series
-from repro.workloads.genome import cap3_task_specs
-
-from benchmarks._shapes import quiet_azure, quiet_ec2
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 CORE_COUNTS = [32, 64, 128]
 
 
-def tasks_for(cores):
-    # Weak scaling: 4 replicated files per core, as the paper replicates
-    # its data set with fleet size.
-    return cap3_task_specs(n_files=cores * 4, reads_per_file=458)
-
-
-def backend_factories():
-    return {
-        "EC2": lambda cores: quiet_ec2(n_instances=cores // 8),
-        "Azure": lambda cores: quiet_azure(n_instances=cores),
-        "Hadoop": lambda cores: make_backend(
-            "hadoop", cluster=get_cluster("cap3-baremetal").subset(cores // 8)
-        ),
-        "DryadLINQ": lambda cores: make_backend(
-            "dryadlinq",
-            cluster=get_cluster("cap3-baremetal-windows").subset(cores // 8),
-        ),
-    }
-
-
-def test_fig5_6_cap3_scaling(benchmark, emit, sweep_kwargs):
-    app = get_application("cap3")
-
-    def study():
-        out = {}
-        for name, factory in backend_factories().items():
-            out[name] = scalability_study(
-                app, factory, CORE_COUNTS, tasks_for, **sweep_kwargs
-            )
-        return out
-
-    results = run_once(benchmark, study)
-
-    efficiency_series = {
-        name: {p.cores: p.efficiency for p in points}
-        for name, points in results.items()
-    }
-    per_file_series = {
-        name: {p.cores: p.per_file_per_core_s for p in points}
-        for name, points in results.items()
-    }
-    emit(
-        "fig5_cap3_parallel_efficiency",
-        format_series("cores", efficiency_series,
-                      title="Figure 5: Cap3 parallel efficiency"),
-    )
-    emit(
-        "fig6_cap3_time_per_file_per_core",
-        format_series("cores", per_file_series, value_format="{:.1f}",
-                      title="Figure 6: Cap3 per-file per-core time (s)"),
+def test_fig5_6_cap3_scaling(benchmark, emit):
+    efficiency_series, per_file_series = run_figure(
+        benchmark, emit, "fig5_6"
     )
 
     # Figure 5: comparable efficiency (within 20%) and low overheads.

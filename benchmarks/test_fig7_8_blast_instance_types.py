@@ -12,39 +12,11 @@ Paper findings to reproduce:
 * HCXL again the most cost-effective.
 """
 
-from repro.core.application import get_application
-from repro.core.experiment import instance_type_study
-from repro.core.report import format_table
-from repro.workloads.protein import blast_task_specs
-
-from benchmarks._shapes import ec2_16core_backends
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 
-def test_fig7_8_blast_ec2_instance_types(benchmark, emit, sweep_kwargs):
-    app = get_application("blast")
-    tasks = blast_task_specs(64, inhomogeneous_base=False, seed=3)
-
-    def study():
-        return instance_type_study(
-            app, ec2_16core_backends(), tasks, **sweep_kwargs
-        )
-
-    rows = run_once(benchmark, study)
-    emit(
-        "fig7_8_blast_instance_types",
-        format_table(
-            ["deployment", "compute time (s)", "cost $ (hour units)",
-             "amortized $"],
-            [
-                [r.label, f"{r.compute_time_s:,.0f}", f"{r.compute_cost:.2f}",
-                 f"{r.amortized_cost:.2f}"]
-                for r in rows
-            ],
-            title="Figures 7+8: BLAST on EC2 instance types "
-                  "(64 query files x 100 seqs, 16 cores)",
-        ),
-    )
+def test_fig7_8_blast_ec2_instance_types(benchmark, emit):
+    rows = run_figure(benchmark, emit, "fig7_8")
 
     by_type = {r.label.split(" ")[0]: r for r in rows}
     times = {k: r.compute_time_s for k, r in by_type.items()}

@@ -15,55 +15,11 @@ Paper findings to reproduce:
 
 import pytest
 
-from repro.core.application import get_application
-from repro.core.report import format_table
-from repro.workloads.protein import blast_task_specs
-
-from benchmarks._shapes import quiet_azure
-from benchmarks.conftest import run_once
-
-# (instance type, count, workers/instance, threads/worker) — all 8 cores.
-SHAPES = [
-    ("Small", 8, 1, 1),
-    ("Medium", 4, 2, 1),
-    ("Medium", 4, 1, 2),
-    ("Large", 2, 4, 1),
-    ("Large", 2, 1, 4),
-    ("ExtraLarge", 1, 8, 1),
-    ("ExtraLarge", 1, 1, 8),
-]
+from benchmarks.conftest import run_figure
 
 
 def test_fig9_blast_azure_instance_types(benchmark, emit):
-    app = get_application("blast")
-    tasks = blast_task_specs(8, inhomogeneous_base=False, seed=4)
-
-    def study():
-        out = []
-        for itype, n, workers, threads in SHAPES:
-            backend = quiet_azure(
-                instance_type=itype,
-                n_instances=n,
-                workers_per_instance=workers,
-                threads_per_worker=threads,
-            )
-            result = backend.run(app.with_threads(threads), tasks)
-            out.append(
-                (f"{itype} {workers}x{threads}", itype, workers, threads,
-                 result.makespan_seconds, result.billing.amortized_compute_cost)
-            )
-        return out
-
-    results = run_once(benchmark, study)
-    emit(
-        "fig9_blast_azure_types",
-        format_table(
-            ["shape (workers x threads)", "time (s)", "amortized $"],
-            [[label, f"{t:,.0f}", f"{cost:.2f}"]
-             for label, _, _, _, t, cost in results],
-            title="Figure 9: BLAST on Azure instance types (8 query files)",
-        ),
-    )
+    results = run_figure(benchmark, emit, "fig9")
 
     best_time = {}
     for label, itype, workers, threads, t, cost in results:

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 from repro.autoscale.plan import AutoscalePlan
 from repro.autoscale.policies import default_policy
-from repro.cloud.failures import FaultPlan
 from repro.cloud.spot import BidStrategy, SpotMarketModel
 from repro.core.application import get_application
 from repro.core.backends import make_backend
@@ -106,7 +105,6 @@ def autoscale_study(
             "ec2",
             n_instances=n_instances,
             workers_per_instance=8,
-            fault_plan=FaultPlan.none(),
             seed=seed,
             autoscale=plan,
         )

@@ -99,12 +99,17 @@ def chaos_point(
     seed: int,
     horizon_s: float,
 ):
-    """The sweep point of one campaign cell (see :func:`chaos_study`)."""
+    """The sweep point of one campaign cell (see :func:`chaos_study`).
+
+    Raises :class:`ValueError` for a negative ``intensity``.
+    """
     from repro.core.application import get_application
     from repro.core.backends import make_backend
     from repro.sweep import point_for
     from repro.workloads import study_task_specs
 
+    if intensity < 0:
+        raise ValueError(f"chaos intensity must be >= 0, got {intensity}")
     retry, speculation = mitigation_settings(mitigation)
     chaos = (
         ChaosPlan.at_intensity(intensity, seed=seed, horizon_s=horizon_s)

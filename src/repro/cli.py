@@ -22,6 +22,15 @@ Commands:
   exported by ``run --trace`` / ``sweep --trace`` (:mod:`repro.obs`);
 * ``report`` — render a trace + run result + ``BENCH_*.json`` history
   as one self-contained HTML report (:mod:`repro.obs.report`);
+* ``figures`` — regenerate one paper figure's tables, exactly as
+  ``benchmarks/results/`` records them (:mod:`repro.figures`);
+* ``analyze`` — load balance, phase breakdown and a Gantt chart of a
+  run result exported via ``RunResult.to_json``;
+* ``gendata`` — write a real synthetic Cap3/BLAST/GTM workload to disk;
+* ``chaos`` — the deterministic fault-injection campaign: fault
+  intensity x mitigation, printed as a resilience report
+  (:mod:`repro.chaos`);
+* ``docs`` — check the documentation: links resolve, code blocks run;
 * ``lint`` — the determinism linter over the simulation sources
   (:mod:`repro.lint`).
 """
@@ -33,7 +42,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-from repro.cloud.failures import FaultPlan
 from repro.cloud.instance_types import AZURE_INSTANCE_TYPES, EC2_INSTANCE_TYPES
 from repro.cluster import CLUSTERS, get_cluster
 from repro.core.application import get_application
@@ -93,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run on the instrumented event loop and print the "
         "sanitizer report (sets REPRO_SANITIZE=1)",
-    )
-    run_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="sweep worker processes (default: REPRO_JOBS or cpu count)",
     )
     run_parser.add_argument(
         "--no-cache", action="store_true",
@@ -201,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--trace", metavar="OUT.json", default=None,
-        help="run fleet points in-process and export one merged Chrome "
-        "trace_event JSON (one synthetic process per fleet point)",
+        help="capture each fleet point (in-process or on the worker "
+        "pool, at any --jobs) and export one merged Chrome trace_event "
+        "JSON (one synthetic process per fleet point)",
     )
     serve_parser.add_argument(
         "--json", metavar="OUT.json", default=None,
@@ -484,16 +489,41 @@ def _write_trace(path: str, obs, out) -> None:
     )
 
 
+def _progress_printer(out):
+    """A ``run_points`` progress callback printing one line per event."""
+
+    def show_progress(event) -> None:
+        print(
+            f"[{event.index + 1}/{event.total}] "
+            f"{event.label}: {event.status}",
+            file=out,
+        )
+
+    return show_progress
+
+
+def _read_json(path: str, what: str, out):
+    """Load the JSON document at ``path``; on a missing or non-JSON file
+    print a one-line error naming it as ``what`` and return ``None``."""
+    import json
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        print(f"error: no such {what} {path!r}", file=out)
+    except ValueError as exc:
+        print(f"error: {path} is not JSON: {exc}", file=out)
+    return None
+
+
 def _cmd_run(args, out) -> int:
-    if _resolved_jobs_or_none(args, out) is None:
-        return 2
     if args.sanitize:
         os.environ["REPRO_SANITIZE"] = "1"
     app = get_application(args.app)
     tasks = _tasks_for(args.app, args.files, args.inhomogeneous, args.seed)
     kwargs: dict = {"seed": args.seed}
     if args.backend in ("ec2", "azure"):
-        kwargs["fault_plan"] = FaultPlan.none()
         if args.instances is not None:
             kwargs["n_instances"] = args.instances
         if args.instance_type is not None:
@@ -543,20 +573,12 @@ def _cmd_run(args, out) -> int:
         with _traced(args.trace, f"{args.app}-{args.backend}") as obs:
             r = run_inline(point)
     else:
-        cache = None if args.no_cache else default_cache()
-
-        def show_progress(event) -> None:
-            print(
-                f"[{event.index + 1}/{event.total}] "
-                f"{event.label}: {event.status}",
-                file=out,
-            )
-
+        # One point: it runs in this process whatever the jobs policy.
         r = run_points(
             [point_for(app, backend, tasks)],
-            jobs=args.jobs,
-            cache=cache,
-            progress=show_progress,
+            jobs=1,
+            cache=None if args.no_cache else default_cache(),
+            progress=_progress_printer(out),
         )[0]
     rows = [
         ["backend", r.backend],
@@ -609,43 +631,22 @@ def _cmd_run(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     if _resolved_jobs_or_none(args, out) is None:
         return 2
+    from repro.core.experiment import instance_type_study
+    from repro.figures import ec2_16core_backends
     from repro.sweep.cache import default_cache
-    from repro.sweep.points import point_for
-    from repro.sweep.runner import run_points
 
-    app = get_application(args.app)
     tasks = _tasks_for(args.app, args.files, False, args.seed)
-    shapes = [("L", 8, 2), ("XL", 4, 4), ("HCXL", 2, 8), ("HM4XL", 2, 8)]
-    points = [
-        point_for(
-            app,
-            make_backend(
-                "ec2",
-                instance_type=itype,
-                n_instances=n,
-                workers_per_instance=w,
-                fault_plan=FaultPlan.none(),
-                seed=args.seed,
-            ),
-            tasks,
-        )
-        for itype, n, w in shapes
-    ]
-    cache = None if args.no_cache else default_cache()
-
-    def show_progress(event) -> None:
-        print(
-            f"[{event.index + 1}/{event.total}] "
-            f"{event.label}: {event.status}",
-            file=out,
-        )
-
     with _traced(args.trace, f"{args.app}-sweep") as obs:
-        results = run_points(
-            points, jobs=args.jobs, cache=cache, progress=show_progress
+        results = instance_type_study(
+            get_application(args.app),
+            ec2_16core_backends(seed=args.seed),
+            tasks,
+            jobs=args.jobs,
+            cache=None if args.no_cache else default_cache(),
+            progress=_progress_printer(out),
         )
     rows = [
-        [r.label, f"{r.makespan_s:,.1f} s", f"${r.amortized_cost:.2f}"]
+        [r.label, f"{r.compute_time_s:,.1f} s", f"${r.amortized_cost:.2f}"]
         for r in results
     ]
     print(format_table(
@@ -683,17 +684,21 @@ def _cmd_serve(args, out) -> int:
             max_instances=args.max_instances,
             bid=BidStrategy.mixed(args.spot_fraction),
         )
-    with _traced(args.trace, "serve-study") as obs:
-        rows, results = serve_study(
-            fleet_sizes,
-            provider=args.provider,
-            instance_type=args.instance_type,
-            workers_per_instance=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            autoscale=autoscale,
-            jobs=args.jobs,
-        )
+    try:
+        with _traced(args.trace, "serve-study") as obs:
+            rows, results = serve_study(
+                fleet_sizes,
+                provider=args.provider,
+                instance_type=args.instance_type,
+                workers_per_instance=args.workers,
+                duration_s=args.duration,
+                seed=args.seed,
+                autoscale=autoscale,
+                jobs=args.jobs,
+            )
+    except ValueError as exc:  # an invalid ServeConfig, e.g. fleet -1
+        print(f"error: {exc}", file=out)
+        return 2
     print(render_frontier(rows), file=out)
     for result in results:
         if result.abandoned or result.duplicates:
@@ -712,20 +717,13 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    import json
     from glob import glob
 
     from repro.obs import series_from_trace, validate_chrome_trace
     from repro.obs.report import write_report
 
-    try:
-        with open(args.trace, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        print(f"error: no such trace {args.trace!r}", file=out)
-        return 2
-    except ValueError as exc:
-        print(f"error: {args.trace} is not JSON: {exc}", file=out)
+    document = _read_json(args.trace, "trace", out)
+    if document is None:
         return 2
     errors = validate_chrome_trace(document)
     if errors:
@@ -735,26 +733,18 @@ def _cmd_report(args, out) -> int:
         return 2
     run = None
     if args.run:
-        try:
-            with open(args.run, encoding="utf-8") as handle:
-                run = json.load(handle)
-        except FileNotFoundError:
-            print(f"error: no such run result {args.run!r}", file=out)
+        run = _read_json(args.run, "run result", out)
+        if run is None:
             return 2
     bench_paths = (
         args.bench if args.bench is not None else sorted(glob("BENCH_*.json"))
     )
     history = []
     for path in bench_paths:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                history.append((os.path.basename(path), json.load(handle)))
-        except FileNotFoundError:
-            print(f"error: no such bench file {path!r}", file=out)
+        bench = _read_json(path, "bench file", out)
+        if bench is None:
             return 2
-        except ValueError as exc:
-            print(f"error: {path} is not JSON: {exc}", file=out)
-            return 2
+        history.append((os.path.basename(path), bench))
     title = args.title or f"repro report — {os.path.basename(args.trace)}"
     write_report(
         args.output, document, run=run, bench_history=history, title=title
@@ -781,18 +771,10 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    import json
-
     from repro.obs import summarize_chrome_trace, validate_chrome_trace
 
-    try:
-        with open(args.trace, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        print(f"error: no such trace {args.trace!r}", file=out)
-        return 2
-    except ValueError as exc:
-        print(f"error: {args.trace} is not JSON: {exc}", file=out)
+    document = _read_json(args.trace, "trace", out)
+    if document is None:
         return 2
     errors = validate_chrome_trace(document)
     if errors:
@@ -812,12 +794,10 @@ def _cmd_cost(args, out) -> int:
 
     app = get_application("cap3")
     tasks = cap3_task_specs(args.files, reads_per_file=args.reads_per_file)
-    ec2 = make_backend(
-        "ec2", n_instances=16, fault_plan=FaultPlan.none(), perf_jitter=0.0
-    ).run(app, tasks)
-    azure = make_backend(
-        "azure", n_instances=128, fault_plan=FaultPlan.none(), perf_jitter=0.0
-    ).run(app, tasks)
+    ec2 = make_backend("ec2", n_instances=16, perf_jitter=0.0).run(app, tasks)
+    azure = make_backend("azure", n_instances=128, perf_jitter=0.0).run(
+        app, tasks
+    )
     hadoop = make_backend("hadoop", cluster=get_cluster("internal-tco")).run(
         app, tasks
     )
@@ -839,21 +819,11 @@ def _cmd_cost(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     if args.compare is not None:
-        import json
-
         from repro.obs.report import bench_compare, format_bench_compare
 
-        docs = []
-        for path in args.compare:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    docs.append(json.load(handle))
-            except FileNotFoundError:
-                print(f"error: no such bench file {path!r}", file=out)
-                return 2
-            except ValueError as exc:
-                print(f"error: {path} is not JSON: {exc}", file=out)
-                return 2
+        docs = [_read_json(path, "bench file", out) for path in args.compare]
+        if None in docs:
+            return 2
         rows = bench_compare(docs[0], docs[1], tolerance=args.gate_tolerance)
         print(
             format_bench_compare(
@@ -911,11 +881,10 @@ def _cmd_analyze(args, out) -> int:
     )
     from repro.core.task import RunResult
 
-    try:
-        result = RunResult.from_json(args.trace)
-    except FileNotFoundError:
-        print(f"error: no such trace {args.trace!r}", file=out)
+    data = _read_json(args.trace, "trace", out)
+    if data is None:
         return 2
+    result = RunResult.from_dict(data)
     rows = [
         ["backend", result.backend],
         ["tasks", str(result.n_tasks)],
@@ -1034,18 +1003,22 @@ def _cmd_chaos(args, out) -> int:
         from repro.sweep import default_cache
 
         cache = default_cache()
-    rows = chaos_study(
-        apps=(args.app,),
-        intensities=intensities,
-        mitigations=mitigations,
-        n_files=n_files,
-        n_instances=args.instances,
-        workers_per_instance=args.workers,
-        seed=args.seed,
-        horizon_s=horizon,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    try:
+        rows = chaos_study(
+            apps=(args.app,),
+            intensities=intensities,
+            mitigations=mitigations,
+            n_files=n_files,
+            n_instances=args.instances,
+            workers_per_instance=args.workers,
+            seed=args.seed,
+            horizon_s=horizon,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    except ValueError as exc:  # an out-of-range axis, e.g. intensity -1
+        print(f"error: {exc}", file=out)
+        return 2
     print(render_resilience(rows), file=out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -140,13 +140,10 @@ def _kernel_bench(smoke: bool) -> dict:
 
 # -- sweep benchmarks ------------------------------------------------------
 
-_EC2_SHAPES = [("L", 8, 2), ("XL", 4, 4), ("HCXL", 2, 8), ("HM4XL", 2, 8)]
-
-
 def _sweep_points(app_name: str, n_files: int):
-    from repro.cloud.failures import FaultPlan
     from repro.core.application import get_application
     from repro.core.backends import make_backend
+    from repro.figures import EC2_16CORE_SHAPES
 
     app = get_application(app_name)
     if app_name == "cap3":
@@ -167,10 +164,9 @@ def _sweep_points(app_name: str, n_files: int):
             instance_type=itype,
             n_instances=n,
             workers_per_instance=w,
-            fault_plan=FaultPlan.none(),
             seed=17,
         )
-        for itype, n, w in _EC2_SHAPES
+        for itype, n, w in EC2_16CORE_SHAPES
     ]
     return [point_for(app, backend, tasks) for backend in backends]
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.chaos import (
     CAMPAIGN_MITIGATIONS,
+    chaos_point,
     chaos_study,
     mitigation_settings,
     render_resilience,
@@ -38,6 +39,13 @@ class TestMitigationSettings:
         assert retry_only is not None and no_spec is None
         no_retry, spec_only = mitigation_settings("speculation")
         assert no_retry is None and spec_only is not None
+
+    def test_negative_intensity_raises(self):
+        with pytest.raises(ValueError, match="intensity"):
+            chaos_point(
+                "cap3", -1.0, "none", n_files=4, n_instances=1,
+                workers_per_instance=2, seed=13, horizon_s=60.0,
+            )
 
     def test_unknown_mitigation_raises(self):
         with pytest.raises(KeyError):
@@ -106,6 +114,17 @@ class TestCli:
         assert (1.0, "retry+speculation") in cells
         for row in payload:
             assert row["completed"] == 8.0 or row["completed"] == 8
+
+    def test_negative_intensity_exits_2(self):
+        out = io.StringIO()
+        code = main(
+            ["chaos", "--intensities=-1", "--files", "8", "--jobs", "1",
+             "--no-cache"],
+            out=out,
+        )
+        assert code == 2
+        assert out.getvalue().startswith("error: ")
+        assert "intensity" in out.getvalue()
 
     def test_trace_plays_the_defended_row(self, tmp_path):
         report, trace = tmp_path / "rows.json", tmp_path / "trace.json"

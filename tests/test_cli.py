@@ -70,6 +70,19 @@ class TestRun:
         with pytest.raises(SystemExit):
             run_cli("run", "--app", "hmmer")
 
+    def test_jobs_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--jobs", "2"])
+
+    def test_ignores_a_bad_jobs_environment(self, monkeypatch):
+        # One point always runs in-process, so REPRO_JOBS is irrelevant.
+        monkeypatch.setenv("REPRO_JOBS", "zero")
+        code, text = run_cli(
+            "run", "--files", "8", "--instances", "1", "--no-cache"
+        )
+        assert code == 0
+        assert ": done" in text
+
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             run_cli("run", "--backend", "slurm")
@@ -127,6 +140,13 @@ class TestAnalyze:
         code, text = run_cli("analyze", "/nonexistent/trace.json")
         assert code == 2
         assert "no such trace" in text
+
+    def test_non_json_trace_fails_cleanly(self, tmp_path):
+        bad = tmp_path / "trace.json"
+        bad.write_text("not json", encoding="utf-8")
+        code, text = run_cli("analyze", str(bad))
+        assert code == 2
+        assert f"error: {bad} is not JSON" in text
 
 
 class TestTrace:
@@ -215,6 +235,21 @@ class TestSweep:
         workers = document["otherData"]["workers"]  # one entry per process
         assert len({w["os_pid"] for w in workers}) >= 2
         assert sum(len(w["points"]) for w in workers) == 4
+
+    def test_sweep_output_is_pinned(self):
+        # SHA-256 of the full stdout (progress lines and table) of
+        # ``repro sweep --app cap3 --files 16 --jobs 1 --no-cache``: the
+        # sweep's deployments, seeds and table must not drift.
+        import hashlib
+
+        code, text = run_cli(
+            "sweep", "--app", "cap3", "--files", "16",
+            "--jobs", "1", "--no-cache",
+        )
+        assert code == 0
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "ca119eb4152cbf08fece26c94e962c031d34e5b5b973557359436d9bf9f8b8ce"
+        )
 
     def test_sweep_rejects_bad_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "zero")

@@ -1,5 +1,7 @@
 """Smoke tests for the programmatic figure surface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.figures import available_figures, render_figure
@@ -20,11 +22,22 @@ def test_available_figures_lists_all():
     ]
 
 
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+RECORDED = {
+    "fig3_4": "fig3_4_cap3_instance_types",
+    "fig9": "fig9_blast_azure_types",
+    "fig12_13": "fig12_13_gtm_instance_types",
+}
+
+
 @pytest.mark.parametrize("figure_id", ["fig3_4", "fig9", "fig12_13"])
 def test_render_fast_figures(figure_id):
     text = render_figure(figure_id)
     assert "|" in text  # a table came out
     assert len(text.splitlines()) >= 4
+    # The CLI prints exactly what the benchmark suite records.
+    path = RESULTS / f"{RECORDED[figure_id]}.txt"
+    assert text + "\n" == path.read_text(encoding="utf-8")
 
 
 def test_render_unknown_raises():

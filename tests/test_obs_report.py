@@ -182,6 +182,18 @@ class TestReportCli:
         )
         assert code == 2
 
+    def test_report_non_json_run_exits_2(self, tmp_path, traced):
+        trace_path, _ = self._trace_file(tmp_path, traced)
+        bad = tmp_path / "run.json"
+        bad.write_text("not json", encoding="utf-8")
+        code, text = run_cli(
+            "report", str(trace_path), "--run", str(bad),
+            "-o", str(tmp_path / "r.html"), "--bench",
+        )
+        assert code == 2
+        assert f"error: {bad} is not JSON" in text
+        assert not (tmp_path / "r.html").exists()
+
     def test_report_invalid_trace_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"traceEvents": "nope"}), encoding="utf-8")

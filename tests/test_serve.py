@@ -369,6 +369,12 @@ class TestCliServe:
         ]
         assert sorted(points) == ["serve-fleet-1", "serve-fleet-2"]
 
+    def test_negative_fleet_exits_2(self):
+        out = io.StringIO()
+        code = main(["serve", "--fleet", "-1", "--jobs", "1"], out=out)
+        assert code == 2
+        assert out.getvalue() == "error: n_instances must be >= 0\n"
+
     def test_smoke_prints_frontier(self, tmp_path):
         out = io.StringIO()
         json_path = tmp_path / "frontier.json"

@@ -105,6 +105,20 @@ class TestKeySensitivity:
         assert cache.get(_spec()) is None
         assert cache.stats().misses == 1
 
+    def test_fault_free_spellings_share_a_key(self):
+        # FaultPlan() is fault-free, so passing FaultPlan.none() is a
+        # no-op: both spellings address the same cached result.
+        bare = dict(instance_type="HCXL", n_instances=2, seed=17)
+        spelled = point_for(
+            get_application("cap3"),
+            make_backend("ec2", fault_plan=FaultPlan.none(), **bare),
+            _tasks(),
+        )
+        default = point_for(
+            get_application("cap3"), make_backend("ec2", **bare), _tasks()
+        )
+        assert point_fingerprint(spelled) == point_fingerprint(default)
+
     def test_task_digest_covers_every_field(self):
         tasks = _tasks()
         base = task_digest(tasks)
