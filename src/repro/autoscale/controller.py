@@ -281,7 +281,7 @@ class AutoscaleController:
             key=lambda i: (i.launched_at, i.instance_id),
         )[-count:]
         for instance in victims:
-            instance.draining = True
+            self.provider.drain(instance)
             self.env.process(
                 self._drainer(instance),
                 name=f"drain-{instance.instance_id}",

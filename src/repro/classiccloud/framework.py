@@ -228,6 +228,7 @@ class _SimRun:
             self.rng.stream("provision"),
             meter=self.meter,
             perf_jitter=config.perf_jitter,
+            on_host_change=lambda: self.task_queue.recheck(),
         )
         self.storage = BlobStore(
             self.env,
@@ -642,10 +643,21 @@ class _SimRun:
             return self._accounted_tasks() < n_tasks and self.env.now <= deadline
 
         poll_backoff_s = self.config.poll_backoff_s
+        # keep_going reads the deadline and the completions (added only
+        # here); with a dead-letter queue it also reads the DLQ, which
+        # changes without a recheck, so that watcher never parks.
+        stable_until = deadline if self.dead_letter_queue is None else None
         while (
-            msg := (yield from self.monitor_queue.poll(keep_going, poll_backoff_s))
+            msg := (
+                yield from self.monitor_queue.poll(
+                    keep_going, poll_backoff_s, stable_until=stable_until
+                )
+            )
         ) is not None:
             self.completed.add(msg.body)
+            if len(self.completed) == n_tasks:
+                # The workers' keep_polling() just turned false.
+                self.task_queue.recheck()
             try:
                 yield from self.monitor_queue.delete(msg)
             except StaleReceiptError:

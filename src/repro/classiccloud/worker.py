@@ -4,6 +4,7 @@ and the multi-tenant :class:`~repro.serve.service.JobService`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -34,10 +35,13 @@ class WorkerFleet:
     runs its owner's completion step and records a :class:`TaskRecord`
     with matching ``task.*`` phase spans.  Idle polling runs through
     :meth:`~repro.cloud.queue.MessageQueue.poll`: one re-armed heap
-    entry per worker, not a generator round trip per empty receive.
+    entry per worker, parked off the heap while the queue is empty.
 
     Owners supply only what differs between them.  ``perf_model(task)``
-    picks a task's perf model; workers poll while ``keep_polling()``;
+    picks a task's perf model; workers poll while ``keep_polling()``
+    and their host is neither draining nor terminated.  Whoever flips
+    one of those inputs calls ``task_queue.recheck()`` (the host flips
+    do so through :class:`~repro.cloud.compute.CloudProvider`);
     ``on_complete(task_id)`` runs right after the message delete and
     may return a process generator (a monitor-queue send) that the
     worker drives to completion.  ``slots()``, when given, adds a
@@ -177,6 +181,7 @@ class WorkerFleet:
                     self.poll_backoff_s,
                     extra_latency_s=wan_latency_s,
                     backoff=backoff if retry_policy is not None else None,
+                    stable_until=math.inf,
                 )
                 if msg is None:
                     return

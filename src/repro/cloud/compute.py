@@ -10,7 +10,7 @@ termination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -81,7 +81,13 @@ class VmInstance:
 
 
 class CloudProvider:
-    """Provisions and terminates VMs, metering their billable hours."""
+    """Provisions, drains and terminates VMs, metering their billable
+    hours.
+
+    ``on_host_change()``, when given, runs after an instance starts
+    draining or is terminated: the workers' ``keep_going`` reads both,
+    so the owner rechecks its parked pollers there.
+    """
 
     def __init__(
         self,
@@ -91,6 +97,7 @@ class CloudProvider:
         meter: CostMeter | None = None,
         boot_time_s: float | None = None,
         perf_jitter: float | None = None,
+        on_host_change: Callable[[], None] | None = None,
     ):
         if provider not in ("aws", "azure"):
             raise ValueError(f"unknown provider {provider!r}")
@@ -106,6 +113,7 @@ class CloudProvider:
         )
         self.instances: list[VmInstance] = []
         self._counter = 0
+        self._on_host_change = on_host_change
         obs = _current_obs()
         self._tracer = obs.tracer
         self._m_provisioned = obs.metrics.counter(
@@ -175,6 +183,13 @@ class CloudProvider:
             batch.append(instance)
         return batch
 
+    def drain(self, instance: VmInstance) -> None:
+        """Scale-in: workers on ``instance`` finish their current task
+        and take no new one."""
+        instance.draining = True
+        if self._on_host_change is not None:
+            self._on_host_change()
+
     def terminate(self, instance: VmInstance, preempted: bool = False) -> None:
         """Stop an instance and meter its billable uptime.
 
@@ -195,6 +210,8 @@ class CloudProvider:
                 billing=instance.billing,
                 preempted=preempted,
             )
+        if self._on_host_change is not None:
+            self._on_host_change()
 
     def terminate_all(self) -> None:
         """Stop every still-running instance."""

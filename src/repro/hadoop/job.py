@@ -152,6 +152,11 @@ class _HadoopRun:
         self.attempts_used: dict[str, int] = {t.task_id: 0 for t in tasks}
         self.records: list[TaskRecord] = []
         self.done = self.env.event()
+        # The drained-queue scan found no backup candidate.  It stays
+        # empty until an attempt starts or ends: progress, has_backup and
+        # completed only grow, and an ended primary can hand attempts[0]
+        # to its backup.
+        self._no_backup_candidate = False
 
     # -- orchestration -------------------------------------------------------
     def execute(self) -> RunResult:
@@ -212,7 +217,7 @@ class _HadoopRun:
                     if self.hdfs.is_local(task.input_key, node):
                         return self.pending.pop(i), False
             return self.pending.pop(0), False
-        if not self.config.speculative_execution:
+        if not self.config.speculative_execution or self._no_backup_candidate:
             return None
         # Queue drained: back up the running attempt with the latest
         # expected finish whose progress is below the threshold.
@@ -227,6 +232,7 @@ class _HadoopRun:
             if progress < self.config.speculative_progress_threshold:
                 candidates.append(primary)
         if not candidates:
+            self._no_backup_candidate = True
             return None
         victim = max(candidates, key=lambda r: r.expected_end)
         victim.has_backup = True
@@ -287,6 +293,7 @@ class _HadoopRun:
                 speculative=speculative,
             )
             self.running.setdefault(task.task_id, []).append(info)
+            self._no_backup_candidate = False
             self._sample_running()
 
             fails = (
@@ -354,6 +361,7 @@ class _HadoopRun:
             attempts.remove(info)
         if not attempts:
             self.running.pop(task.task_id, None)
+        self._no_backup_candidate = False
         self._sample_running()
 
     def _sample_running(self) -> None:

@@ -117,6 +117,19 @@ class SanitizedEnvironment(Environment):
         return proc
 
     def _enqueue(self, event: Event, delay: float) -> None:
+        self._check_arm(event)
+        super()._enqueue(event, delay)
+
+    def _enqueue_at(self, event: Event, time: float) -> None:
+        self._check_arm(event)
+        if time < self.now:
+            self._flag(
+                f"{_label(event)} scheduled in the past (t={time!r} < "
+                f"now={self.now!r})"
+            )
+        super()._enqueue_at(event, time)
+
+    def _check_arm(self, event: Event) -> None:
         if event.processed:
             self._flag(
                 f"{type(event).__name__} re-enqueued after its callbacks "
@@ -128,7 +141,6 @@ class SanitizedEnvironment(Environment):
                 f"(t={self.now!r})"
             )
         self._armed.add(event)
-        super()._enqueue(event, delay)
 
     def step(self) -> None:
         if not self._heap:

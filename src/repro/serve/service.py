@@ -299,6 +299,7 @@ class JobService:
             self.rng.stream("provision"),
             meter=self.meter,
             perf_jitter=config.perf_jitter,
+            on_host_change=lambda: self.task_queue.recheck(),
         )
         self.storage = BlobStore(
             self.env,
@@ -522,6 +523,7 @@ class JobService:
             )
         self.scheduler.stop()
         self._stopping = True
+        self.task_queue.recheck()  # the workers' keep_polling() flipped
         return self.env.now - self.measure_start
 
     # -- arrivals ----------------------------------------------------------

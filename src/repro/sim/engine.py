@@ -30,6 +30,7 @@ through ``_enqueue``/the heap as a traceable :class:`Event` — same
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Generator, Iterable
@@ -149,6 +150,15 @@ class Event:
             for callback in callbacks:
                 callback(self)
 
+    def _abandoned(self) -> None:
+        """Hook: a process waiting on this event is being interrupted.
+
+        Called by :meth:`Process.interrupt` before the waiter detaches.
+        Plain events do nothing; an event standing for deferred work
+        (an idle :meth:`~repro.cloud.queue.MessageQueue.poll`) settles
+        that work up to now.
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending"
@@ -249,6 +259,7 @@ class Process(Event):
             raise SimulationError(f"cannot interrupt finished process {self.name}")
         waiting = self._waiting_on
         if waiting is not None:
+            waiting._abandoned()
             callbacks = waiting.callbacks
             if callbacks is not None:
                 try:
@@ -418,7 +429,7 @@ class Environment:
         env.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_heap", "_lane", "_sequence")
+    __slots__ = ("_now", "_heap", "_lane", "_sequence", "_run_hooks")
 
     #: Instrumented subclasses set this to False to route every
     #: scheduling action through ``_enqueue`` and the heap, where their
@@ -436,6 +447,11 @@ class Environment:
             deque()
         )
         self._sequence = 0
+        #: Called as ``hook(horizon)`` whenever :meth:`run` returns: work
+        #: deferred off the heap (parked queue pollers) settles every
+        #: step due before ``horizon`` so results read after a run are
+        #: complete.
+        self._run_hooks: list[Callable[[float], None]] = []
 
     @property
     def now(self) -> float:
@@ -485,6 +501,17 @@ class Environment:
             self._lane.append((self._now, sequence, event, None))
         else:
             heappush(self._heap, (self._now + delay, sequence, event))
+
+    def _enqueue_at(self, event: Event, time: float) -> None:
+        """Schedule ``event`` at the absolute ``time`` (not before now).
+
+        For deferred work that already knows when its next step falls,
+        so the sum ``now + delay`` is not recomputed with a different
+        rounding.  Takes one sequence number like :meth:`_enqueue`.
+        """
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heappush(self._heap, (time, sequence, event))
 
     def _schedule_call(self, fn: Callable[[], None], owner=None) -> None:
         """Schedule a bare callable at the current time.
@@ -597,7 +624,21 @@ class Environment:
         ``until`` may be ``None`` (run to exhaustion), a number (run up to
         that simulated time) or an :class:`Event` (run until it fires, and
         return its value — raising its exception if it failed).
+
+        On return the run hooks settle deferred work: every step due
+        before now, and at now unless the run stopped on an event.
         """
+        try:
+            return self._run(until)
+        finally:
+            if self._run_hooks:
+                horizon = self._now
+                if not isinstance(until, Event):
+                    horizon = math.nextafter(horizon, math.inf)
+                for hook in self._run_hooks:
+                    hook(horizon)
+
+    def _run(self, until: "float | Event | None") -> Any:
         plain = type(self) is Environment
         if isinstance(until, Event):
             target = until

@@ -8,7 +8,7 @@ import pytest
 from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
 from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.failures import FaultPlan, WorkerCrash
-from repro.cloud.queue import MessageQueue
+from repro.cloud.queue import MessageQueue, _PollEntry
 from repro.cloud.storage import BlobStore
 from repro.core.application import get_application
 from repro.lint.sanitizer import SanitizedEnvironment
@@ -209,10 +209,11 @@ class TestFaultTolerance:
 
 
 class TestIdleWorkerInterrupt:
-    def test_crash_while_parked_in_poll(self):
-        """A worker crashed while idle-polling ends through its Interrupt
-        handler; its armed poll entry fires once as a no-op and is not
-        re-armed, so the event heap drains."""
+    CRASH_AT = 5.3
+
+    def crash_idle_worker(self):
+        """One worker idle-polls an empty queue and is crashed at
+        ``CRASH_AT``; returns what the checks need."""
         env = SanitizedEnvironment(strict=True)
         obs = Observability.make(label="idle-crash")
         queue = MessageQueue(env, "tasks", np.random.default_rng(2))
@@ -228,11 +229,10 @@ class TestIdleWorkerInterrupt:
             workers_per_instance=1,
         )
         worker = fleet.spawn(SimpleNamespace(draining=False, is_running=True))
-        crash_at = 5.3
         requests_at_crash = []
 
         def crasher():
-            yield env.timeout(crash_at)
+            yield env.timeout(self.CRASH_AT)
             requests_at_crash.append(queue.stats.requests)
             worker.interrupt("chaos-preempted")
 
@@ -243,15 +243,36 @@ class TestIdleWorkerInterrupt:
         assert worker.ok and worker.value is None  # the handler returned
         assert env.peek() == float("inf")  # nothing left armed
         assert queue.stats.requests == requests_at_crash[0] > 1
-        fired_after_crash = [
-            line for line in env.trace
-            if line.endswith(" queue.poll") and float(line.split()[0]) > crash_at
-        ]
-        assert len(fired_after_crash) == 1
         assert obs.timeline.series("workers.busy") == []
         report = env.sanitizer_report()
         assert report.pending_processes == []
         assert report.double_triggers == []
+        return env, queue
+
+    def poll_steps_after_crash(self, env):
+        return [
+            line for line in env.trace
+            if line.endswith(" queue.poll")
+            and float(line.split()[0]) > self.CRASH_AT
+        ]
+
+    def test_crash_while_parked_in_poll(self, eager_polling):
+        """Eager polling: a worker crashed while idle-polling ends
+        through its Interrupt handler; its armed poll entry fires once
+        as a no-op and is not re-armed, so the event heap drains."""
+        env, _ = self.crash_idle_worker()
+        assert len(self.poll_steps_after_crash(env)) == 1
+
+    def test_crash_while_parked_off_the_heap(self):
+        """Parked polling: the interrupt replays the worker's cycles up
+        to the crash and drops it — requests stop at the crash, no poll
+        step runs after it, and the eager request count is kept."""
+        env, queue = self.crash_idle_worker()
+        assert self.poll_steps_after_crash(env) == []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_PollEntry, "_may_park", lambda self: False)
+            _, eager_queue = self.crash_idle_worker()
+        assert queue.stats == eager_queue.stats
 
 
 class TestSequentialEstimate:

@@ -191,6 +191,42 @@ class TestHadoopSimulator:
         assert with_spec.extras["speculative_attempts"] > 0
         assert with_spec.makespan_seconds < without.makespan_seconds
 
+    # (2, 0.2, 29) retries an attempt after a scan came back empty, so
+    # a backup is launched only because the cache was cleared.
+    @pytest.mark.parametrize(
+        "nodes,failure_probability,seed", [(4, 0.1, 3), (4, 0.1, 11), (2, 0.2, 29)]
+    )
+    def test_empty_backup_scan_cache_changes_nothing(
+        self, cap3, monkeypatch, nodes, failure_probability, seed
+    ):
+        """Idle slots skip the speculation scan while nothing changed
+        since it last came back empty; forcing the scan every time gives
+        the same run."""
+        from repro.hadoop.job import _HadoopRun
+
+        tasks = cap3_task_specs(40, reads_per_file=200, inhomogeneous=True)
+        config = hadoop_config(
+            cluster=get_cluster("cap3-baremetal").subset(nodes),
+            seed=seed,
+            straggler_probability=0.15,
+            straggler_slowdown=6.0,
+            task_failure_probability=failure_probability,
+            max_attempts=10,
+            speculative_execution=True,
+        )
+        cached = HadoopSimulator(config).run(cap3, tasks)
+        # A data descriptor that always reads False and ignores writes.
+        monkeypatch.setattr(
+            _HadoopRun,
+            "_no_backup_candidate",
+            property(lambda run: False, lambda run, value: None),
+            raising=False,
+        )
+        scanned = HadoopSimulator(config).run(cap3, tasks)
+        assert cached.to_dict() == scanned.to_dict()
+        assert cached.extras["speculative_attempts"] > 0
+        assert max(r.attempt for r in cached.records) > 1
+
     def test_sequential_estimate_gives_high_efficiency(self, cap3):
         tasks = cap3_task_specs(64, reads_per_file=200)
         sim = HadoopSimulator(hadoop_config())

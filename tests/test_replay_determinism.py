@@ -119,7 +119,19 @@ def play_poison_crash_augmentation():
 
 
 class TestGoldenSchedule:
+    """Idle pollers park off the heap, so the default schedule has far
+    fewer slots than the eager one; both are pinned.  The eager digests
+    are the ones pinned before parking existed, checked under the
+    ``eager_polling`` oracle.  Request accounting is the same in both
+    modes."""
+
     def test_cap3_trace_slots_digest(self):
+        _, env = play_cap3(seed=7)
+        assert trace_slots_digest(env) == (
+            "6226be2664c7bebcdf2562a5052bd30337da961abe5c7e0dd57767634572fc6a"
+        )
+
+    def test_cap3_trace_slots_digest_eager(self, eager_polling):
         _, env = play_cap3(seed=7)
         assert trace_slots_digest(env) == (
             "93a0ab13a7b7b1570520976aa9cf723b783815b63e4e390ed16ed9915268e738"
@@ -131,13 +143,35 @@ class TestGoldenSchedule:
             "4e59c3f5203f937ee6078bced763027cf68c3ce3ac7ed1b0644964853fc7bb01"
         )
 
+    def test_cap3_queue_stats_digest_eager(self, eager_polling):
+        _, env = play_cap3(seed=7)
+        assert queue_stats_digest(env) == (
+            "4e59c3f5203f937ee6078bced763027cf68c3ce3ac7ed1b0644964853fc7bb01"
+        )
+
     def test_poison_crash_augmentation_trace_slots_digest(self):
+        _, env = play_poison_crash_augmentation()
+        assert trace_slots_digest(env) == (
+            "5bf674b61e4abacf3bf1775eef41583b4731b402fc3a80e6da63d56621cd809d"
+        )
+
+    def test_poison_crash_augmentation_trace_slots_digest_eager(
+        self, eager_polling
+    ):
         _, env = play_poison_crash_augmentation()
         assert trace_slots_digest(env) == (
             "7d9a68bf418c1e9c995596ea95381cfd431aaf6390546a7966b2d16fd10949bb"
         )
 
     def test_poison_crash_augmentation_queue_stats_digest(self):
+        _, env = play_poison_crash_augmentation()
+        assert queue_stats_digest(env) == (
+            "dc4f45dfb9e8f6c009bd94fa93b2bb2f7745d8013bbf7e88a6b0debad822293c"
+        )
+
+    def test_poison_crash_augmentation_queue_stats_digest_eager(
+        self, eager_polling
+    ):
         _, env = play_poison_crash_augmentation()
         assert queue_stats_digest(env) == (
             "dc4f45dfb9e8f6c009bd94fa93b2bb2f7745d8013bbf7e88a6b0debad822293c"
