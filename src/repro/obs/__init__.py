@@ -44,7 +44,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import bench_compare, format_bench_compare, render_report, write_report
 from repro.obs.timeline import NULL_TIMELINE, NullTimeline, Timeline, series_from_trace
-from repro.obs.tracer import NULL_TRACER, Instant, NullTracer, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, Instant, NullTracer, Records, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -60,6 +60,7 @@ __all__ = [
     "NullTimeline",
     "NullTracer",
     "Observability",
+    "Records",
     "Span",
     "Timeline",
     "Tracer",

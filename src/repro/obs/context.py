@@ -39,7 +39,7 @@ from typing import Callable, TypeVar
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.timeline import NULL_TIMELINE, Timeline
-from repro.obs.tracer import NULL_TRACER, Instant, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, Records, Tracer
 
 __all__ = [
     "Observability",
@@ -60,15 +60,22 @@ class WorkerCapture:
     ``os_pid`` is the worker's real OS pid; the exporter assigns it a
     synthetic Chrome trace pid (one per process × time domain).  All
     fields are plain data — this is exactly what crossed the pickle
-    boundary.
+    boundary.  ``spans`` and ``instants`` are :class:`Records` columns;
+    lists of :class:`Span` / :class:`Instant` are accepted and converted.
     """
 
     os_pid: int
     label: str
-    spans: list[Span] = field(default_factory=list)
-    instants: list[Instant] = field(default_factory=list)
+    spans: Records = field(default_factory=lambda: Records(spans=True))
+    instants: Records = field(default_factory=lambda: Records(spans=False))
     metrics: dict = field(default_factory=dict)
     timeline: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.spans, Records):
+            self.spans = Records.of(self.spans, spans=True)
+        if not isinstance(self.instants, Records):
+            self.instants = Records.of(self.instants, spans=False)
 
 
 @dataclass
@@ -106,8 +113,8 @@ class Observability:
         capture = WorkerCapture(
             os_pid=int(payload.get("os_pid", 0)),
             label=str(payload.get("label", "")),
-            spans=list(payload.get("spans", ())),
-            instants=list(payload.get("instants", ())),
+            spans=payload.get("spans", ()),
+            instants=payload.get("instants", ()),
             metrics=dict(payload.get("metrics", {})),
             timeline=dict(payload.get("timeline", {})),
         )
@@ -120,9 +127,11 @@ def worker_payload(obs: Observability, label: str = "") -> dict:
     """Serialize a worker-side bundle into a picklable plain-data dict.
 
     Shipped back with each chunk result; the parent re-hydrates it via
-    :meth:`Observability.adopt_worker`.
+    :meth:`Observability.adopt_worker`.  ``"spans"`` and ``"instants"``
+    are the tracer's :class:`Records` columns; ``len()`` of each is its
+    row count.
     """
-    spans, instants = obs.tracer.snapshot()
+    spans, instants = obs.tracer.records()
     return {
         "os_pid": os.getpid(),
         "label": label or obs.tracer.label,

@@ -38,12 +38,16 @@ class Timeline:
         self._series: dict[str, list[tuple[float, float]]] = {}
 
     def sample(self, series: str, ts: float, value: float) -> None:
-        """Record one sample; ``ts`` is simulated seconds (``env.now``)."""
-        with self._lock:
-            bucket = self._series.get(series)
-            if bucket is None:
-                bucket = self._series[series] = []
-            bucket.append((float(ts), float(value)))
+        """Record one sample; ``ts`` is simulated seconds (``env.now``).
+
+        Only a new series takes the lock: a sample is one tuple appended
+        to its series list, which is atomic on its own.
+        """
+        bucket = self._series.get(series)
+        if bucket is None:
+            with self._lock:
+                bucket = self._series.setdefault(series, [])
+        bucket.append((float(ts), float(value)))
 
     def snapshot(self) -> dict[str, list[tuple[float, float]]]:
         """Picklable copy: series name → list of (ts, value) pairs."""

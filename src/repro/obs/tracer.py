@@ -1,8 +1,7 @@
 """Low-overhead tracing: nestable spans and instant events.
 
-A :class:`Tracer` collects :class:`Span` (an interval on a named track)
-and :class:`Instant` (a point event) records.  Two time domains coexist
-in one trace:
+A :class:`Tracer` collects spans (intervals on a named track) and
+instants (point events).  Two time domains coexist in one trace:
 
 * ``"sim"`` — timestamps are **simulated seconds** read from
   ``Environment.now``.  Simulation code records these with explicit
@@ -15,6 +14,14 @@ in one trace:
   :meth:`Tracer.span` context manager reads the tracer's wall clock
   automatically (handy for host-side work like cache lookups).
 
+Records are stored as :class:`Records` columns, one row per span or
+instant in record order: an interned name, a lane index for the
+``(domain, track)`` pair, the times and the args dict.  No object is
+made per record; :class:`Span` / :class:`Instant` are built only when
+someone reads :attr:`Tracer.spans` / :attr:`Tracer.instants`.  The
+Chrome exporter (:mod:`repro.obs.export`) encodes straight from the
+columns.
+
 The default tracer everywhere is :data:`NULL_TRACER`, a null object
 whose every method is a constant-time no-op — uninstrumented runs pay
 one attribute lookup and an empty call per would-be span, nothing more.
@@ -26,10 +33,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Instant", "NULL_TRACER", "NullTracer", "Span", "Tracer"]
+__all__ = ["Instant", "NULL_TRACER", "NullTracer", "Records", "Span", "Tracer"]
 
 #: Known time domains; export maps each to its own Chrome trace pid.
 DOMAINS = ("sim", "wall")
@@ -62,6 +70,74 @@ class Instant:
     args: dict[str, Any] = field(default_factory=dict)
 
 
+class Records(Sequence):
+    """One record kind (spans or instants) as parallel columns.
+
+    Row ``i`` is ``name[i]`` (an index into the ``names`` table),
+    ``lane[i]`` (an index into the ``lanes`` table of ``(domain,
+    track)`` pairs), ``ts[i]`` (the start, or the instant's time),
+    ``end[i]`` (spans only; ``end`` is ``None`` for instants) and
+    ``args[i]``.  Rows keep record order.  Every field is a plain list,
+    so a copy pickles as-is: this is what a worker ships to its parent.
+
+    As a sequence it reads as :class:`Span` or :class:`Instant` objects,
+    built on access; ``len()`` is the row count.
+    """
+
+    __slots__ = ("names", "lanes", "name", "lane", "ts", "end", "args")
+
+    def __init__(
+        self,
+        names: "list[str] | None" = None,
+        lanes: "list[tuple[str, str]] | None" = None,
+        *,
+        spans: bool = True,
+    ) -> None:
+        self.names: list[str] = [] if names is None else names
+        self.lanes: list[tuple[str, str]] = [] if lanes is None else lanes
+        self.name: list[int] = []
+        self.lane: list[int] = []
+        self.ts: list[float] = []
+        self.end: "list[float] | None" = [] if spans else None
+        self.args: list[dict[str, Any]] = []
+
+    @staticmethod
+    def of(records: "Iterable[Span | Instant]", *, spans: bool) -> "Records":
+        """Columns holding ``records`` (:class:`Span` objects when
+        ``spans``, else :class:`Instant`), with their own tables."""
+        tracer = Tracer()
+        rows = tracer._spans if spans else tracer._instants
+        for r in records:
+            if spans:
+                tracer._record(rows, r.name, r.track, r.domain, r.start, r.end, r.args)
+            else:
+                tracer._record(rows, r.name, r.track, r.domain, r.ts, None, r.args)
+        return rows
+
+    def copy(self) -> "Records":
+        """Independent copies of every column and table."""
+        out = Records(list(self.names), list(self.lanes), spans=self.end is not None)
+        out.name = list(self.name)
+        out.lane = list(self.lane)
+        out.ts = list(self.ts)
+        if self.end is not None:
+            out.end = list(self.end)
+        out.args = list(self.args)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.name)
+
+    def __getitem__(self, index: int) -> "Span | Instant":
+        name = self.names[self.name[index]]
+        domain, track = self.lanes[self.lane[index]]
+        if self.end is None:
+            return Instant(name, track, self.ts[index], domain, self.args[index])
+        return Span(
+            name, track, self.ts[index], self.end[index], domain, self.args[index]
+        )
+
+
 class _SpanHandle:
     """Context manager for a wall-domain span; records on exit."""
 
@@ -79,13 +155,10 @@ class _SpanHandle:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.add(
-            self._name,
-            track=self._track,
-            start=self._start,
-            end=self._tracer.wall_now(),
-            domain="wall",
-            **self._args,
+        tracer = self._tracer
+        tracer._record(
+            tracer._spans, self._name, self._track, "wall",
+            self._start, tracer.wall_now(), self._args,
         )
 
     def open(self) -> "_SpanHandle":
@@ -98,7 +171,7 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects spans and instants; thread-safe appends.
+    """Collects spans and instants as columns; thread-safe appends.
 
     ``label`` tags the trace (e.g. the backend name) and surfaces in the
     exported Chrome trace metadata.
@@ -108,8 +181,12 @@ class Tracer:
 
     def __init__(self, label: str = ""):
         self.label = label
-        self.spans: list[Span] = []
-        self.instants: list[Instant] = []
+        # Shared by both record kinds: name -> index, (domain, track) ->
+        # lane index.
+        self._name_ids: dict[str, int] = {}
+        self._lane_ids: dict[tuple[str, str], int] = {}
+        self._spans = Records(spans=True)
+        self._instants = Records(self._spans.names, self._spans.lanes, spans=False)
         self._lock = threading.Lock()
         # Wall-domain origin: spans from threaded runtimes and context-
         # manager spans are relative to tracer creation.
@@ -120,6 +197,34 @@ class Tracer:
         return time.monotonic() - self._wall_origin
 
     # -- recording --------------------------------------------------------
+    def _record(
+        self,
+        rows: Records,
+        name: str,
+        track: str,
+        domain: str,
+        ts: float,
+        end: "float | None",
+        args: dict[str, Any],
+    ) -> None:
+        """Append one row to ``rows``; every public recorder lands here,
+        with its args as a dict (so an arg may be called ``domain``)."""
+        with self._lock:
+            name_id = self._name_ids.get(name)
+            if name_id is None:
+                name_id = self._name_ids[name] = len(rows.names)
+                rows.names.append(name)
+            lane_id = self._lane_ids.get((domain, track))
+            if lane_id is None:
+                lane_id = self._lane_ids[domain, track] = len(rows.lanes)
+                rows.lanes.append((domain, track))
+            rows.name.append(name_id)
+            rows.lane.append(lane_id)
+            rows.ts.append(ts)
+            if rows.end is not None:
+                rows.end.append(end)
+            rows.args.append(args)
+
     def add(
         self,
         name: str,
@@ -135,12 +240,7 @@ class Tracer:
         Simulation code passes its own ``env.now`` readings; threaded
         runtimes pass wall-clock offsets with ``domain="wall"``.
         """
-        span = Span(
-            name=name, track=track, start=start, end=end,
-            domain=domain, args=args,
-        )
-        with self._lock:
-            self.spans.append(span)
+        self._record(self._spans, name, track, domain, start, end, args)
 
     def span(self, name: str, *, track: str = "main", **args: Any):
         """Context manager recording a wall-domain span around a block.
@@ -164,32 +264,43 @@ class Tracer:
         if ts is None:
             ts = self.wall_now()
             domain = "wall"
-        event = Instant(name=name, track=track, ts=ts, domain=domain, args=args)
-        with self._lock:
-            self.instants.append(event)
+        self._record(self._instants, name, track, domain, ts, None, args)
 
     # -- views ------------------------------------------------------------
-    def snapshot(self) -> tuple[list[Span], list[Instant]]:
-        """Consistent copies of the recorded spans and instants.
+    @property
+    def spans(self) -> list[Span]:
+        """The recorded spans, built as :class:`Span` objects on read."""
+        return list(self.records()[0])
 
-        Both record types are frozen plain-data dataclasses, so the
-        returned lists pickle cleanly — this is how sweep workers ship
-        their capture back to the parent process.
-        """
+    @property
+    def instants(self) -> list[Instant]:
+        """The recorded instants, built as :class:`Instant` objects."""
+        return list(self.records()[1])
+
+    def records(self) -> tuple[Records, Records]:
+        """Consistent copies of the span and instant columns (what
+        :func:`~repro.obs.context.worker_payload` ships and the Chrome
+        exporter encodes)."""
         with self._lock:
-            return list(self.spans), list(self.instants)
+            return self._spans.copy(), self._instants.copy()
+
+    def snapshot(self) -> tuple[list[Span], list[Instant]]:
+        """Consistent copies of the recorded spans and instants."""
+        spans, instants = self.records()
+        return list(spans), list(instants)
 
     def totals(self, prefix: str = "") -> dict[str, float]:
         """Total seconds per span name (optionally name-prefix filtered)."""
+        spans, _ = self.records()
         out: dict[str, float] = {}
-        for span in self.spans:
-            if prefix and not span.name.startswith(prefix):
-                continue
-            out[span.name] = out.get(span.name, 0.0) + span.duration
+        for name_id, start, end in zip(spans.name, spans.ts, spans.end):
+            name = spans.names[name_id]
+            if not prefix or name.startswith(prefix):
+                out[name] = out.get(name, 0.0) + (end - start)
         return out
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
+        return len(self._spans) + len(self._instants)
 
 
 class _NullSpanHandle:
@@ -232,6 +343,9 @@ class NullTracer:
 
     def instant(self, name, *, track="main", ts=None, domain="sim", **args):
         pass
+
+    def records(self) -> tuple[Records, Records]:
+        return Records(spans=True), Records(spans=False)
 
     def snapshot(self) -> tuple[list[Span], list[Instant]]:
         return [], []

@@ -40,6 +40,7 @@ from repro.cloud.storage import BlobStore
 from repro.core.application import Application, get_application
 from repro.core.task import TaskRecord
 from repro.obs.context import current as _current_obs
+from repro.obs.metrics import Counter
 from repro.sim.engine import Environment, make_environment
 from repro.sim.rng import RngRegistry
 from repro.serve.admission import AdmissionController, AdmissionOutcome
@@ -287,6 +288,9 @@ class JobService:
         self.tenants = config.tenants
         self.obs = _current_obs()
         self.tracer = self.obs.tracer
+        # Per-job counters, fetched from the registry on first use: one
+        # created up front would export as a zero-valued metric.
+        self._counters: dict[str, Counter] = {}
         self.env: Environment = make_environment(
             sanitize=True if config.sanitize else None
         )
@@ -547,9 +551,8 @@ class JobService:
 
     def _submit(self, spec, index, rng, now) -> None:
         outcome = self.admission.submit(spec.name)
-        metrics = self.obs.metrics
-        metrics.counter("serve.submitted").inc()
-        metrics.counter(f"serve.{outcome.value}").inc()
+        self._count("serve.submitted")
+        self._count(f"serve.{outcome.value}")
         if outcome is not AdmissionOutcome.ADMITTED:
             if self.tracer.enabled:
                 self.tracer.instant(
@@ -593,15 +596,20 @@ class JobService:
     def _record_completion(self, task_id: str) -> None:
         """Count each job once, however many times it executed."""
         meta = self._jobs[task_id]
-        metrics = self.obs.metrics
         if task_id in self._completed:
             self.admission.duplicate(meta.tenant)
-            metrics.counter("serve.duplicates").inc()
+            self._count("serve.duplicates")
             return
         self._completed.add(task_id)
         latency = self.env.now - meta.submitted_at
         self.admission.complete(meta.tenant, latency)
-        metrics.counter("serve.completed").inc()
+        self._count("serve.completed")
+
+    def _count(self, name: str) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.obs.metrics.counter(name)
+        counter.inc()
 
 
 def run_serve(config: ServeConfig) -> ServeResult:

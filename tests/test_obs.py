@@ -1,5 +1,6 @@
 """Unit tests for repro.obs: tracer, metrics, ambient context."""
 
+import pickle
 import threading
 
 import pytest
@@ -15,6 +16,8 @@ from repro.obs import (
     current,
     observe,
 )
+from repro.obs.context import WorkerCapture, worker_payload
+from repro.obs.tracer import Records
 
 
 class TestTracer:
@@ -78,6 +81,61 @@ class TestTracer:
         for thread in threads:
             thread.join()
         assert len(tracer.spans) == 800
+
+
+class TestColumnStore:
+    def test_span_handle_accepts_args_named_like_recorder_keywords(self):
+        # The handle records its args as a dict: an arg called
+        # ``domain`` or ``start`` no longer collides with add()'s own.
+        tracer = Tracer()
+        with tracer.span("x", domain="d", start=5):
+            pass
+        (span,) = tracer.spans
+        assert span.domain == "wall"
+        assert span.args == {"domain": "d", "start": 5}
+
+    def test_rows_share_interned_names_and_lanes(self):
+        tracer = Tracer()
+        tracer.add("a", track="w0", start=0.0, end=1.0)
+        tracer.instant("a", track="w0", ts=0.5)
+        tracer.add("b", track="w0", start=1.0, end=2.0, domain="wall")
+        spans, instants = tracer.records()
+        assert spans.names == ["a", "b"]
+        assert spans.lanes == [("sim", "w0"), ("wall", "w0")]
+        assert (spans.name, spans.lane, spans.ts, spans.end) == (
+            [0, 1], [0, 1], [0.0, 1.0], [1.0, 2.0]
+        )
+        assert (instants.name, instants.lane, instants.end) == ([0], [0], None)
+        assert len(spans) == 2 and len(instants) == 1
+        assert instants[0] == Instant("a", "w0", 0.5)
+
+    def test_records_are_copies(self):
+        tracer = Tracer()
+        tracer.add("a", track="w0", start=0.0, end=1.0)
+        spans, _ = tracer.records()
+        tracer.add("a", track="w0", start=1.0, end=2.0)
+        assert len(spans) == 1 and len(tracer.spans) == 2
+
+    def test_worker_capture_accepts_record_lists(self):
+        spans = [Span("a", "w0", 0.0, 1.0, args={"k": 1}),
+                 Span("b", "w1", 1.0, 2.0, domain="wall")]
+        instants = [Instant("i", "w0", 0.5)]
+        capture = WorkerCapture(os_pid=1, label="p", spans=spans,
+                                instants=instants)
+        assert isinstance(capture.spans, Records)
+        assert list(capture.spans) == spans
+        assert list(capture.instants) == instants
+
+    def test_payload_ships_columns_and_round_trips(self):
+        worker = Observability.make(label="w")
+        worker.tracer.add("a", track="w0", start=0.0, end=1.0, k=1)
+        worker.tracer.instant("i", track="w0", ts=0.5)
+        payload = pickle.loads(pickle.dumps(worker_payload(worker)))
+        assert len(payload["spans"]) == 1
+        parent = Observability.make()
+        capture = parent.adopt_worker(payload)
+        assert capture.spans[0] == Span("a", "w0", 0.0, 1.0, args={"k": 1})
+        assert list(capture.instants) == worker.tracer.instants
 
 
 class TestNullTracer:

@@ -244,6 +244,20 @@ class TestPreemption:
         assert min(value for _, value in series) >= 0
 
 
+def test_serve_counters_are_created_on_first_use():
+    # Per-job counters are cached, not made up front: a counter for an
+    # outcome that never happened stays out of the exported metrics.
+    with observe() as obs:
+        result = run_serve(ServeConfig(
+            tenants=default_tenants(), n_instances=2, duration_s=60.0, seed=42
+        ))
+    metrics = obs.metrics.to_dict()
+    assert result.duplicates == 0 and "serve.duplicates" not in metrics
+    assert metrics["serve.submitted"] == result.submitted
+    assert metrics["serve.completed"] == result.completed
+    assert metrics["serve.admitted"] == result.admitted
+
+
 class TestGolden:
     """Digests of seeded service output; any change to the simulated
     worker fleet that moves a single event shows up here."""
