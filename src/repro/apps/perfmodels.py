@@ -31,10 +31,19 @@ EXPERIMENTS.md are about *shape*, not absolute seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
 from repro.cloud.instance_types import MachineModel
 
-__all__ = ["APP_PERF_MODELS", "TaskPerfModel", "task_runtime_seconds"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.core.task import TaskSpec
+
+__all__ = [
+    "APP_PERF_MODELS",
+    "TaskPerfModel",
+    "sequential_seconds",
+    "task_runtime_seconds",
+]
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,21 @@ def task_runtime_seconds(
     mem_time = work_units * model.mem_bytes_per_unit / bandwidth_share
     return (cpu_time + mem_time) * model.paging_penalty(
         machine, concurrent_workers
+    )
+
+
+def sequential_seconds(
+    model: TaskPerfModel, tasks: "Iterable[TaskSpec]", machine: MachineModel
+) -> float:
+    """T1 of Equation 1: every task in turn on one uncontended core of
+    ``machine``, inputs on local disk.
+
+    Matches the paper's sequential measurement "having the input files
+    present in the local disks, avoiding the data transfers": one
+    worker, one thread, no service overheads.
+    """
+    return sum(
+        task_runtime_seconds(model, t.work_units, machine) for t in tasks
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
@@ -173,6 +173,15 @@ class ClassicCloudFramework:
         #: this exposes the recorded trace and the post-run report.
         self.last_environment: Environment | None = None
 
+    @property
+    def name(self) -> str:
+        """The backend name: ``classiccloud-aws`` or ``classiccloud-azure``."""
+        return f"classiccloud-{self.config.provider}"
+
+    @property
+    def total_cores(self) -> int:
+        return self.config.total_cores
+
     # -- public API --------------------------------------------------------
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         """Execute ``tasks`` and return the measured result."""
@@ -185,23 +194,9 @@ class ClassicCloudFramework:
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
-        """T1 for Equation 1: one worker, inputs on local disk.
-
-        Uses the same machine model with a single uncontended worker and
-        no cloud service overheads, matching the paper's measurement of
-        sequential time "having the input files present in the local
-        disks, avoiding the data transfers".
-        """
-        machine = self.config.resolve_instance_type().machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model,
-                t.work_units,
-                machine,
-                concurrent_workers=1,
-                threads=1,
-            )
-            for t in tasks
+        """T1 for Equation 1 on this deployment's instance type."""
+        return sequential_seconds(
+            app.perf_model, tasks, self.config.resolve_instance_type().machine
         )
 
 

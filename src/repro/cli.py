@@ -38,6 +38,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import contextmanager
@@ -46,10 +47,23 @@ from repro.cloud.instance_types import AZURE_INSTANCE_TYPES, EC2_INSTANCE_TYPES
 from repro.cluster import CLUSTERS, get_cluster
 from repro.core.application import get_application
 from repro.core.backends import make_backend
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
 from repro.core.report import format_table
 
 __all__ = ["build_parser", "main"]
+
+
+def _add_jobs(parser, what: str) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help=f"{what} (default: REPRO_JOBS or cpu count)",
+    )
+
+
+def _add_no_cache(parser) -> None:
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="skip the result cache under .repro-cache/",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,11 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="print instance-type and cluster catalogs")
+    sub.add_parser(
+        "catalog", help="print instance-type and cluster catalogs"
+    ).set_defaults(handler=_cmd_catalog)
 
     run_parser = sub.add_parser(
         "run", help="run a workload on a backend and print metrics"
     )
+    run_parser.set_defaults(handler=_cmd_run)
     run_parser.add_argument(
         "--app", choices=("cap3", "blast", "gtm"), default="cap3"
     )
@@ -102,10 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on the instrumented event loop and print the "
         "sanitizer report (sets REPRO_SANITIZE=1)",
     )
-    run_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the result cache under .repro-cache/",
-    )
+    _add_no_cache(run_parser)
     run_parser.add_argument(
         "--trace", metavar="OUT.json", default=None,
         help="record spans/metrics and export a Chrome trace_event JSON "
@@ -143,19 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run the paper's instance-type sweep through the worker pool",
     )
+    sweep_parser.set_defaults(handler=_cmd_sweep)
     sweep_parser.add_argument(
         "--app", choices=("cap3", "blast", "gtm"), default="cap3"
     )
     sweep_parser.add_argument("--files", type=int, default=16)
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="sweep worker processes (default: REPRO_JOBS or cpu count)",
-    )
-    sweep_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the result cache under .repro-cache/",
-    )
+    _add_jobs(sweep_parser, "sweep worker processes")
+    _add_no_cache(sweep_parser)
     sweep_parser.add_argument(
         "--trace", metavar="OUT.json", default=None,
         help="capture inside every worker process and export one merged "
@@ -167,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sustained-traffic job service study: multi-tenant arrival "
         "streams, fair-share scheduling, cost-vs-latency frontier",
     )
+    serve_parser.set_defaults(handler=_cmd_serve)
     serve_parser.add_argument("--seed", type=int, default=42)
     serve_parser.add_argument(
         "--duration", type=float, default=600.0,
@@ -185,11 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=8, help="workers per instance"
     )
-    serve_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="fleet points run in parallel (default: REPRO_JOBS or cpu "
-        "count)",
-    )
+    _add_jobs(serve_parser, "fleet points run in parallel")
     serve_parser.add_argument(
         "--autoscale", choices=("target-tracking", "step"), default=None,
         help="autoscale each fleet point instead of keeping it static",
@@ -217,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser = sub.add_parser(
         "trace", help="validate and summarize an exported Chrome trace"
     )
+    trace_parser.set_defaults(handler=_cmd_trace)
     trace_parser.add_argument(
         "trace", help="trace JSON written by 'run --trace' or 'sweep --trace'"
     )
@@ -226,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a self-contained HTML report from a trace, a run "
         "result and the BENCH_*.json history",
     )
+    report_parser.set_defaults(handler=_cmd_report)
     report_parser.add_argument(
         "trace", help="Chrome trace JSON (from 'run --trace' or 'sweep --trace')"
     )
@@ -250,14 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = sub.add_parser(
         "bench", help="run the microbenchmark suite and write BENCH JSON"
     )
+    bench_parser.set_defaults(handler=_cmd_bench)
     bench_parser.add_argument(
         "--smoke", action="store_true",
         help="tiny sizes: verify wiring in seconds, numbers not publishable",
     )
-    bench_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="sweep worker processes (default: REPRO_JOBS or cpu count)",
-    )
+    _add_jobs(bench_parser, "sweep worker processes")
     bench_parser.add_argument(
         "--output", default="BENCH_3.json", help="output JSON path"
     )
@@ -279,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser = sub.add_parser(
         "cache", help="inspect or clear the sweep result cache"
     )
+    cache_parser.set_defaults(handler=_cmd_cache)
     cache_parser.add_argument("action", choices=("stats", "clear"))
     cache_parser.add_argument(
         "--dir", default=None,
@@ -288,12 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     cost_parser = sub.add_parser(
         "cost", help="Table 4-style cost comparison for a Cap3 workload"
     )
+    cost_parser.set_defaults(handler=_cmd_cost)
     cost_parser.add_argument("--files", type=int, default=4096)
     cost_parser.add_argument("--reads-per-file", type=int, default=458)
 
     figures_parser = sub.add_parser(
         "figures", help="regenerate one of the paper's figures"
     )
+    figures_parser.set_defaults(handler=_cmd_figures)
     figures_parser.add_argument(
         "figure", nargs="?", default=None,
         help="figure id (omit to list available ids)",
@@ -302,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = sub.add_parser(
         "analyze", help="analyze a trace JSON exported via RunResult.to_json"
     )
+    analyze_parser.set_defaults(handler=_cmd_analyze)
     analyze_parser.add_argument("trace", help="path to the trace JSON")
     analyze_parser.add_argument(
         "--gantt-width", type=int, default=72, help="Gantt chart width"
@@ -310,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     gendata_parser = sub.add_parser(
         "gendata", help="write a real synthetic workload to disk"
     )
+    gendata_parser.set_defaults(handler=_cmd_gendata)
     gendata_parser.add_argument(
         "--app", choices=("cap3", "blast", "gtm"), default="cap3"
     )
@@ -327,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault-injection campaign: sweep fault "
         "intensity x mitigation and print the resilience report",
     )
+    chaos_parser.set_defaults(handler=_cmd_chaos)
     chaos_parser.add_argument(
         "--app", choices=("cap3", "blast", "gtm"), default="cap3"
     )
@@ -349,15 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=240.0,
         help="seconds of the measured window faults are scheduled into",
     )
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="campaign cells run in parallel (default: REPRO_JOBS or "
-        "cpu count)",
-    )
-    chaos_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the result cache under .repro-cache/",
-    )
+    _add_jobs(chaos_parser, "campaign cells run in parallel")
+    _add_no_cache(chaos_parser)
     chaos_parser.add_argument(
         "--smoke", action="store_true",
         help="1-seed PR smoke: a tiny grid (fault-free baseline plus "
@@ -377,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     docs_parser = sub.add_parser(
         "docs", help="check documentation: links resolve, code blocks run"
     )
+    docs_parser.set_defaults(handler=_cmd_docs)
     docs_parser.add_argument(
         "paths", nargs="*",
         help="markdown files to check (default: README.md + docs/*.md)",
@@ -386,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="check links only, skip running python code blocks",
     )
 
-    from repro.lint.cli import add_lint_parser
+    from repro.lint.cli import add_lint_parser, cmd_lint
 
-    add_lint_parser(sub)
+    add_lint_parser(sub).set_defaults(handler=cmd_lint)
     return parser
 
 
@@ -410,7 +416,7 @@ def _tasks_for(app_name: str, n_files: int, inhomogeneous: bool, seed: int):
     return gtm_task_specs(n_files)
 
 
-def _cmd_catalog(out) -> int:
+def _cmd_catalog(args, out) -> int:
     rows = [
         [t.name, f"{t.machine.memory_gb} GB", t.ec2_compute_units or "-",
          f"{t.machine.cores} x {t.machine.clock_ghz} GHz",
@@ -445,16 +451,43 @@ def _cmd_catalog(out) -> int:
     return 0
 
 
-def _resolved_jobs_or_none(args, out) -> "int | None":
-    """Validate the jobs policy up front so a bad ``--jobs``/``REPRO_JOBS``
-    produces a one-line error instead of a traceback mid-run."""
+def _check_jobs(args) -> None:
+    """Validate the jobs policy up front, so a bad ``--jobs`` or
+    ``REPRO_JOBS`` is reported before the run starts, not mid-run."""
     from repro.sweep.runner import resolve_jobs
 
+    resolve_jobs(args.jobs)
+
+
+def _comma_list(flag: str, text: str, parse=str, what: str = "names"):
+    """The non-empty tuple of ``parse``d items of a ``--flag a,b,c``."""
     try:
-        return resolve_jobs(getattr(args, "jobs", None))
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
-        return None
+        values = tuple(
+            parse(piece.strip()) for piece in text.split(",") if piece.strip()
+        )
+    except ValueError:
+        raise ValueError(f"{flag} must be {what}, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} must name at least one value, got {text!r}")
+    return values
+
+
+def _autoscale_plan(args):
+    """The elastic-pool plan behind ``--autoscale`` (``run`` and ``serve``;
+    only ``run`` has the floor, bid and billing flags)."""
+    from repro.autoscale import AutoscalePlan, default_policy
+    from repro.cloud.spot import BidStrategy
+
+    return AutoscalePlan(
+        policy=default_policy(args.autoscale),
+        min_instances=getattr(args, "min_instances", 1),
+        max_instances=args.max_instances,
+        bid=BidStrategy.mixed(
+            args.spot_fraction,
+            bid_multiplier=getattr(args, "bid_multiplier", 0.5),
+        ),
+        billing=getattr(args, "billing", "hourly"),
+    )
 
 
 @contextmanager
@@ -502,18 +535,30 @@ def _progress_printer(out):
     return show_progress
 
 
-def _read_json(path: str, what: str, out):
-    """Load the JSON document at ``path``; on a missing or non-JSON file
-    print a one-line error naming it as ``what`` and return ``None``."""
-    import json
-
+def _read_json(path: str, what: str):
+    """Load the JSON document at ``path``; a missing or non-JSON file
+    raises ``ValueError`` naming it as ``what``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
-        print(f"error: no such {what} {path!r}", file=out)
+        raise ValueError(f"no such {what} {path!r}") from None
     except ValueError as exc:
-        print(f"error: {path} is not JSON: {exc}", file=out)
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
+def _load_trace(path: str, out):
+    """The valid Chrome trace at ``path``, or ``None`` after printing
+    why it is invalid."""
+    from repro.obs import validate_chrome_trace
+
+    document = _read_json(path, "trace")
+    errors = validate_chrome_trace(document)
+    if not errors:
+        return document
+    print(f"{path}: invalid Chrome trace", file=out)
+    for error in errors:
+        print(f"  - {error}", file=out)
     return None
 
 
@@ -531,24 +576,9 @@ def _cmd_run(args, out) -> int:
         if args.workers is not None:
             kwargs["workers_per_instance"] = args.workers
         if args.autoscale is not None:
-            from repro.autoscale import AutoscalePlan, default_policy
-            from repro.cloud.spot import BidStrategy
-
-            kwargs["autoscale"] = AutoscalePlan(
-                policy=default_policy(args.autoscale),
-                min_instances=args.min_instances,
-                max_instances=args.max_instances,
-                bid=BidStrategy.mixed(
-                    args.spot_fraction, bid_multiplier=args.bid_multiplier
-                ),
-                billing=args.billing,
-            )
+            kwargs["autoscale"] = _autoscale_plan(args)
     elif args.autoscale is not None:
-        print(
-            "error: --autoscale requires a cloud backend (ec2 or azure)",
-            file=out,
-        )
-        return 2
+        raise ValueError("--autoscale requires a cloud backend (ec2 or azure)")
     else:
         cluster_name = args.cluster or (
             "cap3-baremetal-windows" if args.backend == "dryadlinq"
@@ -586,10 +616,8 @@ def _cmd_run(args, out) -> int:
         ["cores", str(r.cores)],
         ["makespan", f"{r.makespan_s:,.1f} s"],
         ["T1 (sequential)", f"{r.t1_s:,.1f} s"],
-        ["parallel efficiency (Eq.1)",
-         f"{parallel_efficiency(r.t1_s, r.makespan_s, r.cores):.3f}"],
-        ["avg time/file/core (Eq.2)",
-         f"{average_time_per_file_per_core(r.makespan_s, r.cores, r.n_tasks):.2f} s"],
+        ["parallel efficiency (Eq.1)", f"{r.efficiency:.3f}"],
+        ["avg time/file/core (Eq.2)", f"{r.per_file_per_core_s:.2f} s"],
     ]
     if r.billed:
         rows.append(
@@ -598,7 +626,7 @@ def _cmd_run(args, out) -> int:
         rows.append(
             ["amortized total cost", f"${r.amortized_cost:.2f}"]
         )
-    extras = getattr(r, "extras", {}) or {}
+    extras = r.extras
     if args.autoscale is not None and extras:
         rows.extend(
             [
@@ -616,9 +644,7 @@ def _cmd_run(args, out) -> int:
     print(format_table(["metric", "value"], rows,
                        title=f"{args.app} on {args.backend}"), file=out)
     if args.sanitize:
-        env = getattr(
-            getattr(backend, "_framework", None), "last_environment", None
-        )
+        env = getattr(backend, "last_environment", None)
         if env is not None and hasattr(env, "sanitizer_report"):
             print(file=out)
             print("sanitizer report:", file=out)
@@ -629,8 +655,7 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    if _resolved_jobs_or_none(args, out) is None:
-        return 2
+    _check_jobs(args)
     from repro.core.experiment import instance_type_study
     from repro.figures import ec2_16core_backends
     from repro.sweep.cache import default_cache
@@ -659,46 +684,22 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
-    if _resolved_jobs_or_none(args, out) is None:
-        return 2
+    _check_jobs(args)
     from repro.serve import render_frontier, serialize_rows, serve_study
 
-    try:
-        fleet_sizes = tuple(
-            int(piece) for piece in args.fleet.split(",") if piece.strip()
+    fleet_sizes = _comma_list("--fleet", args.fleet, int, "integers")
+    autoscale = None if args.autoscale is None else _autoscale_plan(args)
+    with _traced(args.trace, "serve-study") as obs:
+        rows, results = serve_study(
+            fleet_sizes,
+            provider=args.provider,
+            instance_type=args.instance_type,
+            workers_per_instance=args.workers,
+            duration_s=args.duration,
+            seed=args.seed,
+            autoscale=autoscale,
+            jobs=args.jobs,
         )
-    except ValueError:
-        print(f"error: --fleet must be integers, got {args.fleet!r}", file=out)
-        return 2
-    if not fleet_sizes:
-        print("error: --fleet must name at least one fleet size", file=out)
-        return 2
-    autoscale = None
-    if args.autoscale is not None:
-        from repro.autoscale import AutoscalePlan, default_policy
-        from repro.cloud.spot import BidStrategy
-
-        autoscale = AutoscalePlan(
-            policy=default_policy(args.autoscale),
-            min_instances=1,
-            max_instances=args.max_instances,
-            bid=BidStrategy.mixed(args.spot_fraction),
-        )
-    try:
-        with _traced(args.trace, "serve-study") as obs:
-            rows, results = serve_study(
-                fleet_sizes,
-                provider=args.provider,
-                instance_type=args.instance_type,
-                workers_per_instance=args.workers,
-                duration_s=args.duration,
-                seed=args.seed,
-                autoscale=autoscale,
-                jobs=args.jobs,
-            )
-    except ValueError as exc:  # an invalid ServeConfig, e.g. fleet -1
-        print(f"error: {exc}", file=out)
-        return 2
     print(render_frontier(rows), file=out)
     for result in results:
         if result.abandoned or result.duplicates:
@@ -719,32 +720,20 @@ def _cmd_serve(args, out) -> int:
 def _cmd_report(args, out) -> int:
     from glob import glob
 
-    from repro.obs import series_from_trace, validate_chrome_trace
+    from repro.obs import series_from_trace
     from repro.obs.report import write_report
 
-    document = _read_json(args.trace, "trace", out)
+    document = _load_trace(args.trace, out)
     if document is None:
         return 2
-    errors = validate_chrome_trace(document)
-    if errors:
-        print(f"{args.trace}: invalid Chrome trace", file=out)
-        for error in errors:
-            print(f"  - {error}", file=out)
-        return 2
-    run = None
-    if args.run:
-        run = _read_json(args.run, "run result", out)
-        if run is None:
-            return 2
+    run = _read_json(args.run, "run result") if args.run else None
     bench_paths = (
         args.bench if args.bench is not None else sorted(glob("BENCH_*.json"))
     )
-    history = []
-    for path in bench_paths:
-        bench = _read_json(path, "bench file", out)
-        if bench is None:
-            return 2
-        history.append((os.path.basename(path), bench))
+    history = [
+        (os.path.basename(path), _read_json(path, "bench file"))
+        for path in bench_paths
+    ]
     title = args.title or f"repro report — {os.path.basename(args.trace)}"
     write_report(
         args.output, document, run=run, bench_history=history, title=title
@@ -771,16 +760,10 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    from repro.obs import summarize_chrome_trace, validate_chrome_trace
+    from repro.obs import summarize_chrome_trace
 
-    document = _read_json(args.trace, "trace", out)
+    document = _load_trace(args.trace, out)
     if document is None:
-        return 2
-    errors = validate_chrome_trace(document)
-    if errors:
-        print(f"{args.trace}: invalid Chrome trace", file=out)
-        for error in errors:
-            print(f"  - {error}", file=out)
         return 2
     print(f"{args.trace}: valid Chrome trace", file=out)
     print(file=out)
@@ -821,9 +804,7 @@ def _cmd_bench(args, out) -> int:
     if args.compare is not None:
         from repro.obs.report import bench_compare, format_bench_compare
 
-        docs = [_read_json(path, "bench file", out) for path in args.compare]
-        if None in docs:
-            return 2
+        docs = [_read_json(path, "bench file") for path in args.compare]
         rows = bench_compare(docs[0], docs[1], tolerance=args.gate_tolerance)
         print(
             format_bench_compare(
@@ -834,8 +815,7 @@ def _cmd_bench(args, out) -> int:
             file=out,
         )
         return 0
-    if _resolved_jobs_or_none(args, out) is None:
-        return 2
+    _check_jobs(args)
     from repro.sweep.bench import main as bench_main
 
     return bench_main(args, out)
@@ -864,11 +844,7 @@ def _cmd_figures(args, out) -> int:
     if args.figure is None:
         print("available figures:", ", ".join(available_figures()), file=out)
         return 0
-    try:
-        print(render_figure(args.figure), file=out)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=out)
-        return 2
+    print(render_figure(args.figure), file=out)
     return 0
 
 
@@ -881,10 +857,7 @@ def _cmd_analyze(args, out) -> int:
     )
     from repro.core.task import RunResult
 
-    data = _read_json(args.trace, "trace", out)
-    if data is None:
-        return 2
-    result = RunResult.from_dict(data)
+    result = RunResult.from_dict(_read_json(args.trace, "trace"))
     rows = [
         ["backend", result.backend],
         ["tasks", str(result.n_tasks)],
@@ -909,34 +882,31 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_gendata(args, out) -> int:
+    def size(name: str) -> dict:  # omitted: the writer's own default
+        return {} if args.size is None else {name: args.size}
+
     if args.app == "cap3":
         from repro.workloads.genome import write_cap3_workload
 
         specs = write_cap3_workload(
-            args.directory,
-            n_files=args.files,
-            reads_per_file=args.size or 24,
-            seed=args.seed,
+            args.directory, n_files=args.files, seed=args.seed,
+            **size("reads_per_file"),
         )
         extra = ""
     elif args.app == "blast":
         from repro.workloads.protein import write_blast_workload
 
         specs, db = write_blast_workload(
-            args.directory,
-            n_files=args.files,
-            queries_per_file=args.size or 10,
-            seed=args.seed,
+            args.directory, n_files=args.files, seed=args.seed,
+            **size("queries_per_file"),
         )
         extra = f" (database: {len(db)} sequences, in memory only)"
     else:
         from repro.workloads.pubchem import write_gtm_workload
 
         specs, sample = write_gtm_workload(
-            args.directory,
-            n_files=args.files,
-            points_per_file=args.size or 500,
-            seed=args.seed,
+            args.directory, n_files=args.files, seed=args.seed,
+            **size("points_per_file"),
         )
         extra = f" (training sample: {sample.shape[0]} points)"
     total_bytes = sum(s.input_size for s in specs)
@@ -949,8 +919,7 @@ def _cmd_gendata(args, out) -> int:
 
 
 def _cmd_chaos(args, out) -> int:
-    if _resolved_jobs_or_none(args, out) is None:
-        return 2
+    _check_jobs(args)
     from repro.chaos import (
         CAMPAIGN_MITIGATIONS,
         chaos_point,
@@ -959,34 +928,18 @@ def _cmd_chaos(args, out) -> int:
         serialize_rows,
     )
 
-    try:
-        intensities = tuple(
-            float(piece)
-            for piece in args.intensities.split(",")
-            if piece.strip()
-        )
-    except ValueError:
-        print(
-            f"error: --intensities must be numbers, got "
-            f"{args.intensities!r}",
-            file=out,
-        )
-        return 2
+    intensities = _comma_list(
+        "--intensities", args.intensities, float, "numbers"
+    )
     mitigations = CAMPAIGN_MITIGATIONS
     if args.mitigations is not None:
-        mitigations = tuple(
-            piece.strip()
-            for piece in args.mitigations.split(",")
-            if piece.strip()
-        )
+        mitigations = _comma_list("--mitigations", args.mitigations)
         unknown = [m for m in mitigations if m not in CAMPAIGN_MITIGATIONS]
-        if unknown or not mitigations:
-            print(
-                f"error: unknown mitigation(s) {unknown}; "
-                f"choose from {list(CAMPAIGN_MITIGATIONS)}",
-                file=out,
+        if unknown:
+            raise ValueError(
+                f"unknown mitigation(s) {unknown}; "
+                f"choose from {list(CAMPAIGN_MITIGATIONS)}"
             )
-            return 2
     n_files = args.files
     horizon = args.horizon
     if args.smoke:
@@ -1003,22 +956,18 @@ def _cmd_chaos(args, out) -> int:
         from repro.sweep import default_cache
 
         cache = default_cache()
-    try:
-        rows = chaos_study(
-            apps=(args.app,),
-            intensities=intensities,
-            mitigations=mitigations,
-            n_files=n_files,
-            n_instances=args.instances,
-            workers_per_instance=args.workers,
-            seed=args.seed,
-            horizon_s=horizon,
-            jobs=args.jobs,
-            cache=cache,
-        )
-    except ValueError as exc:  # an out-of-range axis, e.g. intensity -1
-        print(f"error: {exc}", file=out)
-        return 2
+    rows = chaos_study(
+        apps=(args.app,),
+        intensities=intensities,
+        mitigations=mitigations,
+        n_files=n_files,
+        n_instances=args.instances,
+        workers_per_instance=args.workers,
+        seed=args.seed,
+        horizon_s=horizon,
+        jobs=args.jobs,
+        cache=cache,
+    )
     print(render_resilience(rows), file=out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -1029,7 +978,7 @@ def _cmd_chaos(args, out) -> int:
         # cell, so the trace explains a row of the table.
         from repro.sweep import run_point
 
-        intensity = max(intensities) if intensities else 1.0
+        intensity = max(intensities)
         point = chaos_point(
             args.app,
             intensity,
@@ -1062,39 +1011,18 @@ def _cmd_docs(args, out) -> int:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A ``ValueError`` or ``KeyError`` raised by bad input (a file count
+    below 1, an unknown instance type, an empty ``--fleet``, ...)
+    prints ``error: ...`` and exits 2.
+    """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "catalog":
-        return _cmd_catalog(out)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
-    if args.command == "cost":
-        return _cmd_cost(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "cache":
-        return _cmd_cache(args, out)
-    if args.command == "figures":
-        return _cmd_figures(args, out)
-    if args.command == "analyze":
-        return _cmd_analyze(args, out)
-    if args.command == "gendata":
-        return _cmd_gendata(args, out)
-    if args.command == "chaos":
-        return _cmd_chaos(args, out)
-    if args.command == "docs":
-        return _cmd_docs(args, out)
-    if args.command == "lint":
-        from repro.lint.cli import cmd_lint
-
-        return cmd_lint(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.handler(args, out)
+    except (KeyError, ValueError) as exc:
+        # A KeyError's str() is the repr of its key; print the message.
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {detail}", file=out)
+        return 2

@@ -16,10 +16,21 @@ from __future__ import annotations
 
 from repro.core.application import Application
 from repro.core.backends import Backend, make_backend
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
 from repro.core.task import RunResult, TaskSpec
 
 __all__ = ["evaluate", "run"]
+
+
+def _resolve(backend: "str | Backend", backend_kwargs: dict) -> Backend:
+    """Build a named backend, or pass a built one through (no kwargs)."""
+    if isinstance(backend, str):
+        return make_backend(backend, **backend_kwargs)
+    if backend_kwargs:
+        raise TypeError(
+            "backend kwargs are only accepted with a backend name, "
+            "not a pre-built backend instance"
+        )
+    return backend
 
 
 def run(
@@ -34,14 +45,7 @@ def run(
     ``dryadlinq``, ``local``) with optional configuration kwargs, or a
     pre-built :class:`~repro.core.backends.Backend` instance.
     """
-    if isinstance(backend, str):
-        backend = make_backend(backend, **backend_kwargs)
-    elif backend_kwargs:
-        raise TypeError(
-            "backend kwargs are only accepted with a backend name, "
-            "not a pre-built backend instance"
-        )
-    return backend.run(app, tasks)
+    return _resolve(backend, backend_kwargs).run(app, tasks)
 
 
 def evaluate(
@@ -53,21 +57,18 @@ def evaluate(
     """Run and compute the paper's metrics in one call.
 
     Returns makespan, T1, parallel efficiency (Eq. 1) and the average
-    time per file per core (Eq. 2).
+    time per file per core (Eq. 2).  ``backend`` is as for :func:`run`.
     """
-    if isinstance(backend, str):
-        backend = make_backend(backend, **backend_kwargs)
-    result = backend.run(app, tasks)
-    t1 = backend.estimate_sequential_time(app, tasks)
-    cores = backend.total_cores
+    # Deferred: repro.sweep (and its process pool) stays out of
+    # ``import repro``.
+    from repro.sweep.points import InlinePoint, run_inline
+
+    backend = _resolve(backend, backend_kwargs)
+    r = run_inline(InlinePoint(app, backend, list(tasks), backend.name))
     return {
-        "makespan_seconds": result.makespan_seconds,
-        "t1_seconds": t1,
-        "cores": float(cores),
-        "parallel_efficiency": parallel_efficiency(
-            t1, result.makespan_seconds, cores
-        ),
-        "avg_time_per_file_per_core": average_time_per_file_per_core(
-            result.makespan_seconds, cores, len(tasks)
-        ),
+        "makespan_seconds": r.makespan_s,
+        "t1_seconds": r.t1_s,
+        "cores": float(r.cores),
+        "parallel_efficiency": r.efficiency,
+        "avg_time_per_file_per_core": r.per_file_per_core_s,
     }

@@ -1,14 +1,16 @@
 """Backend registry: one interface over the four frameworks.
 
-Every backend exposes ``run(app, tasks)`` returning a
+Every backend exposes ``name``, ``run(app, tasks)`` returning a
 :class:`~repro.core.task.RunResult`, ``estimate_sequential_time`` (the T1
-of Equation 1) and ``total_cores`` (the P).  The four simulated backends
-mirror the paper's platforms; the local backend executes for real.
+of Equation 1) and ``total_cores`` (the P).  The simulated backends are
+the simulators themselves (:class:`ClassicCloudFramework` for EC2 and
+Azure, :class:`HadoopSimulator`, :class:`DryadLinqSimulator`), mirroring
+the paper's platforms; the local backend executes for real.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.classiccloud.framework import ClassicCloudConfig, ClassicCloudFramework
@@ -21,9 +23,6 @@ from repro.hadoop.job import HadoopJobConfig, HadoopSimulator
 
 __all__ = [
     "Backend",
-    "ClassicCloudBackend",
-    "DryadLinqBackend",
-    "HadoopBackend",
     "LocalBackend",
     "make_backend",
 ]
@@ -43,76 +42,6 @@ class Backend(Protocol):
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]
     ) -> float: ...
-
-
-@dataclass
-class ClassicCloudBackend:
-    """EC2 or Azure Classic Cloud (simulated)."""
-
-    config: ClassicCloudConfig
-    name: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.name = f"classiccloud-{self.config.provider}"
-        self._framework = ClassicCloudFramework(self.config)
-
-    @property
-    def total_cores(self) -> int:
-        return self.config.total_cores
-
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._framework.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._framework.estimate_sequential_time(app, tasks)
-
-
-@dataclass
-class HadoopBackend:
-    """Hadoop map-only job on a bare-metal cluster (simulated)."""
-
-    config: HadoopJobConfig
-    name: str = "hadoop"
-
-    def __post_init__(self) -> None:
-        self._simulator = HadoopSimulator(self.config)
-
-    @property
-    def total_cores(self) -> int:
-        return self.config.total_slots
-
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._simulator.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._simulator.estimate_sequential_time(app, tasks)
-
-
-@dataclass
-class DryadLinqBackend:
-    """DryadLINQ Select on a Windows HPC cluster (simulated)."""
-
-    config: DryadLinqConfig
-    name: str = "dryadlinq"
-
-    def __post_init__(self) -> None:
-        self._simulator = DryadLinqSimulator(self.config)
-
-    @property
-    def total_cores(self) -> int:
-        return self.config.total_cores
-
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._simulator.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._simulator.estimate_sequential_time(app, tasks)
 
 
 @dataclass
@@ -172,7 +101,7 @@ def make_backend(name: str, **kwargs) -> Backend:
             workers_per_instance=8,
         )
         defaults.update(kwargs)
-        return ClassicCloudBackend(ClassicCloudConfig(**defaults))
+        return ClassicCloudFramework(ClassicCloudConfig(**defaults))
     if name == "azure":
         defaults = dict(
             provider="azure",
@@ -181,19 +110,19 @@ def make_backend(name: str, **kwargs) -> Backend:
             workers_per_instance=1,
         )
         defaults.update(kwargs)
-        return ClassicCloudBackend(ClassicCloudConfig(**defaults))
+        return ClassicCloudFramework(ClassicCloudConfig(**defaults))
     if name == "hadoop":
         kwargs = dict(kwargs)
         cluster = kwargs.pop("cluster", "cap3-baremetal")
         if isinstance(cluster, str):
             cluster = get_cluster(cluster)
-        return HadoopBackend(HadoopJobConfig(cluster=cluster, **kwargs))
+        return HadoopSimulator(HadoopJobConfig(cluster=cluster, **kwargs))
     if name == "dryadlinq":
         kwargs = dict(kwargs)
         cluster = kwargs.pop("cluster", "cap3-baremetal-windows")
         if isinstance(cluster, str):
             cluster = get_cluster(cluster)
-        return DryadLinqBackend(DryadLinqConfig(cluster=cluster, **kwargs))
+        return DryadLinqSimulator(DryadLinqConfig(cluster=cluster, **kwargs))
     if name == "local":
         return LocalBackend(**kwargs)
     raise KeyError(

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 from repro.core.application import Application
 from repro.core.backends import Backend
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
 from repro.core.task import TaskSpec
 from repro.sweep.points import point_for
 from repro.sweep.runner import run_points
@@ -45,14 +44,6 @@ class InstanceStudyRow:
     amortized_cost: float
     total_cost: float
     per_core_time_s: float
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.label,
-            self.compute_time_s,
-            self.compute_cost,
-            self.amortized_cost,
-        )
 
 
 def instance_type_study(
@@ -80,9 +71,7 @@ def instance_type_study(
             compute_cost=r.compute_cost,
             amortized_cost=r.amortized_cost,
             total_cost=r.total_cost,
-            per_core_time_s=average_time_per_file_per_core(
-                r.makespan_s, r.cores, r.n_tasks
-            ),
+            per_core_time_s=r.per_file_per_core_s,
         )
         for r in results
     ]
@@ -130,10 +119,8 @@ def scalability_study(
             n_tasks=r.n_tasks,
             makespan_s=r.makespan_s,
             t1_s=r.t1_s,
-            efficiency=parallel_efficiency(r.t1_s, r.makespan_s, r.cores),
-            per_file_per_core_s=average_time_per_file_per_core(
-                r.makespan_s, r.cores, r.n_tasks
-            ),
+            efficiency=r.efficiency,
+            per_file_per_core_s=r.per_file_per_core_s,
         )
         for r in results
     ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.apps.executables import Executable
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
 from repro.core.task import RunResult, TaskRecord, TaskSpec
@@ -99,8 +99,14 @@ class DryadLinqConfig:
 class DryadLinqSimulator:
     """Play a Select job over the simulated Windows HPC cluster."""
 
+    name = "dryadlinq"
+
     def __init__(self, config: DryadLinqConfig):
         self.config = config
+
+    @property
+    def total_cores(self) -> int:
+        return self.config.total_cores
 
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         if not tasks:
@@ -113,12 +119,8 @@ class DryadLinqSimulator:
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
         """T1: one uncontended worker, data on the local shared dir."""
-        machine = self.config.cluster.node.machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model, t.work_units, machine, concurrent_workers=1
-            )
-            for t in tasks
+        return sequential_seconds(
+            app.perf_model, tasks, self.config.cluster.node.machine
         )
 
 

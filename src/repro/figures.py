@@ -25,7 +25,6 @@ from repro.cluster import get_cluster
 from repro.core.application import get_application
 from repro.core.backends import Backend, make_backend
 from repro.core.experiment import instance_type_study, scalability_study
-from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
 from repro.core.report import format_series, format_table
 from repro.sweep import default_cache, point_for, run_points
 from repro.workloads.genome import cap3_task_specs
@@ -289,8 +288,7 @@ fig14_15 = Figure(
         ["platform", "cores", "makespan (s)", "efficiency", "s/file/core"],
         [
             [name, r.cores, f"{r.makespan_s:,.0f}",
-             f"{parallel_efficiency(r.t1_s, r.makespan_s, r.cores):.3f}",
-             f"{average_time_per_file_per_core(r.makespan_s, r.cores, r.n_tasks):.1f}"]
+             f"{r.efficiency:.3f}", f"{r.per_file_per_core_s:.1f}"]
             for name, r in results.items()
         ],
         title="Figures 14+15: GTM Interpolation across platforms "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.apps.executables import Executable
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
 from repro.core.task import RunResult, TaskRecord, TaskSpec
@@ -88,8 +88,14 @@ class HadoopJobConfig:
 class HadoopSimulator:
     """Play a map-only job over the simulated cluster."""
 
+    name = "hadoop"
+
     def __init__(self, config: HadoopJobConfig):
         self.config = config
+
+    @property
+    def total_cores(self) -> int:
+        return self.config.total_slots
 
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         if not tasks:
@@ -100,12 +106,8 @@ class HadoopSimulator:
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
         """T1: one uncontended slot, inputs on local disk."""
-        machine = self.config.cluster.node.machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model, t.work_units, machine, concurrent_workers=1
-            )
-            for t in tasks
+        return sequential_seconds(
+            app.perf_model, tasks, self.config.cluster.node.machine
         )
 
 

@@ -6,7 +6,7 @@ pleasingly parallel in exactly the paper's sense.  This package makes
 the reproduction harness exploit that itself:
 
 * :mod:`repro.sweep.points` — declarative, picklable sweep points
-  (``PointSpec``) that rebuild their app + backend inside worker
+  (``PointSpec``) that rebuild their simulator inside worker
   processes, and the plain-data ``PointResult`` they produce;
 * :mod:`repro.sweep.runner` — :func:`run_points`: fan the points out
   in per-worker chunks (``--jobs`` / ``REPRO_JOBS``, default

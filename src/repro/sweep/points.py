@@ -3,29 +3,28 @@
 A sweep point is one ``(app, backend, tasks)`` simulation.  To fan
 points out over worker processes they must be picklable, and to cache
 their results they must be fingerprintable — so a :class:`PointSpec`
-carries *descriptions* (the app's perf model and the backend's frozen
-config dataclass) rather than live objects, and rebuilds both inside
-:func:`run_point`.  Backends the registry doesn't know how to describe
-(test doubles, the real-execution local backend whose app needs an
-executable factory) fall back to :class:`InlinePoint`: executed in the
-parent process against the original objects, never cached.
+carries the :class:`~repro.core.application.Application` without its
+``executable_factory`` (unused by simulation, often an unpicklable
+closure) and the simulator's frozen config dataclass, and rebuilds the
+simulator inside :func:`run_point`.  Backends the registry doesn't know
+how to describe (test doubles, the real-execution local backend whose
+app needs an executable factory) fall back to :class:`InlinePoint`:
+executed in the parent process against the original objects, never
+cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.apps.perfmodels import TaskPerfModel
+from repro.classiccloud.framework import ClassicCloudFramework
 from repro.core.application import Application
-from repro.core.backends import (
-    ClassicCloudBackend,
-    DryadLinqBackend,
-    HadoopBackend,
-)
+from repro.core.metrics import average_time_per_file_per_core, parallel_efficiency
 from repro.core.task import TaskSpec
+from repro.dryad.dryadlinq import DryadLinqSimulator
+from repro.hadoop.job import HadoopSimulator
 
 __all__ = [
-    "AppSpec",
     "InlinePoint",
     "PointResult",
     "PointSpec",
@@ -34,52 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AppSpec:
-    """Everything a *simulated* backend needs of an Application.
-
-    Deliberately excludes ``executable_factory`` (unused by simulation,
-    frequently an unpicklable closure); points whose backend would call
-    it must go inline instead.
-    """
-
-    name: str
-    perf_model: TaskPerfModel
-    preload_bytes: int
-    preload_extract_seconds: float
-    threads_per_worker: int
-
-    @classmethod
-    def from_application(cls, app: Application) -> "AppSpec":
-        return cls(
-            name=app.name,
-            perf_model=app.perf_model,
-            preload_bytes=app.preload_bytes,
-            preload_extract_seconds=app.preload_extract_seconds,
-            threads_per_worker=app.threads_per_worker,
-        )
-
-    def build(self) -> Application:
-        return Application(
-            name=self.name,
-            perf_model=self.perf_model,
-            preload_bytes=self.preload_bytes,
-            preload_extract_seconds=self.preload_extract_seconds,
-            threads_per_worker=self.threads_per_worker,
-        )
-
-
-#: Backend classes the spec layer can describe and rebuild from config.
-_BACKEND_KINDS = {
-    ClassicCloudBackend: "classiccloud",
-    HadoopBackend: "hadoop",
-    DryadLinqBackend: "dryadlinq",
-}
-
-_BACKEND_BUILDERS = {
-    "classiccloud": ClassicCloudBackend,
-    "hadoop": HadoopBackend,
-    "dryadlinq": DryadLinqBackend,
+#: The simulators the spec layer can describe and rebuild from config.
+_SIMULATORS = {
+    "classiccloud": ClassicCloudFramework,
+    "hadoop": HadoopSimulator,
+    "dryadlinq": DryadLinqSimulator,
 }
 
 
@@ -87,7 +45,7 @@ _BACKEND_BUILDERS = {
 class PointSpec:
     """One independent sweep point, ready to ship to a worker process."""
 
-    app: AppSpec
+    app: Application  # executable_factory is always None
     backend_kind: str
     backend_config: object  # the backend's frozen config dataclass
     tasks: tuple[TaskSpec, ...]
@@ -95,13 +53,13 @@ class PointSpec:
 
     def build_backend(self):
         try:
-            builder = _BACKEND_BUILDERS[self.backend_kind]
+            simulator = _SIMULATORS[self.backend_kind]
         except KeyError:
             raise ValueError(
                 f"unknown backend kind {self.backend_kind!r}; "
-                f"known: {sorted(_BACKEND_BUILDERS)}"
+                f"known: {sorted(_SIMULATORS)}"
             ) from None
-        return builder(self.backend_config)
+        return simulator(self.backend_config)
 
 
 @dataclass
@@ -133,6 +91,18 @@ class PointResult:
     #: from RunResult.extras — floats only, so the JSON round-trip
     #: through the cache is exact.
     extras: dict = field(default_factory=dict)
+
+    @property
+    def efficiency(self) -> float:
+        """Parallel efficiency of the run (paper Equation 1)."""
+        return parallel_efficiency(self.t1_s, self.makespan_s, self.cores)
+
+    @property
+    def per_file_per_core_s(self) -> float:
+        """Average time per file per core (paper Equation 2)."""
+        return average_time_per_file_per_core(
+            self.makespan_s, self.cores, self.n_tasks
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -180,14 +150,16 @@ def point_for(
     or an :class:`InlinePoint` for anything the registry cannot rebuild
     from plain data.
     """
-    kind = _BACKEND_KINDS.get(type(backend))
+    kind = next(
+        (k for k, cls in _SIMULATORS.items() if type(backend) is cls), None
+    )
     if kind is None:
         return InlinePoint(
             app=app, backend=backend, tasks=list(tasks),
             label=_label_for(backend),
         )
     return PointSpec(
-        app=AppSpec.from_application(app),
+        app=replace(app, executable_factory=None),
         backend_kind=kind,
         backend_config=backend.config,
         tasks=tuple(tasks),
@@ -230,7 +202,7 @@ def _measure(backend, app: Application, tasks: list[TaskSpec], label: str):
 def run_point(spec: PointSpec) -> PointResult:
     """Execute one spec'd point (this is what worker processes run)."""
     return _measure(
-        spec.build_backend(), spec.app.build(), list(spec.tasks), spec.label
+        spec.build_backend(), spec.app, list(spec.tasks), spec.label
     )
 
 

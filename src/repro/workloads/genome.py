@@ -190,6 +190,8 @@ def write_cap3_workload(
     """
     from repro.workloads.store import resolve_store
 
+    if n_files < 1 or reads_per_file < 1:
+        raise ValueError("n_files and reads_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)

@@ -192,6 +192,8 @@ def write_blast_workload(
     from repro.apps.fasta import read_fasta
     from repro.workloads.store import resolve_store
 
+    if n_files < 1 or queries_per_file < 1:
+        raise ValueError("n_files and queries_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)

@@ -137,6 +137,8 @@ def write_gtm_workload(
     """
     from repro.workloads.store import resolve_store
 
+    if n_files < 1 or points_per_file < 1:
+        raise ValueError("n_files and points_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)

@@ -287,6 +287,50 @@ class TestGendata:
         assert len(files) == 2
 
 
+class TestBadInputExits2:
+    """Bad input ends in one ``error: ...`` line and exit code 2, never a
+    traceback or a silent fallback."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["run", "--files", "0"], "n_files must be >= 1"),
+            (["sweep", "--files", "0", "--jobs", "1", "--no-cache"],
+             "n_files must be >= 1"),
+            (["cost", "--files", "0"], "n_files must be >= 1"),
+            (["run", "--instance-type", "Nope"], "Nope"),
+            (["run", "--backend", "hadoop", "--nodes", "0"], "n_nodes 0"),
+            (["chaos", "--intensities", ",", "--files", "8", "--jobs", "1",
+              "--no-cache"], "--intensities must name at least one value"),
+            (["serve", "--fleet", ",", "--jobs", "1"],
+             "--fleet must name at least one value"),
+            (["chaos", "--mitigations", ",", "--jobs", "1", "--no-cache"],
+             "--mitigations must name at least one value"),
+            (["gendata", "{dir}", "--files", "0"], "n_files"),
+            (["gendata", "{dir}", "--files", "-2"], "n_files"),
+            (["gendata", "{dir}", "--size", "0"], "reads_per_file"),
+            (["gendata", "--app", "blast", "{dir}", "--size", "0"],
+             "queries_per_file"),
+            (["gendata", "--app", "gtm", "{dir}", "--files", "0"],
+             "n_files"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, argv, message):
+        argv = [arg.format(dir=tmp_path / "w") for arg in argv]
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert message in text
+
+    def test_gendata_leaves_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        code, _ = run_cli("gendata", str(tmp_path / "w"), "--files", "-1")
+        assert code == 2
+        assert not list(tmp_path.rglob("MANIFEST.json"))
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.classiccloud.framework import ClassicCloudConfig
+from repro.classiccloud.framework import ClassicCloudConfig, ClassicCloudFramework
 from repro.cloud.failures import FaultPlan
 from repro.core.api import evaluate, run
 from repro.core.application import Application, get_application
-from repro.core.backends import ClassicCloudBackend, make_backend
+from repro.core.backends import make_backend
 from repro.core.experiment import instance_type_study, scalability_study
 from repro.workloads.genome import cap3_task_specs
 
@@ -28,7 +28,7 @@ def quiet_cc(**kwargs):
         seed=1,
     )
     defaults.update(kwargs)
-    return ClassicCloudBackend(ClassicCloudConfig(**defaults))
+    return ClassicCloudFramework(ClassicCloudConfig(**defaults))
 
 
 class TestApplication:
@@ -105,6 +105,36 @@ class TestMakeBackend:
         with pytest.raises(KeyError):
             make_backend("slurm")
 
+    # (name, cores, T1 of 8 default cap3 files, point label) as the
+    # former *Backend wrappers reported them: the simulators now answer
+    # for themselves and must say the same.
+    @pytest.mark.parametrize(
+        ("kind", "name", "cores", "t1", "label"),
+        [
+            ("ec2", "classiccloud-aws", 128, 879.8180000000001,
+             "HCXL - 16 x 8"),
+            ("azure", "classiccloud-azure", 128, 889.3874242424243,
+             "Small - 128 x 1"),
+            ("hadoop", "hadoop", 256, 879.7263999999998, "hadoop"),
+            ("dryadlinq", "dryadlinq", 256, 782.0197333333334, "dryadlinq"),
+        ],
+    )
+    def test_simulators_are_the_backends(
+        self, cap3, kind, name, cores, t1, label
+    ):
+        from repro.sweep.points import PointSpec, point_for, run_point
+
+        backend = make_backend(kind)
+        tasks = cap3_task_specs(8)
+        assert backend.name == name
+        assert backend.total_cores == cores
+        assert backend.estimate_sequential_time(cap3, tasks) == t1
+        point = point_for(cap3, backend, tasks)
+        assert isinstance(point, PointSpec)
+        result = run_point(point)
+        assert (result.backend, result.label) == (name, label)
+        assert (result.cores, result.t1_s) == (cores, t1)
+
 
 class TestRunApi:
     def test_run_with_backend_instance(self, cap3):
@@ -127,6 +157,14 @@ class TestRunApi:
     def test_kwargs_with_instance_rejected(self, cap3):
         with pytest.raises(TypeError):
             run(cap3, cap3_task_specs(2), backend=quiet_cc(), n_instances=3)
+
+    def test_evaluate_kwargs_with_instance_rejected(self, cap3):
+        # A built 2-instance backend must not be silently reported as
+        # the 4 instances asked for (nor the kwargs silently dropped).
+        with pytest.raises(TypeError):
+            evaluate(
+                cap3, cap3_task_specs(2), backend=quiet_cc(), n_instances=4
+            )
 
     def test_evaluate_produces_paper_metrics(self, cap3):
         tasks = cap3_task_specs(32, reads_per_file=200)

@@ -9,8 +9,8 @@ import pytest
 
 from repro.cloud.failures import FaultPlan
 from repro.core.application import get_application
-from repro.core.backends import ClassicCloudBackend, make_backend
-from repro.classiccloud.framework import ClassicCloudConfig
+from repro.core.backends import make_backend
+from repro.classiccloud.framework import ClassicCloudConfig, ClassicCloudFramework
 from repro.workloads.genome import cap3_task_specs
 from repro.workloads.pubchem import gtm_task_specs
 
@@ -18,7 +18,7 @@ SEEDS = [1, 7, 42]
 
 
 def ec2(instance_type, n_instances, workers, seed):
-    return ClassicCloudBackend(
+    return ClassicCloudFramework(
         ClassicCloudConfig(
             provider="aws",
             instance_type=instance_type,
