@@ -147,14 +147,13 @@ class WorkerFleet:
         env = self.env
         storage = self.storage
         plan = self.fault_plan
-        rng = self.rng.stream(f"{name}-jitter")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        retry_policy = self.retry_policy
-        backoff_rng = (
-            self.rng.stream(f"{name}-backoff")
-            if retry_policy is not None
-            else None
+        # Streams are created on first draw: most workers never
+        # straggle, and some never run a task.
+        stream = self.rng.stream
+        jitter_name, straggle_name, backoff_name = (
+            f"{name}-jitter", f"{name}-straggle", f"{name}-backoff"
         )
+        retry_policy = self.retry_policy
         tracer = self.obs.tracer
         wait_start = env.now
         busy = False  # whether a +1 busy sample awaits its -1
@@ -172,7 +171,7 @@ class WorkerFleet:
             # hammering a drained queue at a fixed period.
             nonlocal empty_streak
             empty_streak = min(empty_streak + 1, 30)
-            return retry_policy.backoff_s(empty_streak, backoff_rng)
+            return retry_policy.backoff_s(empty_streak, stream(backoff_name))
 
         try:
             while True:
@@ -245,13 +244,11 @@ class WorkerFleet:
                         threads=self.threads,
                         clock_ghz=host.effective_clock_ghz(),
                     )
-                    if (
-                        plan.straggler_probability
-                        and straggle_rng.random() < plan.straggler_probability
-                    ):
+                    straggle_p = plan.straggler_probability
+                    if straggle_p and stream(straggle_name).random() < straggle_p:
                         service *= plan.straggler_slowdown
                     # Small service-time noise on top of instance jitter.
-                    service *= float(rng.uniform(0.98, 1.02))
+                    service *= float(stream(jitter_name).uniform(0.98, 1.02))
                     t1 = env.now
                     yield env.timeout(service)
                     compute_time = env.now - t1

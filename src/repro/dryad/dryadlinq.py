@@ -207,9 +207,12 @@ class _DryadRun:
     def _node_worker(self, queue: list[TaskSpec], node: int, name: str):
         config = self.config
         machine = config.cluster.node.machine
-        fail_rng = self.rng.stream(f"{name}-fail")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        noise_rng = self.rng.stream(f"{name}-noise")
+        # Streams are created on first draw: most workers never fail or
+        # straggle.
+        stream = self.rng.stream
+        fail_name, straggle_name, noise_name = (
+            f"{name}-fail", f"{name}-straggle", f"{name}-noise"
+        )
         disk_bps = machine.disk_mbps * 1e6
         while queue:
             task = queue.pop(0)
@@ -224,17 +227,14 @@ class _DryadRun:
                     machine,
                     concurrent_workers=config.slots_per_node,
                 )
-                if (
-                    config.straggler_probability
-                    and straggle_rng.random() < config.straggler_probability
-                ):
+                straggle_p = config.straggler_probability
+                if straggle_p and stream(straggle_name).random() < straggle_p:
                     service *= config.straggler_slowdown
-                service *= float(noise_rng.uniform(0.98, 1.02))
+                service *= float(stream(noise_name).uniform(0.98, 1.02))
                 write_time = task.output_size / disk_bps
-                if (
-                    config.vertex_failure_probability
-                    and fail_rng.random() < config.vertex_failure_probability
-                ):
+                fail_p = config.vertex_failure_probability
+                if fail_p and stream(fail_name).random() < fail_p:
+                    fail_rng = stream(fail_name)
                     yield self.env.timeout(
                         read_time + service * float(fail_rng.uniform(0.1, 0.9))
                     )

@@ -30,7 +30,7 @@ from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.hadoop.hdfs import HdfsClient
 from repro.hadoop.inputformat import FileNameInputFormat
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import make_environment
+from repro.sim.engine import Event, make_environment
 from repro.sim.rng import RngRegistry
 
 __all__ = ["HadoopJobConfig", "HadoopSimulator", "MiniHadoop"]
@@ -152,6 +152,9 @@ class _HadoopRun:
         self.running: dict[str, list[_Running]] = {}
         self.completed: set[str] = set()
         self.attempts_used: dict[str, int] = {t.task_id: 0 for t in tasks}
+        # Backups share a task's dispatch count but not its failure
+        # budget: only failed attempts count against max_attempts.
+        self.failures: dict[str, int] = {t.task_id: 0 for t in tasks}
         self.records: list[TaskRecord] = []
         self.done = self.env.event()
         # The drained-queue scan found no backup candidate.  It stays
@@ -159,6 +162,9 @@ class _HadoopRun:
         # completed only grow, and an ended primary can hand attempts[0]
         # to its backup.
         self._no_backup_candidate = False
+        # Slots that found no work, each as [next tick, slot index, the
+        # event it waits on]; see _idle.
+        self._sleepers: list[list] = []
 
     # -- orchestration -------------------------------------------------------
     def execute(self) -> RunResult:
@@ -174,10 +180,13 @@ class _HadoopRun:
                 self.app.preload_bytes / nic_bps
                 + self.app.preload_extract_seconds
             )
+        slots = self.config.slots_per_node
         for node in range(self.config.cluster.n_nodes):
-            for slot in range(self.config.slots_per_node):
+            for slot in range(slots):
                 name = f"node{node}-slot{slot}"
-                self.env.process(self._slot(node, name), name=name)
+                self.env.process(
+                    self._slot(node, name, node * slots + slot), name=name
+                )
         makespan = self.env.run(until=self.done)
         self.obs.metrics.counter("sim.events").inc(self.env.events_scheduled)
         return RunResult(
@@ -219,10 +228,18 @@ class _HadoopRun:
                     if self.hdfs.is_local(task.input_key, node):
                         return self.pending.pop(i), False
             return self.pending.pop(0), False
+        victim = self._backup_candidate()
+        if victim is None:
+            return None
+        victim.has_backup = True
+        return victim.task, True
+
+    def _backup_candidate(self) -> _Running | None:
+        """With the queue drained: the running attempt to back up, the
+        one with the latest expected finish whose progress is below the
+        threshold, or None."""
         if not self.config.speculative_execution or self._no_backup_candidate:
             return None
-        # Queue drained: back up the running attempt with the latest
-        # expected finish whose progress is below the threshold.
         candidates = []
         now = self.env.now
         for attempts in self.running.values():
@@ -236,21 +253,65 @@ class _HadoopRun:
         if not candidates:
             self._no_backup_candidate = True
             return None
-        victim = max(candidates, key=lambda r: r.expected_end)
-        victim.has_backup = True
-        return victim.task, True
+        return max(candidates, key=lambda r: r.expected_end)
+
+    # -- idle slots ------------------------------------------------------------
+    def _idle(self, index: int) -> Event:
+        """The wait of slot ``index`` after it found no work.
+
+        Polling every simulated second would find none either until an
+        attempt starts or ends or a task is re-queued, and an idle check
+        draws no RNG and changes nothing.  So the slot sleeps off the
+        heap, keeping its next tick; :meth:`_wake_sleeper` puts it back
+        on its own 1 s grid.
+        """
+        event = self.env.event()
+        self._sleepers.append([self.env.now + 1.0, index, event])
+        return event
+
+    def _wake_sleeper(self) -> None:
+        """After an attempt starts: if work is left, wake the sleeper
+        whose tick comes first, at that tick, where 1 s polling would
+        have found the work.
+
+        Only a start can leave work for a sleeper.  A slot whose attempt
+        ends or fails looks for work itself at once, and if it finds
+        some, that is a start.  Ticks tie only among slots idle on the
+        same grid since time 0, and polling keeps those in slot order."""
+        sleepers = self._sleepers
+        if not sleepers or not (
+            self.pending or self._backup_candidate() is not None
+        ):
+            return
+        now = self.env.now
+        for sleeper in sleepers:
+            tick = sleeper[0]
+            while tick < now:
+                tick += 1.0  # the polling chain, not now + k
+            sleeper[0] = tick
+        first = min(sleepers, key=lambda sleeper: sleeper[:2])
+        sleepers.remove(first)
+        tick, _, event = first
+        event._ok = True
+        event._value = None
+        # A new sequence number: a tick landing on now fires after the
+        # start that woke it.
+        self.env._enqueue_at(event, tick)
 
     # -- the map slot ------------------------------------------------------------
-    def _slot(self, node: int, name: str):
+    def _slot(self, node: int, name: str, index: int):
         config = self.config
         machine = config.cluster.node.machine
-        fail_rng = self.rng.stream(f"{name}-fail")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        noise_rng = self.rng.stream(f"{name}-noise")
+        # Streams are created on first draw: most slots never fail or
+        # straggle, and some never run a task.
+        stream = self.rng.stream
+        fail_name, straggle_name, noise_name = (
+            f"{name}-fail", f"{name}-straggle", f"{name}-noise"
+        )
         while len(self.completed) < len(self.tasks):
             assignment = self._next_assignment(node)
             if assignment is None:
-                yield self.env.timeout(1.0)
+                yield self._idle(index)
                 continue
             task, speculative = assignment
             if task.task_id in self.completed:
@@ -277,13 +338,14 @@ class _HadoopRun:
                 machine,
                 concurrent_workers=config.slots_per_node,
             )
+            straggle_p = config.straggler_probability
             if (
-                config.straggler_probability
-                and straggle_rng.random() < config.straggler_probability
+                straggle_p
+                and stream(straggle_name).random() < straggle_p
                 and not speculative
             ):
                 service *= config.straggler_slowdown
-            service *= float(noise_rng.uniform(0.98, 1.02))
+            service *= float(stream(noise_name).uniform(0.98, 1.02))
             write_time = self.hdfs.write_seconds(task.output_size)
             total = read_time + service + write_time
 
@@ -297,19 +359,19 @@ class _HadoopRun:
             self.running.setdefault(task.task_id, []).append(info)
             self._no_backup_candidate = False
             self._sample_running()
+            self._wake_sleeper()
 
-            fails = (
-                config.task_failure_probability
-                and fail_rng.random() < config.task_failure_probability
-            )
-            if fails:
+            fail_p = config.task_failure_probability
+            if fail_p and stream(fail_name).random() < fail_p:
                 # Die partway through the compute phase; re-queue.
+                fail_rng = stream(fail_name)
                 yield self.env.timeout(
                     read_time + service * float(fail_rng.uniform(0.1, 0.9))
                 )
                 self._attempt_over(task, info)
+                self.failures[task.task_id] += 1
                 if task.task_id not in self.completed:
-                    if self.attempts_used[task.task_id] >= config.max_attempts:
+                    if self.failures[task.task_id] >= config.max_attempts:
                         raise RuntimeError(
                             f"task {task.task_id} failed "
                             f"{config.max_attempts} attempts"

@@ -17,6 +17,7 @@ authors bothered building TwisterAzure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cloud.instance_types import get_instance_type
@@ -89,10 +90,11 @@ class TwisterAzureSimulator:
         iteration_times: list[float] = []
 
         def worker(first: bool, index: int, iteration: int):
-            """One worker's single iteration."""
-            msg = yield env.process(queue.receive())
-            if msg is None:
-                return
+            """One worker's single iteration: poll (Classic Cloud's
+            default 1 s backoff) until its map task's message arrives."""
+            msg = yield from queue.poll(
+                lambda: True, 1.0, stable_until=math.inf
+            )
             track = f"{mode}-worker-{index}"
             t0 = env.now
             if mode == "naive" or first:

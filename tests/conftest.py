@@ -3,7 +3,7 @@
 The plugin adds ``--repro-sanitize`` (run every simulated backend on the
 instrumented event loop) and the ``sanitized_env`` fixture.  The
 ``eager_polling`` fixture is the differential oracle for parked idle
-polling.
+polling, and ``eager_hadoop`` the one for sleeping Hadoop map slots.
 """
 
 import pytest
@@ -19,3 +19,15 @@ def eager_polling(monkeypatch):
     from repro.cloud.queue import _PollEntry
 
     monkeypatch.setattr(_PollEntry, "_may_park", lambda self: False)
+
+
+@pytest.fixture
+def eager_hadoop(monkeypatch):
+    """Test-only oracle: an idle Hadoop map slot never sleeps; it polls
+    the JobTracker once per simulated second, each poll its own step on
+    the event heap.  Sleeping slots must reproduce this mode exactly."""
+    from repro.hadoop.job import _HadoopRun
+
+    monkeypatch.setattr(
+        _HadoopRun, "_idle", lambda self, index: self.env.timeout(1.0)
+    )

@@ -172,6 +172,32 @@ class TestHadoopSimulator:
         attempts = [r.attempt for r in result.records]
         assert max(attempts) > 1  # some retries happened
 
+    def test_backups_do_not_use_up_the_failure_budget(self, cap3):
+        """A backup is a dispatch, not a failure.  Here cap3-00016's
+        primary fails once while its backup runs; with max_attempts=2
+        that used to count as two failed attempts and abort the job."""
+        tasks = cap3_task_specs(20, reads_per_file=200, seed=0)
+        config = HadoopJobConfig(
+            cluster=get_cluster("cap3-baremetal").subset(2),
+            seed=0,
+            task_failure_probability=0.2,
+            max_attempts=2,
+        )
+        result = HadoopSimulator(config).run(cap3, tasks)
+        assert result.completed_task_ids == {t.task_id for t in tasks}
+        (record,) = [r for r in result.records if r.task_id == "cap3-00016"]
+        assert record.speculative and record.won and record.attempt == 2
+
+    def test_failed_attempts_still_exhaust_the_budget(self, cap3):
+        tasks = cap3_task_specs(20, reads_per_file=200, seed=0)
+        config = hadoop_config(
+            task_failure_probability=0.9,
+            max_attempts=2,
+            speculative_execution=False,
+        )
+        with pytest.raises(RuntimeError, match="failed 2 attempts"):
+            HadoopSimulator(config).run(cap3, tasks)
+
     def test_speculative_execution_rescues_stragglers(self, cap3):
         tasks = cap3_task_specs(32, reads_per_file=200)
         with_spec = HadoopSimulator(

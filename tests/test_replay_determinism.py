@@ -15,7 +15,9 @@ from repro.classiccloud import (
     LocalAugmentation,
 )
 from repro.cloud.failures import FaultPlan, WorkerCrash
+from repro.cluster import get_cluster
 from repro.core.application import get_application
+from repro.hadoop import HadoopJobConfig, HadoopSimulator
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -176,3 +178,61 @@ class TestGoldenSchedule:
         assert queue_stats_digest(env) == (
             "dc4f45dfb9e8f6c009bd94fa93b2bb2f7745d8013bbf7e88a6b0debad822293c"
         )
+
+
+# -- Hadoop schedule digests ----------------------------------------------
+#
+# Idle map slots sleep off the heap, so the kernel trace of a Hadoop run
+# moves with the idle mechanism; the schedule it produces must not.
+# These pin the run's JSON trace (every attempt's slot, times, attempt
+# number and outcome), recorded with 1 s idle polling and checked in
+# both modes.
+
+
+def run_digest(result) -> str:
+    """SHA-256 over the run's sorted-key JSON trace."""
+    text = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def play_hadoop(seed: int, **overrides):
+    """48 heavy-tailed Cap3 files on four 8-slot nodes, with failures,
+    stragglers and speculation at a 0.95 progress threshold."""
+    config = HadoopJobConfig(
+        cluster=get_cluster("cap3-baremetal").subset(4),
+        seed=seed,
+        task_failure_probability=0.2,
+        straggler_probability=0.3,
+        straggler_slowdown=6.0,
+        max_attempts=10,
+        speculative_progress_threshold=0.95,
+        **overrides,
+    )
+    tasks = cap3_task_specs(
+        48, reads_per_file=200, inhomogeneous=True, seed=seed
+    )
+    return HadoopSimulator(config).run(get_application("cap3"), tasks)
+
+
+HADOOP_FIFO_DIGEST = (
+    "96640c45cdfde966327097159b6f7da16465de65885618e6158297c66f6242b6"
+)
+HADOOP_LPT_DIGEST = (
+    "f3405094c961651bf517d0e5b068737c737a19ba76eb02e9871171b1567978ac"
+)
+
+
+class TestGoldenHadoopSchedule:
+    def test_fifo_faults_speculation_digest(self):
+        assert run_digest(play_hadoop(3)) == HADOOP_FIFO_DIGEST
+
+    def test_fifo_faults_speculation_digest_eager(self, eager_hadoop):
+        assert run_digest(play_hadoop(3)) == HADOOP_FIFO_DIGEST
+
+    def test_lpt_locality_off_digest(self):
+        run = play_hadoop(11, scheduling_policy="lpt", locality_aware=False)
+        assert run_digest(run) == HADOOP_LPT_DIGEST
+
+    def test_lpt_locality_off_digest_eager(self, eager_hadoop):
+        run = play_hadoop(11, scheduling_policy="lpt", locality_aware=False)
+        assert run_digest(run) == HADOOP_LPT_DIGEST

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cloud.queue import MessageQueue
+from repro.obs.context import observe
 from repro.twister import (
     IterativeMapReduce,
     MapReduceJob,
@@ -183,6 +185,32 @@ class TestTwisterSimulator:
             )
 
         assert saving(long) > saving(short)
+
+    @pytest.mark.parametrize("mode", ["naive", "twister"])
+    def test_every_map_task_runs_once_per_iteration(self, monkeypatch, mode):
+        """A worker whose first receive comes back empty keeps polling
+        instead of skipping its map task."""
+        queues = []
+        init = MessageQueue.__init__
+
+        def spy(queue, *args, **kwargs):
+            init(queue, *args, **kwargs)
+            queues.append(queue)
+
+        monkeypatch.setattr(MessageQueue, "__init__", spy)
+        config = TwisterSimConfig(n_workers=4, seed=0)
+        with observe() as obs:
+            TwisterAzureSimulator(config).run(mode)
+        (queue,) = queues
+        expected = config.n_workers * config.n_iterations
+        assert queue.stats.sent == queue.stats.deleted == expected
+        assert queue.approximate_size() == 0
+        computes = [s for s in obs.tracer.spans if s.name == "task.compute"]
+        per_iteration = [
+            sum(1 for s in computes if s.args["iteration"] == i)
+            for i in range(config.n_iterations)
+        ]
+        assert per_iteration == [config.n_workers] * config.n_iterations
 
     def test_validation(self):
         with pytest.raises(ValueError):
