@@ -10,7 +10,8 @@ Real algorithmic pipeline in the style of NCBI BLAST+ (Camacho et al.
 3. **ungapped X-drop extension** — seeds extend along the diagonal until
    the score drops X below the running maximum;
 4. **gapped banded Smith–Waterman** — promising ungapped hits are
-   re-aligned with gaps inside a diagonal band;
+   re-aligned with gaps inside a diagonal band, every alignment of a
+   search in one batched DP;
 5. **Karlin–Altschul statistics** — raw scores convert to bit scores and
    e-values with the standard gapped BLOSUM62 parameters.
 
@@ -71,9 +72,9 @@ _BLOSUM62_ROWS = [
     [0, -3, -3, -3, -1, -2, -2, -3, -3, 3, 1, -2, 1, -1, -2, -2, 0, -3, -2, 4],
 ]
 _BLOSUM62 = np.array(_BLOSUM62_ROWS, dtype=np.int32)
-# Plain nested lists for the scalar alignment kernel: per-cell ndarray
-# indexing is ~10x slower than list indexing at this matrix size.
-_BLOSUM62_LISTS = [list(row) for row in _BLOSUM62_ROWS]
+_BLOSUM62_FLAT = _BLOSUM62.ravel()
+# The gapped DP packs two counts below 2**32 as ``hi * _PAIR + lo``.
+_PAIR = 1 << 32
 
 
 def blosum62(a: str, b: str) -> int:
@@ -110,6 +111,8 @@ class BlastParams:
             raise ValueError("word_size must be >= 2")
         if self.band_width < 1:
             raise ValueError("band_width must be >= 1")
+        if self.gap_penalty < 0:
+            raise ValueError("gap_penalty must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -354,102 +357,99 @@ def _banded_sw(
     """Banded Smith-Waterman around ``diagonal`` (= q_pos - s_pos).
 
     Returns (score, q_start, q_end, s_start, s_end, matches, align_len).
-    Coordinates are 0-based, ends exclusive.
+    Coordinates are 0-based, ends exclusive.  A one-job call of
+    :func:`_batched_sw`.
+    """
+    return _batched_sw([(query, subject, diagonal)], params)[0]
 
-    Scalar DP over plain Python lists: at band width ~33 the per-row
-    NumPy dispatch overhead beats any vectorization win (measured), so
-    the kernel instead avoids per-cell ndarray indexing by pre-listing
-    the sequences and the substitution rows.
+
+def _batched_sw(
+    jobs: list[tuple[np.ndarray, np.ndarray, int]], params: BlastParams
+) -> list[tuple[float, int, int, int, int, int, int]]:
+    """Banded Smith-Waterman for many ``(query, subject, diagonal)`` jobs.
+
+    One DP over (alignments x band lanes), one NumPy step per subject
+    row from each alignment's first row that reaches the query; lane
+    ``w`` is query position ``j + diagonal - band_width + w``.  Ties go
+    as in a cell-by-cell scan: diagonal, then up (subject gap) if
+    strictly better, then left (query gap) if strictly better than both;
+    the best cell is the row-major first maximum.  The up chain
+    ``S[w] = max(E[w], S[w-1] - gap)`` is the scan
+    ``maximum.accumulate(E + gap*w) - gap*w``, exact while scores and
+    the gap are integers or dyadic fractions (11, 10.5).  See
+    docs/PERFORMANCE.md, "App kernel fast paths".
     """
     band = params.band_width
-    m, n = len(query), len(subject)
-    lo_d = diagonal - band
-    width = 2 * band + 1
-    neg = -1e18
     gap = params.gap_penalty
+    width = 2 * band + 1
+    lanes = np.arange(width)
+    gap_ramp = gap * lanes
+    n_jobs = len(jobs)
+    rows = np.arange(n_jobs)
+    cells = rows[:, None] * width  # flat index of each job's lane 0
+    q_len = np.array([len(q) for q, _, _ in jobs], dtype=np.int64)
+    s_len = np.array([len(s) for _, s, _ in jobs], dtype=np.int64)
+    lo_d = np.array([d for _, _, d in jobs], dtype=np.int64) - band
+    # Rows that reach the query: -width < j + lo_d < len(query).
+    first = np.maximum(0, 1 - width - lo_d)
+    stop = np.minimum(s_len, q_len - lo_d)
+    # A trailing pad residue keeps the masked gathers in bounds.
+    q_buf = np.concatenate([q for q, _, _ in jobs] + [[0]])
+    s_buf = np.concatenate([s for _, s, _ in jobs] + [[0]])
+    q_off = (np.cumsum(q_len) - q_len)[:, None]
+    s_off = np.cumsum(s_len) - s_len
 
-    query_list = query.tolist()
-    subject_list = subject.tolist()
-
-    zeros_f = [0.0] * width
-    zeros_i = [0] * width
-    prev_score = list(zeros_f)
-    prev_start_q = list(zeros_i)
-    prev_start_s = list(zeros_i)
-    prev_match = list(zeros_i)
-    prev_len = list(zeros_i)
-
-    best = 0.0
-    best_cell = (0, 0)
-    best_info = (0, 0, 0, 0)  # q_start, s_start, matches, length
-
-    for j in range(n):
-        s_res = subject_list[j]
-        blosum_row = _BLOSUM62_LISTS[s_res]
-        score = [neg] * width
-        start_q = list(zeros_i)
-        start_s = list(zeros_i)
-        match = list(zeros_i)
-        length = list(zeros_i)
-        base = j + lo_d
-        w_lo = max(0, -base)
-        w_hi = min(width, m - base)
-        for w in range(w_lo, w_hi):
-            i = base + w
-            q_res = query_list[i]
-            sub = blosum_row[q_res]
-            is_match = 1 if q_res == s_res else 0
-            # Diagonal move (same w, previous j); restart if source dead.
-            p_score = prev_score[w]
-            if p_score <= 0.0 or prev_len[w] == 0:
-                c_score = float(sub)
-                c_q, c_s = i, j
-                c_match = is_match
-                c_len = 1
-            else:
-                c_score = p_score + sub
-                c_q = prev_start_q[w]
-                c_s = prev_start_s[w]
-                c_match = prev_match[w] + is_match
-                c_len = prev_len[w] + 1
-            # Gap in subject (w-1, same row).
-            if w > w_lo:
-                up = score[w - 1] - gap
-                if up > c_score:
-                    c_score = up
-                    c_q = start_q[w - 1]
-                    c_s = start_s[w - 1]
-                    c_match = match[w - 1]
-                    c_len = length[w - 1] + 1
-            # Gap in query (w+1, previous row).
-            if w + 1 < width:
-                left = prev_score[w + 1] - gap
-                if left > c_score and prev_len[w + 1] > 0:
-                    c_score = left
-                    c_q = prev_start_q[w + 1]
-                    c_s = prev_start_s[w + 1]
-                    c_match = prev_match[w + 1]
-                    c_len = prev_len[w + 1] + 1
-            if c_score < 0:
-                continue  # local restart; cell stays dead (neg)
-            score[w] = c_score
-            start_q[w] = c_q
-            start_s[w] = c_s
-            match[w] = c_match
-            length[w] = c_len
-            if c_score > best:
-                best = c_score
-                best_cell = (i + 1, j + 1)
-                best_info = (c_q, c_s, c_match, c_len)
-        prev_score = score
-        prev_start_q = start_q
-        prev_start_s = start_s
-        prev_match = match
-        prev_len = length
-
-    q_start, s_start, matches, align_len = best_info
-    q_end, s_end = best_cell
-    return best, q_start, q_end, s_start, s_end, matches, align_len
+    dead_lane = np.full((n_jobs, 1), -np.inf)
+    score = np.full((n_jobs, width), -np.inf)  # -inf marks a dead cell
+    # Per cell, two packed pairs: the path's start (query position,
+    # subject position) and its tally (length, matches).
+    attrs = np.zeros((2, n_jobs, width), dtype=np.int64)
+    fresh = np.zeros_like(attrs)
+    best = np.zeros(n_jobs)
+    # The best cell's start, tally and packed end (query, subject).
+    best_attrs = np.zeros((3, n_jobs), dtype=np.int64)
+    for t in range(int((stop - first).max(initial=0))):
+        j = first + t
+        i = (j + lo_d)[:, None] + lanes
+        live = (i >= 0) & (i < q_len[:, None]) & (j < stop)[:, None]
+        q_res = q_buf[q_off + np.where(live, i, 0)]
+        s_res = s_buf[s_off + np.where(j < stop, j, 0)][:, None]
+        # Diagonal move.
+        restart = score <= 0
+        sub = _BLOSUM62_FLAT[s_res * 20 + q_res]
+        diag = np.where(restart, 0.0, score) + sub
+        fresh[0] = i * _PAIR + j[:, None]
+        diag_attrs = np.where(restart, fresh, attrs)
+        diag_attrs[1] += (q_res == s_res) + _PAIR
+        # Left move, then the better of the two.
+        left = np.concatenate((score[:, 1:], dead_lane), axis=1) - gap
+        from_left = left > diag
+        move = np.where(live, np.where(from_left, left, diag), -np.inf)
+        left_attrs = np.concatenate((attrs[:, :, 1:], attrs[:, :, :1]), axis=2)
+        move_attrs = np.where(from_left, left_attrs, diag_attrs)
+        move_attrs[1] += from_left * _PAIR
+        # Up moves: the scan, and each up-chain's origin lane.
+        run = np.maximum.accumulate(move + gap_ramp, axis=1)
+        up = np.concatenate((dead_lane, run[:, :-1]), axis=1) - gap_ramp
+        from_up = (up > move) | ((up == move) & from_left)
+        origin = np.maximum.accumulate(np.where(from_up, 0, lanes), axis=1)
+        attrs = np.take(move_attrs.reshape(2, -1), cells + origin, axis=1)
+        attrs[1] += (lanes - origin) * _PAIR
+        cell = np.where(from_up, up, move)
+        score = np.where(live & (cell >= 0), cell, -np.inf)
+        # Row-major first maximum, kept only if strictly better.
+        col = score.argmax(axis=1)
+        top = score[rows, col]
+        better = top > best
+        best = np.where(better, top, best)
+        end = (i[rows, col] + 1) * _PAIR + j + 1
+        best_attrs = np.where(better, (*attrs[:, rows, col], end), best_attrs)
+    (q_start, length, q_end), (s_start, matches, s_end) = (
+        half.tolist() for half in np.divmod(best_attrs, _PAIR)
+    )
+    return list(zip(
+        best.tolist(), q_start, q_end, s_start, s_end, matches, length
+    ))
 
 
 def _evalue(raw_score: float, query_len: int, db_residues: int) -> tuple[float, float]:
@@ -461,11 +461,11 @@ def _evalue(raw_score: float, query_len: int, db_residues: int) -> tuple[float, 
     return bit, evalue
 
 
-def _search_one(
-    query: FastaRecord, db: BlastDatabase, params: BlastParams
-) -> list[BlastHit]:
-    """Full pipeline for a single query."""
-    enc = _encode(query.seq)
+def _gapped_jobs(
+    enc: np.ndarray, db: BlastDatabase, params: BlastParams
+) -> list[tuple[int, int]]:
+    """Stages 1-3 for one encoded query: the ``(subject, diagonal)``
+    pairs that stage 4 aligns with gaps."""
     k = params.word_size
     if len(enc) < k:
         return []
@@ -506,33 +506,52 @@ def _search_one(
         if current is None or ung[4] > current[0]:
             best_ungapped[s_idx] = (ung[4], diagonal)
 
-    hits: list[BlastHit] = []
-    for s_idx, (_, diagonal) in best_ungapped.items():
-        subject = db.encoded[s_idx]
-        score, q_start, q_end, s_start, s_end, matches, align_len = _banded_sw(
-            enc, subject, diagonal, params
-        )
-        if align_len == 0:
-            continue
-        bit, evalue = _evalue(score, len(enc), db.total_residues)
-        if evalue > params.max_evalue:
-            continue
-        hits.append(
-            BlastHit(
-                query_id=query.id,
-                subject_id=db.ids[s_idx],
-                raw_score=score,
-                bit_score=bit,
-                evalue=evalue,
-                identity=matches / align_len,
-                align_length=align_len,
-                query_start=q_start,
-                query_end=q_end,
-                subject_start=s_start,
-                subject_end=s_end,
+    return [(s_idx, diag) for s_idx, (_, diag) in best_ungapped.items()]
+
+
+def _search_batch(
+    queries: list[FastaRecord], db: BlastDatabase, params: BlastParams
+) -> list[list[BlastHit]]:
+    """Full pipeline for a batch of queries, each query's hits in order.
+
+    Every gapped alignment of the batch runs in one :func:`_batched_sw`.
+    """
+    encoded = [_encode(query.seq) for query in queries]
+    jobs = [_gapped_jobs(enc, db, params) for enc in encoded]
+    aligned = iter(_batched_sw(
+        [(enc, db.encoded[s_idx], diagonal)
+         for enc, query_jobs in zip(encoded, jobs)
+         for s_idx, diagonal in query_jobs],
+        params,
+    ))
+    results = []
+    for query, enc, query_jobs in zip(queries, encoded, jobs):
+        hits: list[BlastHit] = []
+        for (s_idx, _), (score, q_start, q_end, s_start, s_end, matches,
+                         align_len) in zip(query_jobs, aligned):
+            if align_len == 0:
+                continue
+            bit, evalue = _evalue(score, len(enc), db.total_residues)
+            if evalue > params.max_evalue:
+                continue
+            hits.append(
+                BlastHit(
+                    query_id=query.id,
+                    subject_id=db.ids[s_idx],
+                    raw_score=score,
+                    bit_score=bit,
+                    evalue=evalue,
+                    identity=matches / align_len,
+                    align_length=align_len,
+                    query_start=q_start,
+                    query_end=q_end,
+                    subject_start=s_start,
+                    subject_end=s_end,
+                )
             )
-        )
-    return sorted(hits, key=lambda h: (-h.raw_score, h.subject_id))
+        hits.sort(key=lambda h: (-h.raw_score, h.subject_id))
+        results.append(hits)
+    return results
 
 
 def blast_search(
@@ -544,14 +563,21 @@ def blast_search(
     """Search every query against ``db``.
 
     Returns ``{query id: hits}`` preserving per-query hit order.  With
-    ``num_threads > 1`` queries are distributed over a thread pool —
+    ``num_threads > 1`` the queries are split into ``num_threads``
+    contiguous shares, each searched as one batch on a thread pool —
     the in-process analogue of ``blastp -num_threads``.
     """
     params = params or BlastParams()
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
     if num_threads == 1 or len(queries) <= 1:
-        return {q.id: _search_one(q, db, params) for q in queries}
-    with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        results = list(pool.map(lambda q: _search_one(q, db, params), queries))
+        results = _search_batch(queries, db, params)
+    else:
+        share = -(-len(queries) // num_threads)
+        with ThreadPoolExecutor(max_workers=num_threads) as pool:
+            parts = pool.map(
+                lambda lo: _search_batch(queries[lo : lo + share], db, params),
+                range(0, len(queries), share),
+            )
+            results = [hits for part in parts for hits in part]
     return {q.id: r for q, r in zip(queries, results)}

@@ -22,6 +22,8 @@ load-balancing experiments rely on.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
 
 _BASES = "ACGTN"
 _BASE_INDEX = {base: i for i, base in enumerate(_BASES)}
+_NON_BASE = re.compile(f"[^{_BASES}]")
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 # Byte-level complement table for encoded arrays.
 _COMPLEMENT_BYTES = np.arange(256, dtype=np.uint8)
@@ -167,10 +170,7 @@ def trim_read(record: FastaRecord, min_length: int) -> FastaRecord | None:
     trimmed = seq[start:end].upper()
     if len(trimmed) < min_length:
         return None
-    if any(base not in _BASE_INDEX for base in trimmed):
-        trimmed = "".join(
-            base if base in _BASE_INDEX else "N" for base in trimmed
-        )
+    trimmed = _NON_BASE.sub("N", trimmed)
     return FastaRecord(id=record.id, seq=trimmed, description=record.description)
 
 
@@ -185,69 +185,105 @@ for _i, _b in enumerate(b"ACGTN"):
     _KMER_DIGIT[_b] = _i
 
 
-def _seed_keys(arr: np.ndarray, k: int) -> list:
-    """Hashable key for every k-mer window of an encoded read.
-
-    Windows are packed into base-5 integers in one vectorized matmul —
-    injective for the post-trim ACGTN alphabet, so the codes stand in
-    for the byte substrings the scalar version sliced out one by one.
-    Falls back to byte slicing for k too large to pack into an int64.
+def _seed_keys(arr: np.ndarray, k: int) -> np.ndarray:
+    """Key of every k-mer window of an encoded sequence, in window order:
+    base-5 int64 codes from one matmul (injective on the post-trim ACGTN
+    alphabet), or for k too large for an int64 the window's bytes as one
+    fixed-width value.  Keys are equal exactly when the windows are.
     """
     if len(arr) < k:
-        return []
+        return np.zeros(0, dtype=np.int64 if k <= 27 else f"S{k}")
     if k <= 27:  # 5**27 still fits in int64
         powers = 5 ** np.arange(k - 1, -1, -1, dtype=np.int64)
         windows = np.lib.stride_tricks.sliding_window_view(
             _KMER_DIGIT[arr], k
         )
-        return (windows @ powers).tolist()
-    seq_bytes = arr.tobytes()
-    return [
-        seq_bytes[pos : pos + k] for pos in range(len(seq_bytes) - k + 1)
-    ]
+        return windows @ powers
+    windows = np.lib.stride_tricks.sliding_window_view(arr, k)
+    return np.ascontiguousarray(windows).view(f"S{k}")[:, 0]
 
 
-def _seed_index(
-    arrays: list[np.ndarray], k: int
-) -> dict:
-    """k-mer -> [(read index, position)] postings over every read."""
-    index: dict = {}
-    for read_idx, arr in enumerate(arrays):
-        for pos, key in enumerate(_seed_keys(arr, k)):
-            index.setdefault(key, []).append((read_idx, pos))
-    return index
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts`` elements laid end to end: each element's
+    run number and its offset within the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
-def _verify_overlap(
-    a_idx: int,
-    b_idx: int,
-    a_arr: np.ndarray,
-    b_arr: np.ndarray,
-    a_start: int,
+class _ReadSet:
+    """Encoded reads laid end to end in one buffer, with the key of
+    every k-mer window from one :func:`_seed_keys` pass over the buffer
+    (windows straddling two reads are computed and never looked at)."""
+
+    def __init__(self, arrays: list[np.ndarray], k: int):
+        self.lengths = np.array([len(a) for a in arrays], dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.windows = np.maximum(self.lengths - k + 1, 0)
+        self.buf = np.concatenate([np.zeros(0, dtype=np.uint8)] + arrays)
+        self.keys = _seed_keys(self.buf, k)
+
+
+def _placements(
+    reads: _ReadSet, n_indexed: int, probes: Sequence[int], params: Cap3Params
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded placements of each probe read against the first
+    ``n_indexed`` reads: a seed at b[s] matching a[a_pos] places b at
+    ``a_start = a_pos - s``.  The table is those reads' k-mers in a
+    stable sort, so equal keys keep (read, position) order.  Hits on the
+    probe's own read are skipped (read ``r + n_indexed`` is read ``r``),
+    and each ``(a, a_start)`` counts once per probe.  Returns
+    ``(probe number, a, a_start)`` in the order a probe, seed, posting
+    loop meets them.
+    """
+    post_read, post_pos = _ragged(reads.windows[:n_indexed])
+    table = reads.keys[reads.starts[post_read] + post_pos]
+    order = np.argsort(table, kind="stable")
+    table, post_read, post_pos = (v[order] for v in (table, post_read, post_pos))
+
+    probes = np.asarray(probes, dtype=np.int64)
+    stride = params.seed_stride
+    per_probe = np.minimum(reads.windows[probes], params.max_seed_span)
+    seed_probe, seed_no = _ragged(-(-per_probe // stride))
+    seed_pos = stride * seed_no
+    seeds = reads.keys[reads.starts[probes[seed_probe]] + seed_pos]
+    lo = np.searchsorted(table, seeds, side="left")
+    hit_seed, nth = _ragged(np.searchsorted(table, seeds, side="right") - lo)
+    posting = lo[hit_seed] + nth
+    probe = seed_probe[hit_seed]
+    a = post_read[posting]
+    a_start = post_pos[posting] - seed_pos[hit_seed]
+    other = a != probes[probe] % n_indexed
+    placed = np.stack((probe[other], a[other], a_start[other]))
+    # Keep the first of each (probe, a, a_start): a stable sort groups
+    # repeats behind it.
+    order = np.lexsort(placed[::-1])
+    ranked = placed[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    probe, a, a_start = placed[:, np.sort(order[first])]
+    return probe, a, a_start
+
+
+def _verify_placements(
+    reads: _ReadSet, x: np.ndarray, y: np.ndarray, offset: np.ndarray,
     params: Cap3Params,
-) -> Overlap | None:
-    """Score the alignment of ``b`` against ``a`` starting at ``a_start``."""
-    length = min(len(a_arr) - a_start, len(b_arr))
-    if length < params.min_overlap:
-        return None
-    a_slice = a_arr[a_start : a_start + length]
-    b_slice = b_arr[:length]
-    matches = int((a_slice == b_slice).sum())
-    identity = matches / length
-    if identity < params.min_identity:
-        return None
-    mismatches = length - matches
-    score = matches - params.mismatch_penalty * mismatches
-    contained = (a_start + len(b_arr)) <= len(a_arr)
-    return Overlap(
-        a=a_idx,
-        b=b_idx,
-        a_start=a_start,
-        length=length,
-        identity=identity,
-        score=score,
-        contained=contained,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score read ``y`` placed at ``offset`` in read ``x`` (y's prefix
+    against x's suffix) for many placements in one gather-compare.
+
+    Returns ``(matches, length, accepted)``; ``accepted`` applies the
+    overlap length and identity thresholds.
+    """
+    length = np.minimum(reads.lengths[x] - offset, reads.lengths[y])
+    placement, t = _ragged(length)
+    x_base = (reads.starts[x] + offset)[placement]
+    y_base = reads.starts[y][placement]
+    same = reads.buf[x_base + t] == reads.buf[y_base + t]
+    matches = np.bincount(placement[same], minlength=len(length))
+    accepted = (length >= params.min_overlap) & (
+        matches / length >= params.min_identity
     )
+    return matches, length, accepted
 
 
 def _find_overlaps(
@@ -259,40 +295,30 @@ def _find_overlaps(
     candidate placements examined (a work measure the performance-model
     calibration uses).
     """
-    k = params.kmer_size
-    index = _seed_index(arrays, k)
-
-    candidates = 0
+    reads = _ReadSet(arrays, params.kmer_size)
+    b, a, a_start = _placements(
+        reads, len(arrays), range(len(arrays)), params
+    )
+    proper = a_start >= 0
+    b, a, a_start = b[proper], a[proper], a_start[proper]
+    matches, length, accepted = _verify_placements(reads, a, b, a_start, params)
     best: dict[tuple[int, int], Overlap] = {}
-    for b_idx, b_arr in enumerate(arrays):
-        b_keys = _seed_keys(b_arr, k)
-        span = max(0, min(params.max_seed_span, len(b_keys)))
-        probed: set[tuple[int, int]] = set()
-        for s in range(0, span, params.seed_stride):
-            seed = b_keys[s]
-            for a_idx, a_pos in index.get(seed, ()):
-                if a_idx == b_idx:
-                    continue
-                # A seed at b[s] matching a[a_pos] implies b begins at
-                # a-coordinate a_pos - s.
-                a_start = a_pos - s
-                if a_start < 0:
-                    continue
-                key = (a_idx, a_start)
-                if key in probed:
-                    continue
-                probed.add(key)
-                candidates += 1
-                overlap = _verify_overlap(
-                    a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
-                )
-                if overlap is None:
-                    continue
-                pair = (a_idx, b_idx)
-                existing = best.get(pair)
-                if existing is None or overlap.score > existing.score:
-                    best[pair] = overlap
-    return list(best.values()), candidates
+    for a_idx, b_idx, start, hits, n in zip(
+        *(v[accepted].tolist() for v in (a, b, a_start, matches, length))
+    ):
+        overlap = Overlap(
+            a=a_idx,
+            b=b_idx,
+            a_start=start,
+            length=n,
+            identity=hits / n,
+            score=hits - params.mismatch_penalty * (n - hits),
+            contained=start + len(arrays[b_idx]) <= len(arrays[a_idx]),
+        )
+        existing = best.get((a_idx, b_idx))
+        if existing is None or overlap.score > existing.score:
+            best[(a_idx, b_idx)] = overlap
+    return list(best.values()), len(a)
 
 
 def _orientation_edges(
@@ -301,41 +327,31 @@ def _orientation_edges(
     """Pairwise orientation constraints from both-strand seeding.
 
     Probes each read's prefix in forward *and* reverse-complement
-    orientation against the forward index; an accepted placement yields
+    orientation against the forward reads; an accepted placement yields
     an edge ``(a, b, same_orientation)``.
     """
-    k = params.kmer_size
-    index = _seed_index(arrays, k)
-
-    edges: list[tuple[int, int, bool]] = []
-    for b_idx, b_fwd in enumerate(arrays):
-        for same, b_arr in ((True, b_fwd), (False, _rc_array(b_fwd))):
-            b_keys = _seed_keys(b_arr, k)
-            span = max(0, min(params.max_seed_span, len(b_keys)))
-            probed: set[tuple[int, int]] = set()
-            for s in range(0, span, params.seed_stride):
-                seed = b_keys[s]
-                for a_idx, a_pos in index.get(seed, ()):
-                    if a_idx == b_idx:
-                        continue
-                    a_start = a_pos - s
-                    key = (a_idx, a_start)
-                    if key in probed:
-                        continue
-                    probed.add(key)
-                    if a_start >= 0:
-                        overlap = _verify_overlap(
-                            a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
-                        )
-                    else:
-                        # b (in this orientation) starts before a: verify
-                        # with the roles swapped — suffix(b) vs prefix(a).
-                        overlap = _verify_overlap(
-                            b_idx, a_idx, b_arr, arrays[a_idx], -a_start, params
-                        )
-                    if overlap is not None:
-                        edges.append((a_idx, b_idx, same))
-    return edges
+    n = len(arrays)
+    reads = _ReadSet(
+        arrays + [_rc_array(arr) for arr in arrays], params.kmer_size
+    )
+    # Read b forward, then reverse-complemented (read b + n).
+    probe, a, a_start = _placements(
+        reads, n, [b + n * flip for b in range(n) for flip in (0, 1)], params
+    )
+    b = probe // 2
+    b_read = b + n * (probe % 2)
+    # When b (in this orientation) starts before a, verify with the
+    # roles swapped: suffix(b) against prefix(a).
+    before = a_start < 0
+    _, _, accepted = _verify_placements(
+        reads,
+        np.where(before, b_read, a),
+        np.where(before, a, b_read),
+        np.abs(a_start),
+        params,
+    )
+    same = probe % 2 == 0
+    return list(zip(*(v[accepted].tolist() for v in (a, b, same))))
 
 
 def _resolve_orientations(

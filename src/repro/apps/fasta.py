@@ -9,6 +9,7 @@ description, followed by wrapped sequence lines.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -16,6 +17,8 @@ from typing import Iterable, Iterator, TextIO
 __all__ = ["FastaRecord", "parse_fasta", "read_fasta", "write_fasta"]
 
 _LINE_WIDTH = 70
+# Python's ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_WHITESPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class FastaRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("FASTA record needs a non-empty id")
-        if any(c.isspace() for c in self.seq):
+        if _WHITESPACE.search(self.seq):
             raise ValueError(f"sequence for {self.id!r} contains whitespace")
 
     def __len__(self) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.cloud.billing import CostMeter
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, IdleWait
 
 __all__ = ["Message", "MessageQueue", "QueueStats", "StaleReceiptError"]
 
@@ -686,7 +686,7 @@ _LATENCY_BLOCK_MAX = 1024
 _CHECK, _WAN, _WAKE = range(3)
 
 
-class _PollWaiter(Event):
+class _PollWaiter(IdleWait):
     """The event a poller waits on; an interrupt hands its entry back to
     the queue (:meth:`MessageQueue._abandon`)."""
 

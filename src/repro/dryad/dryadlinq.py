@@ -23,7 +23,7 @@ from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.dryad.graph import DryadGraph, Vertex
 from repro.dryad.partitions import PartitionSet, partition_tasks
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import make_environment
+from repro.sim.engine import Environment, make_environment
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -103,6 +103,8 @@ class DryadLinqSimulator:
 
     def __init__(self, config: DryadLinqConfig):
         self.config = config
+        #: The latest run's event loop (the sanitizer report's source).
+        self.last_environment: Environment | None = None
 
     @property
     def total_cores(self) -> int:
@@ -113,7 +115,9 @@ class DryadLinqSimulator:
             raise ValueError("no tasks to run")
         table = DryadTable.from_tasks(tasks, self.config.cluster.n_nodes)
         graph = table.select(operation_name=app.name)
-        return _DryadRun(self.config, app, tasks, table, graph).execute()
+        run = _DryadRun(self.config, app, tasks, table, graph)
+        self.last_environment = run.env
+        return run.execute()
 
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]

@@ -30,7 +30,7 @@ from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.hadoop.hdfs import HdfsClient
 from repro.hadoop.inputformat import FileNameInputFormat
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Event, make_environment
+from repro.sim.engine import Environment, Event, IdleWait, make_environment
 from repro.sim.rng import RngRegistry
 
 __all__ = ["HadoopJobConfig", "HadoopSimulator", "MiniHadoop"]
@@ -92,6 +92,8 @@ class HadoopSimulator:
 
     def __init__(self, config: HadoopJobConfig):
         self.config = config
+        #: The latest run's event loop (the sanitizer report's source).
+        self.last_environment: Environment | None = None
 
     @property
     def total_cores(self) -> int:
@@ -100,7 +102,9 @@ class HadoopSimulator:
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         if not tasks:
             raise ValueError("no tasks to run")
-        return _HadoopRun(self.config, app, tasks).execute()
+        run = _HadoopRun(self.config, app, tasks)
+        self.last_environment = run.env
+        return run.execute()
 
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]
@@ -265,7 +269,7 @@ class _HadoopRun:
         heap, keeping its next tick; :meth:`_wake_sleeper` puts it back
         on its own 1 s grid.
         """
-        event = self.env.event()
+        event = IdleWait(self.env)
         self._sleepers.append([self.env.now + 1.0, index, event])
         return event
 

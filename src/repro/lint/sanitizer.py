@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 
 from repro.obs.context import current as _current_obs
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Environment, Event, Process, SimulationError
+from repro.sim.engine import (
+    Environment,
+    Event,
+    IdleWait,
+    Process,
+    SimulationError,
+)
 
 __all__ = ["SanitizedEnvironment", "SanitizerError", "SanitizerReport"]
 
@@ -49,6 +55,8 @@ class SanitizerReport:
     same_time_ties: int = 0
     double_triggers: list[str] = field(default_factory=list)
     pending_processes: list[str] = field(default_factory=list)
+    #: processes alive at the end on an :class:`~repro.sim.engine.IdleWait`
+    idle_processes: int = 0
     queue_leaks: list[str] = field(default_factory=list)
 
     @property
@@ -60,6 +68,8 @@ class SanitizerReport:
             f"events fired: {self.events_fired}",
             f"same-time ties (order held by scheduling sequence): "
             f"{self.same_time_ties}",
+            f"processes idle by design at end of run (pollers, sleeping "
+            f"slots): {self.idle_processes}",
         ]
         for label, findings in (
             ("double triggers", self.double_triggers),
@@ -191,11 +201,13 @@ class SanitizedEnvironment(Environment):
             same_time_ties=self.same_time_ties,
             double_triggers=list(self._double_triggers),
         )
+        alive = [proc for proc in self._processes if proc.is_alive]
+        stuck = [p for p in alive if not isinstance(p._waiting_on, IdleWait)]
+        report.idle_processes = len(alive) - len(stuck)
         report.pending_processes = [
             f"process {proc.name!r} never finished: it is still waiting "
             "on an event nobody triggered"
-            for proc in self._processes
-            if proc.is_alive
+            for proc in stuck
         ]
         for queue in self._queues:
             report.queue_leaks.extend(self._queue_leaks(queue))

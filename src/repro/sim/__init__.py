@@ -13,6 +13,7 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Event,
+    IdleWait,
     Interrupt,
     Process,
     SimulationError,
@@ -27,6 +28,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "IdleWait",
     "Interrupt",
     "PriorityStore",
     "Process",

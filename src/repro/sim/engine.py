@@ -43,6 +43,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "IdleWait",
     "Interrupt",
     "Process",
     "SimulationError",
@@ -164,6 +165,14 @@ class Event:
             "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at t={self.env.now:.6g}>"
+
+
+class IdleWait(Event):
+    """What a process idle by design waits on (a queue poller, a Hadoop
+    map slot with no work).  A run may end with processes still on one;
+    the sanitizer counts those apart from stuck processes."""
+
+    __slots__ = ()
 
 
 class Timeout(Event):

@@ -206,3 +206,8 @@ class TestParams:
     def test_band_width_validation(self):
         with pytest.raises(ValueError):
             BlastParams(band_width=0)
+
+    def test_gap_penalty_validation(self):
+        with pytest.raises(ValueError):
+            BlastParams(gap_penalty=-1.0)
+        assert BlastParams(gap_penalty=0.0).gap_penalty == 0.0

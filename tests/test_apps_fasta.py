@@ -64,6 +64,15 @@ def test_record_validation():
         FastaRecord(id="x", seq="AC GT")
 
 
+def test_whitespace_check_is_exactly_str_isspace():
+    every = [chr(c) for c in range(0x110000)]
+    for space in (c for c in every if c.isspace()):
+        with pytest.raises(ValueError, match="whitespace"):
+            FastaRecord(id="x", seq=f"AC{space}GT")
+    # Every other code point is accepted, all in one sequence.
+    FastaRecord(id="x", seq="".join(c for c in every if not c.isspace()))
+
+
 def test_record_header_and_len():
     r = FastaRecord(id="x", seq="ACGT", description="something")
     assert r.header == "x something"

@@ -51,6 +51,29 @@ class TestRun:
         assert code == 0
         assert "dryadlinq" in text
 
+    @pytest.mark.parametrize("backend", ["hadoop", "dryadlinq"])
+    def test_sanitize_reports_on_cluster_backends(self, backend, monkeypatch):
+        # --sanitize sets REPRO_SANITIZE; setenv restores it afterwards.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        code, text = run_cli(
+            "run", "--app", "cap3", "--backend", backend,
+            "--files", "8", "--nodes", "2", "--sanitize",
+        )
+        assert code == 0
+        assert "sanitizer report:" in text
+        assert "double triggers: 0" in text
+
+    def test_sanitize_counts_idle_workers_apart(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        code, text = run_cli(
+            "run", "--app", "cap3", "--files", "8", "--instances", "2",
+            "--sanitize",
+        )
+        assert code == 0
+        assert "idle by design at end of run (pollers, sleeping slots): 16" in text
+        assert "processes still waiting at end of run: 0" in text
+        assert "worker-" not in text
+
     def test_run_azure_with_shape(self):
         code, text = run_cli(
             "run", "--backend", "azure", "--files", "8",

@@ -10,6 +10,7 @@ from repro.lint.sanitizer import (
 )
 from repro.sim.engine import (
     Environment,
+    IdleWait,
     make_environment,
     sanitize_requested,
 )
@@ -164,6 +165,23 @@ class TestViolations:
         env.run()
         report = env.sanitizer_report()
         assert any("stuck" in finding for finding in report.pending_processes)
+
+    def test_idle_waits_counted_apart_from_stuck_processes(self):
+        env = SanitizedEnvironment()
+
+        def idler(env):
+            yield IdleWait(env)  # a poller or slot with no work
+
+        def waiter(env):
+            yield env.event()  # hand-made: nobody will trigger it
+
+        env.process(idler(env), name="idler")
+        env.process(waiter(env), name="stuck")
+        env.run()
+        report = env.sanitizer_report()
+        assert report.idle_processes == 1
+        assert len(report.pending_processes) == 1
+        assert "stuck" in report.pending_processes[0]
 
     def test_finished_processes_not_reported(self):
         env = SanitizedEnvironment()

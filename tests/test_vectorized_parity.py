@@ -1,9 +1,10 @@
 """Byte-identical parity for the vectorized app hot paths.
 
-The NumPy rewrites of BLAST k-mer seeding / X-drop extension and Cap3
-k-mer seeding must be *indistinguishable* from the scalar loops they
-replaced — same probes in the same order, same coordinates, same
-scores, same assemblies.  Each reference below is the pre-vectorization
+The NumPy rewrites of BLAST k-mer seeding / X-drop extension / the
+gapped banded DP and of Cap3 k-mer seeding / overlap verification must
+be *indistinguishable* from the scalar loops they replaced — same
+probes in the same order, same coordinates, same scores, same
+assemblies.  Each reference below is the pre-vectorization
 implementation, kept verbatim as an executable specification.
 """
 
@@ -16,13 +17,23 @@ from repro.apps.blast import (
     BlastParams,
     LowComplexityFilter,
     _BLOSUM62,
+    _banded_sw,
+    _batched_sw,
     _encode,
     _query_words,
     _ungapped_extend,
     blast_search,
     mask_low_complexity,
 )
-from repro.apps.cap3 import Cap3Params, _find_overlaps, _seed_keys, assemble
+from repro.apps.cap3 import (
+    Cap3Params,
+    Overlap,
+    _find_overlaps,
+    _orientation_edges,
+    _rc_array,
+    _seed_keys,
+    assemble,
+)
 from repro.apps.fasta import FastaRecord
 
 
@@ -101,6 +112,108 @@ def _ungapped_extend_reference(query, subject, q_pos, s_pos, word_size, xdrop):
     return q_start, q_end, s_start, s_end, best
 
 
+# Plain nested lists for the scalar DP, as the kernel it replaced kept.
+_BLOSUM62_LISTS = _BLOSUM62.tolist()
+
+
+def _banded_sw_reference(
+    query: np.ndarray,
+    subject: np.ndarray,
+    diagonal: int,
+    params: BlastParams,
+) -> tuple[float, int, int, int, int, int, int]:
+    """The cell-by-cell banded DP the batched kernel replaced."""
+    band = params.band_width
+    m, n = len(query), len(subject)
+    lo_d = diagonal - band
+    width = 2 * band + 1
+    neg = -1e18
+    gap = params.gap_penalty
+
+    query_list = query.tolist()
+    subject_list = subject.tolist()
+
+    zeros_f = [0.0] * width
+    zeros_i = [0] * width
+    prev_score = list(zeros_f)
+    prev_start_q = list(zeros_i)
+    prev_start_s = list(zeros_i)
+    prev_match = list(zeros_i)
+    prev_len = list(zeros_i)
+
+    best = 0.0
+    best_cell = (0, 0)
+    best_info = (0, 0, 0, 0)  # q_start, s_start, matches, length
+
+    for j in range(n):
+        s_res = subject_list[j]
+        blosum_row = _BLOSUM62_LISTS[s_res]
+        score = [neg] * width
+        start_q = list(zeros_i)
+        start_s = list(zeros_i)
+        match = list(zeros_i)
+        length = list(zeros_i)
+        base = j + lo_d
+        w_lo = max(0, -base)
+        w_hi = min(width, m - base)
+        for w in range(w_lo, w_hi):
+            i = base + w
+            q_res = query_list[i]
+            sub = blosum_row[q_res]
+            is_match = 1 if q_res == s_res else 0
+            # Diagonal move (same w, previous j); restart if source dead.
+            p_score = prev_score[w]
+            if p_score <= 0.0 or prev_len[w] == 0:
+                c_score = float(sub)
+                c_q, c_s = i, j
+                c_match = is_match
+                c_len = 1
+            else:
+                c_score = p_score + sub
+                c_q = prev_start_q[w]
+                c_s = prev_start_s[w]
+                c_match = prev_match[w] + is_match
+                c_len = prev_len[w] + 1
+            # Gap in subject (w-1, same row).
+            if w > w_lo:
+                up = score[w - 1] - gap
+                if up > c_score:
+                    c_score = up
+                    c_q = start_q[w - 1]
+                    c_s = start_s[w - 1]
+                    c_match = match[w - 1]
+                    c_len = length[w - 1] + 1
+            # Gap in query (w+1, previous row).
+            if w + 1 < width:
+                left = prev_score[w + 1] - gap
+                if left > c_score and prev_len[w + 1] > 0:
+                    c_score = left
+                    c_q = prev_start_q[w + 1]
+                    c_s = prev_start_s[w + 1]
+                    c_match = prev_match[w + 1]
+                    c_len = prev_len[w + 1] + 1
+            if c_score < 0:
+                continue  # local restart; cell stays dead (neg)
+            score[w] = c_score
+            start_q[w] = c_q
+            start_s[w] = c_s
+            match[w] = c_match
+            length[w] = c_len
+            if c_score > best:
+                best = c_score
+                best_cell = (i + 1, j + 1)
+                best_info = (c_q, c_s, c_match, c_len)
+        prev_score = score
+        prev_start_q = start_q
+        prev_start_s = start_s
+        prev_match = match
+        prev_len = length
+
+    q_start, s_start, matches, align_len = best_info
+    q_end, s_end = best_cell
+    return best, q_start, q_end, s_start, s_end, matches, align_len
+
+
 def _random_protein(rng, length):
     return "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=length))
 
@@ -177,6 +290,110 @@ class TestUngappedExtendParity:
             )
 
 
+def _dp_draws():
+    """Seeded ``(query, subject, diagonal, params)`` draws for the DP
+    parity test: band widths 1 to 40, gaps 11 and 10.5, two-letter and
+    tandem-repeat sequences (score ties everywhere), subjects shorter
+    than the band, and diagonals whose band misses the query."""
+    rng = np.random.default_rng(2011)
+    draws = []
+    for n in range(360):
+        band = (1, 40, 16, 3)[n % 4]
+        gap = (11.0, 10.5)[n // 4 % 2]
+        kind = n // 8 % 3  # random, two-letter, tandem repeat
+        m = int(rng.integers(1, 90))
+        s_len = int(rng.integers(1, band + 1) if n % 5 == 0 else rng.integers(1, 90))
+        if kind == 0:
+            query = rng.integers(0, 20, size=m)
+            subject = rng.integers(0, 20, size=s_len)
+        elif kind == 1:
+            pair = rng.choice(20, size=2, replace=False)
+            query = pair[rng.integers(0, 2, size=m)]
+            subject = pair[rng.integers(0, 2, size=s_len)]
+        else:
+            unit = rng.integers(0, 20, size=int(rng.integers(1, 4)))
+            query = np.resize(unit, m)
+            subject = np.resize(np.roll(unit, int(rng.integers(0, 3))), s_len)
+            # A few point mutations so alignments need gaps.
+            subject[rng.integers(0, s_len, size=s_len // 10)] = rng.integers(0, 20)
+        if n % 7 == 0:  # the band misses the query entirely
+            diagonal = int(rng.choice([-s_len - band - 1, m + band + 1]))
+        else:
+            diagonal = int(rng.integers(-s_len - band, m + band + 1))
+        params = BlastParams(band_width=band, gap_penalty=gap)
+        draws.append((query, subject, diagonal, params))
+    return draws
+
+
+class TestBandedSwParity:
+    def test_matches_scalar_dp_on_seeded_draws(self):
+        draws = _dp_draws()
+        assert len(draws) >= 300
+        for n, (query, subject, diagonal, params) in enumerate(draws):
+            assert _banded_sw(query, subject, diagonal, params) == (
+                _banded_sw_reference(query, subject, diagonal, params)
+            ), n
+
+    def test_one_batch_equals_one_job_at_a_time(self):
+        by_params = {}
+        for query, subject, diagonal, params in _dp_draws():
+            by_params.setdefault(params, []).append((query, subject, diagonal))
+        for params, jobs in by_params.items():
+            assert _batched_sw(jobs, params) == [
+                _banded_sw_reference(q, s, d, params) for q, s, d in jobs
+            ]
+
+    def test_draws_cover_every_axis(self):
+        draws = _dp_draws()
+        bands = {p.band_width for *_, p in draws}
+        gaps = {p.gap_penalty for *_, p in draws}
+        assert {1, 40} <= bands and {11.0, 10.5} <= gaps
+        assert any(len(s) < p.band_width for _, s, _, p in draws)
+        missed = [
+            d for q, s, d, p in draws
+            if d - p.band_width >= len(q) or d + p.band_width <= -len(s)
+        ]
+        assert len(missed) >= 30
+        results = [_banded_sw_reference(*draw) for draw in draws]
+        assert sum(r[6] == 0 for r in results) >= 30  # no alignment
+        gapped = [
+            r for r in results
+            if r[6] and not r[2] - r[1] == r[4] - r[3] == r[6]
+        ]
+        assert len(gapped) >= 30
+        two_letter = [q for q, *_ in draws if len(set(q.tolist())) <= 2]
+        assert len(two_letter) >= 100
+
+    def test_empty_batch(self):
+        assert _batched_sw([], BlastParams()) == []
+
+
+class TestBlastSearchParity:
+    @pytest.mark.parametrize("num_threads", [1, 4])
+    @pytest.mark.parametrize(
+        "params",
+        [BlastParams(), BlastParams(band_width=40, gap_penalty=10.5)],
+        ids=["defaults", "band40-gap10.5"],
+    )
+    def test_hits_match_scalar_dp_search(self, params, num_threads, monkeypatch):
+        from repro.workloads.protein import (
+            generate_protein_database,
+            generate_query_records,
+        )
+
+        db = generate_protein_database(30, seed=31)
+        queries = generate_query_records(db, 20, seed=32)
+        results = blast_search(queries, db, params, num_threads=num_threads)
+        monkeypatch.setattr(
+            blast_mod,
+            "_batched_sw",
+            lambda jobs, p: [_banded_sw_reference(q, s, d, p) for q, s, d in jobs],
+        )
+        reference = blast_search(queries, db, params)
+        assert results == reference
+        assert sum(len(hits) for hits in reference.values()) >= 20
+
+
 class TestBlastEndToEnd:
     def test_neighborhood_search_matches_scalar_probe_stream(self):
         """End to end: same hits with neighbourhood words + filtering."""
@@ -203,6 +420,124 @@ class TestBlastEndToEnd:
         assert results == reference
 
 
+def _verify_overlap_reference(a_idx, b_idx, a_arr, b_arr, a_start, params):
+    """Score the alignment of ``b`` against ``a`` starting at ``a_start``."""
+    length = min(len(a_arr) - a_start, len(b_arr))
+    if length < params.min_overlap:
+        return None
+    a_slice = a_arr[a_start : a_start + length]
+    b_slice = b_arr[:length]
+    matches = int((a_slice == b_slice).sum())
+    identity = matches / length
+    if identity < params.min_identity:
+        return None
+    mismatches = length - matches
+    score = matches - params.mismatch_penalty * mismatches
+    contained = (a_start + len(b_arr)) <= len(a_arr)
+    return Overlap(
+        a=a_idx,
+        b=b_idx,
+        a_start=a_start,
+        length=length,
+        identity=identity,
+        score=score,
+        contained=contained,
+    )
+
+
+def _byte_index_reference(arrays, k):
+    """The pre-vectorization k-mer -> [(read, position)] dict index."""
+    index = {}
+    for read_idx, arr in enumerate(arrays):
+        seq_bytes = arr.tobytes()
+        for pos in range(0, len(seq_bytes) - k + 1):
+            index.setdefault(seq_bytes[pos : pos + k], []).append(
+                (read_idx, pos)
+            )
+    return index
+
+
+def _find_overlaps_reference(arrays, params):
+    k = params.kmer_size
+    index = _byte_index_reference(arrays, k)
+    ref_candidates = 0
+    ref_best = {}
+    for b_idx, b_arr in enumerate(arrays):
+        b_bytes = b_arr.tobytes()
+        span = max(0, min(params.max_seed_span, len(b_bytes) - k + 1))
+        probed = set()
+        for s in range(0, span, params.seed_stride):
+            seed = b_bytes[s : s + k]
+            for a_idx, a_pos in index.get(seed, ()):
+                if a_idx == b_idx:
+                    continue
+                a_start = a_pos - s
+                if a_start < 0:
+                    continue
+                key = (a_idx, a_start)
+                if key in probed:
+                    continue
+                probed.add(key)
+                ref_candidates += 1
+                overlap = _verify_overlap_reference(
+                    a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
+                )
+                if overlap is None:
+                    continue
+                pair = (a_idx, b_idx)
+                existing = ref_best.get(pair)
+                if existing is None or overlap.score > existing.score:
+                    ref_best[pair] = overlap
+    return list(ref_best.values()), ref_candidates
+
+
+def _orientation_edges_reference(arrays, params):
+    k = params.kmer_size
+    index = _byte_index_reference(arrays, k)
+    edges = []
+    for b_idx, b_fwd in enumerate(arrays):
+        for same, b_arr in ((True, b_fwd), (False, _rc_array(b_fwd))):
+            b_bytes = b_arr.tobytes()
+            span = max(0, min(params.max_seed_span, len(b_bytes) - k + 1))
+            probed = set()
+            for s in range(0, span, params.seed_stride):
+                seed = b_bytes[s : s + k]
+                for a_idx, a_pos in index.get(seed, ()):
+                    if a_idx == b_idx:
+                        continue
+                    a_start = a_pos - s
+                    key = (a_idx, a_start)
+                    if key in probed:
+                        continue
+                    probed.add(key)
+                    if a_start >= 0:
+                        overlap = _verify_overlap_reference(
+                            a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
+                        )
+                    else:
+                        overlap = _verify_overlap_reference(
+                            b_idx, a_idx, b_arr, arrays[a_idx], -a_start, params
+                        )
+                    if overlap is not None:
+                        edges.append((a_idx, b_idx, same))
+    return edges
+
+
+def _cap3_reads(n, seed, both_strands=False):
+    from repro.workloads.genome import generate_read_records
+
+    reads = generate_read_records(
+        n,
+        read_length=100,
+        both_strands=both_strands,
+        rng=np.random.default_rng(seed),
+    )
+    return [
+        np.frombuffer(r.seq.upper().encode("ascii"), dtype=np.uint8)
+        for r in reads
+    ]
+
+
 class TestCap3SeedParity:
     def test_seed_keys_injective_and_ordered(self):
         rng = np.random.default_rng(12)
@@ -227,59 +562,30 @@ class TestCap3SeedParity:
 
     def test_overlap_discovery_unchanged(self):
         """Same overlaps (order included) as the byte-sliced index."""
-        from repro.workloads.genome import generate_read_records
-
-        reads = generate_read_records(
-            60, read_length=100, rng=np.random.default_rng(13)
-        )
+        arrays = _cap3_reads(60, seed=13)
         params = Cap3Params()
-        arrays = [
-            np.frombuffer(r.seq.upper().encode("ascii"), dtype=np.uint8)
-            for r in reads
-        ]
         overlaps, candidates = _find_overlaps(arrays, params)
+        assert (overlaps, candidates) == _find_overlaps_reference(
+            arrays, params
+        )
 
-        # Reference: the pre-vectorization byte-keyed index, verbatim.
-        from repro.apps.cap3 import _verify_overlap
+    @pytest.mark.parametrize("kmer_size", [12, 30])
+    def test_orientation_edges_unchanged(self, kmer_size):
+        arrays = _cap3_reads(60, seed=15, both_strands=True)
+        params = Cap3Params(kmer_size=kmer_size, min_overlap=40)
+        edges = _orientation_edges(arrays, params)
+        assert edges == _orientation_edges_reference(arrays, params)
+        assert {same for _, _, same in edges} == {True, False}
 
-        k = params.kmer_size
-        index = {}
-        for read_idx, arr in enumerate(arrays):
-            seq_bytes = arr.tobytes()
-            for pos in range(0, len(seq_bytes) - k + 1):
-                index.setdefault(seq_bytes[pos : pos + k], []).append(
-                    (read_idx, pos)
-                )
-        ref_candidates = 0
-        ref_best = {}
-        for b_idx, b_arr in enumerate(arrays):
-            b_bytes = b_arr.tobytes()
-            span = max(0, min(params.max_seed_span, len(b_bytes) - k + 1))
-            probed = set()
-            for s in range(0, span, params.seed_stride):
-                seed = b_bytes[s : s + k]
-                for a_idx, a_pos in index.get(seed, ()):
-                    if a_idx == b_idx:
-                        continue
-                    a_start = a_pos - s
-                    if a_start < 0:
-                        continue
-                    key = (a_idx, a_start)
-                    if key in probed:
-                        continue
-                    probed.add(key)
-                    ref_candidates += 1
-                    overlap = _verify_overlap(
-                        a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
-                    )
-                    if overlap is None:
-                        continue
-                    pair = (a_idx, b_idx)
-                    existing = ref_best.get(pair)
-                    if existing is None or overlap.score > existing.score:
-                        ref_best[pair] = overlap
-        assert candidates == ref_candidates
-        assert overlaps == list(ref_best.values())
+    def test_overlap_discovery_beyond_packed_codes(self):
+        """k > 27 uses byte keys; the placements must not change."""
+        arrays = _cap3_reads(60, seed=16)
+        params = Cap3Params(kmer_size=30, min_overlap=40, seed_stride=3)
+        overlaps, candidates = _find_overlaps(arrays, params)
+        assert (overlaps, candidates) == _find_overlaps_reference(
+            arrays, params
+        )
+        assert overlaps
 
     def test_assembly_end_to_end_stable(self):
         from repro.workloads.genome import generate_read_records
