@@ -43,6 +43,10 @@ __all__ = [
 _BASES = "ACGTN"
 _BASE_INDEX = {base: i for i, base in enumerate(_BASES)}
 _NON_BASE = re.compile(f"[^{_BASES}]")
+# Byte -> index into _BASES; anything else votes N.
+_BASE_CODES = np.full(256, _BASE_INDEX["N"], dtype=np.int64)
+for _base, _code in _BASE_INDEX.items():
+    _BASE_CODES[ord(_base)] = _code
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 # Byte-level complement table for encoded arrays.
 _COMPLEMENT_BYTES = np.arange(256, dtype=np.uint8)
@@ -467,16 +471,15 @@ def _consensus(
 ) -> tuple[str, np.ndarray]:
     """Majority vote per column; returns (consensus, coverage depth)."""
     total_len = max(offset + len(arrays[idx]) for idx, offset in chain)
-    counts = np.zeros((total_len, len(_BASES)), dtype=np.int32)
-    base_lookup = np.full(256, _BASE_INDEX["N"], dtype=np.int64)
-    for base, i in _BASE_INDEX.items():
-        base_lookup[ord(base)] = i
-    coverage = np.zeros(total_len, dtype=np.int32)
-    for idx, offset in chain:
-        arr = arrays[idx]
-        codes = base_lookup[arr]
-        np.add.at(counts, (np.arange(offset, offset + len(arr)), codes), 1)
-        coverage[offset : offset + len(arr)] += 1
+    # Every read's votes in one count over flat (column, base) cells.
+    columns = np.concatenate(
+        [np.arange(offset, offset + len(arrays[idx])) for idx, offset in chain]
+    )
+    codes = _BASE_CODES[np.concatenate([arrays[idx] for idx, _ in chain])]
+    counts = np.bincount(
+        columns * len(_BASES) + codes, minlength=total_len * len(_BASES)
+    ).astype(np.int32).reshape(total_len, len(_BASES))
+    coverage = counts.sum(axis=1, dtype=np.int32)
     # Real bases out-vote N wherever any read has coverage.
     counts[:, _BASE_INDEX["N"]] -= 1
     winners = counts.argmax(axis=1)

@@ -148,7 +148,8 @@ class GtmInterpolationExecutable(Executable):
 
     Input: an ``.npz`` archive with a ``points`` array (the paper ships
     compressed data splits that are unzipped before processing — ``.npz``
-    *is* the zip container here).  Output: a ``.npy`` of latent
+    *is* the zip container here; stored and deflated members both load,
+    and ``write_gtm_workload`` stores them).  Output: a ``.npy`` of latent
     coordinates, orders of magnitude smaller than the input, matching the
     paper's observation about GTM output sizes.
     """

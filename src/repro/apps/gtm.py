@@ -141,8 +141,10 @@ def train_gtm(
     del seed  # deterministic init; kept in the signature for API stability
     log_likelihoods: list[float] = []
 
+    # One distance matrix per EM step: beta's is the next E step's.
+    sq_dists = _sqdist(projections, data)
     for _ in range(iterations):
-        responsibilities, log_like = _e_step(data, projections, beta)
+        responsibilities, log_like = _e_step(sq_dists, beta, data_dim)
         log_likelihoods.append(log_like)
         # M step.
         g = responsibilities.sum(axis=1)  # (K,)
@@ -174,23 +176,21 @@ def train_gtm(
 
 
 def _e_step(
-    data: np.ndarray, projections: np.ndarray, beta: float
+    sq: np.ndarray, beta: float, data_dim: int
 ) -> tuple[np.ndarray, float]:
-    """Responsibilities (K x N) and mean log-likelihood."""
-    n_points, data_dim = data.shape
-    n_latent = projections.shape[0]
-    sq = _sqdist(projections, data)  # (K, N)
+    """Responsibilities and mean log-likelihood from (K x N) distances."""
+    n_latent = sq.shape[0]
     log_p = -0.5 * beta * sq
-    log_p -= log_p.max(axis=0, keepdims=True)
+    shift = log_p.max(axis=0)
+    log_p -= shift
     p = np.exp(log_p)
-    denom = p.sum(axis=0, keepdims=True)
+    denom = p.sum(axis=0)
     responsibilities = p / denom
     # Mean log-likelihood (up to the constant shift we subtracted back in).
     log_norm = (
         0.5 * data_dim * np.log(beta / (2.0 * np.pi)) - np.log(n_latent)
     )
-    shift = (-0.5 * beta * sq).max(axis=0)
-    log_like = float(np.mean(np.log(denom.ravel()) + shift + log_norm))
+    log_like = float(np.mean(np.log(denom) + shift + log_norm))
     return responsibilities, log_like
 
 

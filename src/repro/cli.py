@@ -563,8 +563,20 @@ def _load_trace(path: str, out):
 
 
 def _cmd_run(args, out) -> int:
+    # Sanitize this run only: later in-process runs see the old value.
+    previous = os.environ.get("REPRO_SANITIZE")
     if args.sanitize:
         os.environ["REPRO_SANITIZE"] = "1"
+    try:
+        return _run_and_report(args, out)
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SANITIZE", None)
+        else:
+            os.environ["REPRO_SANITIZE"] = previous
+
+
+def _run_and_report(args, out) -> int:
     app = get_application(args.app)
     tasks = _tasks_for(args.app, args.files, args.inhomogeneous, args.seed)
     kwargs: dict = {"seed": args.seed}

@@ -57,6 +57,9 @@ class SanitizerReport:
     pending_processes: list[str] = field(default_factory=list)
     #: processes alive at the end on an :class:`~repro.sim.engine.IdleWait`
     idle_processes: int = 0
+    #: processes alive at the end on an already-triggered event (a losing
+    #: speculative attempt's timeout): they would resume if the run went on
+    scheduled_processes: int = 0
     queue_leaks: list[str] = field(default_factory=list)
 
     @property
@@ -70,6 +73,8 @@ class SanitizerReport:
             f"{self.same_time_ties}",
             f"processes idle by design at end of run (pollers, sleeping "
             f"slots): {self.idle_processes}",
+            f"processes on a scheduled event at end of run (losing "
+            f"attempts): {self.scheduled_processes}",
         ]
         for label, findings in (
             ("double triggers", self.double_triggers),
@@ -202,8 +207,11 @@ class SanitizedEnvironment(Environment):
             double_triggers=list(self._double_triggers),
         )
         alive = [proc for proc in self._processes if proc.is_alive]
-        stuck = [p for p in alive if not isinstance(p._waiting_on, IdleWait)]
-        report.idle_processes = len(alive) - len(stuck)
+        idle = sum(isinstance(p._waiting_on, IdleWait) for p in alive)
+        stuck = [p for p in alive if not isinstance(p._waiting_on, IdleWait)
+                 and p._waiting_on is not None and not p._waiting_on.triggered]
+        report.idle_processes = idle
+        report.scheduled_processes = len(alive) - idle - len(stuck)
         report.pending_processes = [
             f"process {proc.name!r} never finished: it is still waiting "
             "on an event nobody triggered"

@@ -24,7 +24,8 @@ __all__ = [
 ]
 
 PUBCHEM_DIMENSIONS = 166
-# .npz-compressed float64 vectors: ~half the raw bytes for clustered data.
+# gtm_task_specs' simulated bytes per value: the paper's zipped real
+# PubChem splits (~half of float64).  Synthetic splits are stored raw.
 _COMPRESSED_BYTES_PER_VALUE = 4.0
 
 
@@ -93,24 +94,25 @@ def _write_gtm_inputs(
     sample_points: int,
     seed: int,
 ) -> np.ndarray:
-    """Generate the compressed splits plus the shared training sample
-    into ``in_dir``; returns the sample array."""
+    """Generate the splits plus the shared training sample into
+    ``in_dir``; returns the sample array."""
     rng = np.random.default_rng(seed)
     centers_seed = int(rng.integers(0, 2**31))
     sample = generate_pubchem_points(
         sample_points, dimensions, seed=centers_seed
     )
     np.save(in_dir / _SAMPLE_FILE, sample)
+    # Out-of-sample points must come from the *same* distribution as the
+    # sample: reuse the cluster geometry via the same seed (one draw
+    # serves every file), then jitter with a per-file stream.
+    base = generate_pubchem_points(
+        points_per_file, dimensions, seed=centers_seed
+    )
     for i in range(n_files):
-        # Out-of-sample points must come from the *same* distribution as
-        # the sample: reuse the cluster geometry via the same seed, then
-        # jitter with a per-file stream.
         file_rng = np.random.default_rng((seed, i))
-        base = generate_pubchem_points(
-            points_per_file, dimensions, seed=centers_seed
-        )
         points = base + file_rng.normal(scale=0.05, size=base.shape)
-        np.savez_compressed(in_dir / f"{i:05d}.npz", points=points)
+        # Stored: deflate saves ~3% of dense float64 at ~10x the time.
+        np.savez(in_dir / f"{i:05d}.npz", points=points)
     return sample
 
 
@@ -123,8 +125,10 @@ def write_gtm_workload(
     seed: int = 0,
     store: "object | str | None" = "auto",
 ) -> tuple[list[TaskSpec], np.ndarray]:
-    """Write real compressed splits plus a training sample.
+    """Write real splits plus a training sample.
 
+    Each split is an ``.npz`` zip with one stored (not deflated)
+    ``points`` member: dense synthetic float64 barely deflates.
     Returns (specs, sample) where ``sample`` is the in-sample training
     set the caller fits a GTM on before constructing the executable;
     the sample is also written alongside the splits as

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 # Bump when generator output changes so stale artifacts self-invalidate.
-ARTIFACT_SALT = "workload-store-v1"
+ARTIFACT_SALT = "workload-store-v2"
 
 _MANIFEST = "MANIFEST.json"
 

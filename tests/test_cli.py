@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 
 import pytest
 
@@ -52,9 +53,7 @@ class TestRun:
         assert "dryadlinq" in text
 
     @pytest.mark.parametrize("backend", ["hadoop", "dryadlinq"])
-    def test_sanitize_reports_on_cluster_backends(self, backend, monkeypatch):
-        # --sanitize sets REPRO_SANITIZE; setenv restores it afterwards.
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_sanitize_reports_on_cluster_backends(self, backend):
         code, text = run_cli(
             "run", "--app", "cap3", "--backend", backend,
             "--files", "8", "--nodes", "2", "--sanitize",
@@ -63,8 +62,7 @@ class TestRun:
         assert "sanitizer report:" in text
         assert "double triggers: 0" in text
 
-    def test_sanitize_counts_idle_workers_apart(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_sanitize_counts_idle_workers_apart(self):
         code, text = run_cli(
             "run", "--app", "cap3", "--files", "8", "--instances", "2",
             "--sanitize",
@@ -73,6 +71,32 @@ class TestRun:
         assert "idle by design at end of run (pollers, sleeping slots): 16" in text
         assert "processes still waiting at end of run: 0" in text
         assert "worker-" not in text
+
+    def test_sanitize_lists_no_hadoop_slot_with_a_losing_attempt(self):
+        # Losing speculative attempts still sit in a scheduled timeout
+        # when the job ends; they are counted, not listed as stuck.
+        code, text = run_cli(
+            "run", "--app", "cap3", "--backend", "hadoop",
+            "--files", "8", "--nodes", "2", "--sanitize",
+        )
+        assert code == 0
+        assert "processes still waiting at end of run: 0" in text
+        assert "(losing attempts): 3" in text
+        assert "never finished" not in text
+
+    @pytest.mark.parametrize("before", [None, "0", "1"])
+    def test_sanitize_leaves_environment_as_found(self, before, monkeypatch):
+        if before is None:
+            monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SANITIZE", before)
+        environ = dict(os.environ)
+        code, _ = run_cli(
+            "run", "--app", "cap3", "--files", "4", "--instances", "1",
+            "--sanitize",
+        )
+        assert code == 0
+        assert dict(os.environ) == environ
 
     def test_run_azure_with_shape(self):
         code, text = run_cli(

@@ -183,6 +183,25 @@ class TestViolations:
         assert len(report.pending_processes) == 1
         assert "stuck" in report.pending_processes[0]
 
+    def test_waits_on_triggered_events_counted_apart(self):
+        env = SanitizedEnvironment()
+        done = env.event()
+
+        def loser(env):
+            yield env.timeout(10.0)  # still in the heap when the run ends
+
+        def winner(env):
+            yield env.timeout(1.0)
+            done.succeed()
+
+        env.process(loser(env), name="loser")
+        env.process(winner(env), name="winner")
+        env.run(until=done)
+        report = env.sanitizer_report()
+        assert report.scheduled_processes == 1
+        assert report.pending_processes == []
+        assert "(losing attempts): 1" in report.summary()
+
     def test_finished_processes_not_reported(self):
         env = SanitizedEnvironment()
 

@@ -26,8 +26,11 @@ from repro.apps.blast import (
     mask_low_complexity,
 )
 from repro.apps.cap3 import (
+    _BASE_INDEX,
+    _BASES,
     Cap3Params,
     Overlap,
+    _consensus,
     _find_overlaps,
     _orientation_edges,
     _rc_array,
@@ -523,6 +526,29 @@ def _orientation_edges_reference(arrays, params):
     return edges
 
 
+def _consensus_reference(chain, arrays):
+    total_len = max(offset + len(arrays[idx]) for idx, offset in chain)
+    counts = np.zeros((total_len, len(_BASES)), dtype=np.int32)
+    base_lookup = np.full(256, _BASE_INDEX["N"], dtype=np.int64)
+    for base, i in _BASE_INDEX.items():
+        base_lookup[ord(base)] = i
+    coverage = np.zeros(total_len, dtype=np.int32)
+    for idx, offset in chain:
+        arr = arrays[idx]
+        codes = base_lookup[arr]
+        np.add.at(counts, (np.arange(offset, offset + len(arr)), codes), 1)
+        coverage[offset : offset + len(arr)] += 1
+    # Real bases out-vote N wherever any read has coverage.
+    counts[:, _BASE_INDEX["N"]] -= 1
+    winners = counts.argmax(axis=1)
+    consensus = (
+        np.frombuffer(_BASES.encode("ascii"), dtype=np.uint8)[winners]
+        .tobytes()
+        .decode("ascii")
+    )
+    return consensus, coverage
+
+
 def _cap3_reads(n, seed, both_strands=False):
     from repro.workloads.genome import generate_read_records
 
@@ -603,6 +629,38 @@ class TestCap3SeedParity:
         ]
         assert result.stats == again.stats
         assert result.stats["contigs"] >= 1
+
+
+class TestCap3ConsensusParity:
+    def test_random_chains_match_per_read_votes(self):
+        """Same consensus and coverage as one ``np.add.at`` per read:
+        gaps, deep stacks, one-base reads, ties and non-ACGTN bytes."""
+        rng = np.random.default_rng(17)
+        alphabets = [b"ACGT", b"ACGTN", b"ACGTNX-", b"AC"]
+        gapped = 0
+        for _ in range(300):
+            alphabet = np.frombuffer(
+                alphabets[rng.integers(len(alphabets))], dtype=np.uint8
+            )
+            n_reads = int(rng.integers(1, 12))
+            arrays = [
+                alphabet[rng.integers(0, len(alphabet),
+                                      size=int(rng.integers(1, 40)))]
+                for _ in range(n_reads)
+            ]
+            chain = [
+                (int(idx), int(rng.integers(0, 60)))
+                for idx in rng.permutation(n_reads)[
+                    : int(rng.integers(1, n_reads + 1))
+                ]
+            ]
+            seq, coverage = _consensus(chain, arrays)
+            ref_seq, ref_coverage = _consensus_reference(chain, arrays)
+            assert seq == ref_seq
+            assert coverage.dtype == ref_coverage.dtype == np.int32
+            np.testing.assert_array_equal(coverage, ref_coverage)
+            gapped += bool((coverage == 0).any())
+        assert gapped  # some draws leave uncovered columns
 
 
 class TestFastaConsensusRoundTrip:
