@@ -9,6 +9,8 @@ This is the executable form of the kernel's determinism promise.
 import hashlib
 import json
 
+import pytest
+
 from repro.classiccloud import (
     ClassicCloudConfig,
     ClassicCloudFramework,
@@ -17,7 +19,11 @@ from repro.classiccloud import (
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.cluster import get_cluster
 from repro.core.application import get_application
+from repro.dryad import DryadLinqConfig, DryadLinqSimulator
 from repro.hadoop import HadoopJobConfig, HadoopSimulator
+from repro.lint.sanitizer import SanitizedEnvironment
+from repro.obs.context import observe
+from repro.twister.simulator import TwisterAzureSimulator, TwisterSimConfig
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -236,3 +242,108 @@ class TestGoldenHadoopSchedule:
     def test_lpt_locality_off_digest_eager(self, eager_hadoop):
         run = play_hadoop(11, scheduling_policy="lpt", locality_aware=False)
         assert run_digest(run) == HADOOP_LPT_DIGEST
+
+
+# -- backend attempt digests ----------------------------------------------
+#
+# Every backend plays the same download -> compute -> upload attempt.
+# These pin what each one emits from it: a DryadLINQ schedule with
+# vertex failures and stragglers, and the traced span and instant stream
+# (name, track, exact start/end, args, in record order) of Hadoop,
+# DryadLINQ, Classic Cloud and both Twister modes.
+
+
+def trace_stream_digest(obs) -> str:
+    """SHA-256 over every span and instant the run recorded, leaving
+    out the kernel events a sanitized loop adds to the same tracer."""
+    lines = [
+        f"{s.name}|{s.track}|{s.domain}|{s.start!r}|{s.end!r}|{s.args!r}"
+        for s in obs.tracer.spans
+    ] + [
+        f"{i.name}|{i.track}|{i.domain}|{i.ts!r}|{i.args!r}"
+        for i in obs.tracer.instants
+        if i.track != SanitizedEnvironment.KERNEL_TRACK
+    ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def play_dryad(seed: int):
+    """48 heavy-tailed Cap3 files on four Windows nodes, with vertex
+    failures and stragglers."""
+    config = DryadLinqConfig(
+        cluster=get_cluster("cap3-baremetal-windows").subset(4),
+        seed=seed,
+        vertex_failure_probability=0.2,
+        straggler_probability=0.3,
+        straggler_slowdown=6.0,
+        max_attempts=10,
+    )
+    tasks = cap3_task_specs(
+        48, reads_per_file=200, inhomogeneous=True, seed=seed
+    )
+    return DryadLinqSimulator(config).run(get_application("cap3"), tasks)
+
+
+def play_classic_stragglers(seed: int):
+    config = ClassicCloudConfig(
+        provider="aws",
+        instance_type="HCXL",
+        n_instances=2,
+        workers_per_instance=4,
+        seed=seed,
+        fault_plan=FaultPlan(
+            straggler_probability=0.3, straggler_slowdown=4.0
+        ),
+        consistency_window_s=0.0,
+    )
+    tasks = cap3_task_specs(24, reads_per_file=200, seed=seed)
+    return ClassicCloudFramework(config).run(get_application("cap3"), tasks)
+
+
+DRYAD_FAULTS_DIGEST = (
+    "ac43b5555af0c9675df094c4bc7ecae324cdaa9c0e13b6d84a309ad366654ec5"
+)
+HADOOP_SPANS_DIGEST = (
+    "08be1e6fe04ab459b30c14cea9510da500f53ac4c3f789f0d0e65237b15ce1ef"
+)
+DRYAD_SPANS_DIGEST = (
+    "e03d9bc834a4fecf2cbe8e93b369668a6537873541faea7f976b46c76f95cdf4"
+)
+CLASSIC_SPANS_DIGEST = (
+    "c4da7387bc7ed3a599c056db72096ddae6e4391bbd1806d8d47dc10092a29ba4"
+)
+TWISTER_SPANS_DIGESTS = {
+    "naive": "d65a5c9188951d32b68454b6588740ce8a260cc0fea49310d06e4238f8891f85",
+    "twister": (
+        "35521e80df51b8c4031f83662a834824c3c4e438a128a7a46ba7990500c0cd67"
+    ),
+}
+
+
+class TestGoldenAttempts:
+    def test_dryad_faults_digest(self):
+        assert run_digest(play_dryad(5)) == DRYAD_FAULTS_DIGEST
+
+    def test_hadoop_spans_digest(self):
+        with observe(label="hadoop") as obs:
+            play_hadoop(3)
+        assert trace_stream_digest(obs) == HADOOP_SPANS_DIGEST
+
+    def test_dryad_spans_digest(self):
+        with observe(label="dryad") as obs:
+            play_dryad(5)
+        assert trace_stream_digest(obs) == DRYAD_SPANS_DIGEST
+
+    def test_classic_stragglers_spans_digest(self):
+        with observe(label="classic") as obs:
+            play_classic_stragglers(9)
+        assert trace_stream_digest(obs) == CLASSIC_SPANS_DIGEST
+
+    @pytest.mark.parametrize("mode", ["naive", "twister"])
+    def test_twister_spans_digest(self, mode):
+        sim = TwisterAzureSimulator(
+            TwisterSimConfig(n_workers=4, n_iterations=3, seed=2)
+        )
+        with observe(label=mode) as obs:
+            sim.run(mode)
+        assert trace_stream_digest(obs) == TWISTER_SPANS_DIGESTS[mode]
