@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.apps.executables import Executable
 from repro.classiccloud.localstore import LocalBlobStore
+from repro.core.attempt import run_timed
 from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.lint.threadsan import monitor, monitor_lock
 from repro.obs.context import current as _current_obs
@@ -214,47 +215,31 @@ class LocalClassicCloud:
                 if crash_at is not None and receives >= crash_at:
                     return  # crash: message left undeleted
                 task: TaskSpec = message.body
-                started = time.monotonic() - start
+                track = f"local-{index}"
                 try:
-                    t0 = time.monotonic()
-                    if self.store is None:
-                        _run_idempotent(executable, task)
-                    else:
-                        _run_via_store(executable, task, self.store, index)
-                    compute = time.monotonic() - t0
+                    record = run_timed(
+                        tracer, track, task.task_id,
+                        lambda: _run_idempotent(executable, task)
+                        if self.store is None
+                        else _run_via_store(executable, task, self.store, index),
+                        start, message.receive_count,
+                    )
                 except Exception as exc:  # surface worker failures
                     with lock:
                         errors.append(exc)
                     done.set()
                     return
                 deleted = queue.delete(message)
-                if tracer.enabled:
-                    track = f"local-{index}"
-                    tracer.add(
-                        "task.queue_wait", track=track, domain="wall",
-                        start=wait_start, end=started, task_id=task.task_id,
-                    )
-                    tracer.add(
-                        "task.compute", track=track, domain="wall",
-                        start=t0 - start, end=t0 - start + compute,
-                        task_id=task.task_id, attempt=message.receive_count,
-                    )
-                wait_start = time.monotonic() - start
+                tracer.add(
+                    "task.queue_wait", track=track, domain="wall",
+                    start=wait_start, end=record.started_at, task_id=task.task_id,
+                )
+                record.finished_at = wait_start = time.monotonic() - start
+                record.was_duplicate = not deleted or message.receive_count > 1
+                record.won = deleted
                 with lock:
                     completed.add(task.task_id)
-                    records.append(
-                        TaskRecord(
-                            task_id=task.task_id,
-                            worker=f"local-{index}",
-                            started_at=started,
-                            finished_at=time.monotonic() - start,
-                            compute_time=compute,
-                            attempt=message.receive_count,
-                            was_duplicate=not deleted
-                            or message.receive_count > 1,
-                            won=deleted,
-                        )
-                    )
+                    records.append(record)
                     if completed == all_ids:
                         done.set()
 

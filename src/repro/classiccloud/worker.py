@@ -14,6 +14,7 @@ from repro.chaos.speculation import BackupCopy
 from repro.cloud.failures import FaultPlan
 from repro.cloud.queue import MessageQueue, StaleReceiptError
 from repro.cloud.storage import BlobNotFound, BlobStore, StorageUnavailable
+from repro.core.attempt import add_phases, draw_service
 from repro.core.task import TaskRecord, TaskSpec
 from repro.obs.context import Observability
 from repro.sim.engine import Environment, Interrupt, Process
@@ -150,9 +151,7 @@ class WorkerFleet:
         # Streams are created on first draw: most workers never
         # straggle, and some never run a task.
         stream = self.rng.stream
-        jitter_name, straggle_name, backoff_name = (
-            f"{name}-jitter", f"{name}-straggle", f"{name}-backoff"
-        )
+        backoff_name = f"{name}-backoff"
         retry_policy = self.retry_policy
         tracer = self.obs.tracer
         wait_start = env.now
@@ -244,11 +243,11 @@ class WorkerFleet:
                         threads=self.threads,
                         clock_ghz=host.effective_clock_ghz(),
                     )
-                    straggle_p = plan.straggler_probability
-                    if straggle_p and stream(straggle_name).random() < straggle_p:
-                        service *= plan.straggler_slowdown
                     # Small service-time noise on top of instance jitter.
-                    service *= float(stream(jitter_name).uniform(0.98, 1.02))
+                    service = draw_service(
+                        stream, name, service, plan.straggler_probability,
+                        plan.straggler_slowdown, noise="jitter",
+                    )
                     t1 = env.now
                     yield env.timeout(service)
                     compute_time = env.now - t1
@@ -316,16 +315,14 @@ class WorkerFleet:
                 # emitted with no intervening yields), so Chrome-trace
                 # phase totals agree with analysis.phase_breakdown.
                 if tracer.enabled:
-                    for phase, start, end in (
-                        ("task.queue_wait", wait_start, started),
-                        ("task.download", t0, t0 + download_time),
-                        ("task.compute", t1, t1 + compute_time),
-                        ("task.upload", t2, t2 + upload_time),
-                    ):
-                        tracer.add(
-                            phase, track=name, start=start, end=end,
-                            task_id=task.task_id,
-                        )
+                    tracer.add(
+                        "task.queue_wait", track=name, start=wait_start,
+                        end=started, task_id=task.task_id,
+                    )
+                    add_phases(
+                        tracer, name, (t0, t1, t2, t2 + upload_time),
+                        task_id=task.task_id,
+                    )
                 self._sample_busy(-1)
                 busy = False
                 wait_start = env.now

@@ -9,7 +9,7 @@ the per-execution trace the frameworks emit for analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 __all__ = ["TaskRecord", "TaskSpec"]
 
@@ -53,6 +53,15 @@ class TaskRecord:
     @property
     def elapsed(self) -> float:
         return self.finished_at - self.started_at
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TaskRecord":
+        """Rebuild a record from its ``asdict``; a missing field without
+        a default is a ``KeyError``."""
+        return cls(**{
+            f.name: data[f.name] if f.default is MISSING
+            else data.get(f.name, f.default) for f in fields(cls)
+        })
 
 
 @dataclass
@@ -123,22 +132,7 @@ class RunResult:
             "billing": billing,
             "queue_stats": dict(self.queue_stats) if self.queue_stats else None,
             "trace_ref": self.trace_ref,
-            "records": [
-                {
-                    "task_id": r.task_id,
-                    "worker": r.worker,
-                    "started_at": r.started_at,
-                    "finished_at": r.finished_at,
-                    "download_time": r.download_time,
-                    "compute_time": r.compute_time,
-                    "upload_time": r.upload_time,
-                    "attempt": r.attempt,
-                    "was_duplicate": r.was_duplicate,
-                    "speculative": r.speculative,
-                    "won": r.won,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
     def to_json(self, path: "str | None" = None, indent: int = 2) -> str:
@@ -159,22 +153,7 @@ class RunResult:
         Billing round-trips as the raw dict (enough for analysis; the
         full BillingReport object does not survive serialization).
         """
-        records = [
-            TaskRecord(
-                task_id=r["task_id"],
-                worker=r["worker"],
-                started_at=r["started_at"],
-                finished_at=r["finished_at"],
-                download_time=r.get("download_time", 0.0),
-                compute_time=r.get("compute_time", 0.0),
-                upload_time=r.get("upload_time", 0.0),
-                attempt=r.get("attempt", 1),
-                was_duplicate=r.get("was_duplicate", False),
-                speculative=r.get("speculative", False),
-                won=r.get("won", True),
-            )
-            for r in data.get("records", [])
-        ]
+        records = [TaskRecord.from_dict(r) for r in data.get("records", [])]
         return cls(
             backend=data["backend"],
             app_name=data["app_name"],

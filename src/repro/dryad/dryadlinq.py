@@ -19,6 +19,9 @@ from repro.apps.executables import Executable
 from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
+from repro.core.attempt import (
+    Attempt, check_faults, draw_failure, draw_service, run_timed,
+)
 from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.dryad.graph import DryadGraph, Vertex
 from repro.dryad.partitions import PartitionSet, partition_tasks
@@ -84,6 +87,7 @@ class DryadLinqConfig:
             raise ValueError("workers_per_node must be >= 1")
         if self.slots_per_node > self.cluster.node.machine.cores:
             raise ValueError("workers_per_node exceeds node cores")
+        check_faults(self, "vertex_failure_probability")
 
     @property
     def slots_per_node(self) -> int:
@@ -214,78 +218,42 @@ class _DryadRun:
         # Streams are created on first draw: most workers never fail or
         # straggle.
         stream = self.rng.stream
-        fail_name, straggle_name, noise_name = (
-            f"{name}-fail", f"{name}-straggle", f"{name}-noise"
-        )
         disk_bps = machine.disk_mbps * 1e6
         while queue:
             task = queue.pop(0)
-            attempts = 0
-            while True:
-                attempts += 1
-                started = self.env.now
-                read_time = task.input_size / disk_bps
+            for number in range(1, config.max_attempts + 1):
                 service = task_runtime_seconds(
-                    self.app.perf_model,
-                    task.work_units,
-                    machine,
+                    self.app.perf_model, task.work_units, machine,
                     concurrent_workers=config.slots_per_node,
                 )
-                straggle_p = config.straggler_probability
-                if straggle_p and stream(straggle_name).random() < straggle_p:
-                    service *= config.straggler_slowdown
-                service *= float(stream(noise_name).uniform(0.98, 1.02))
-                write_time = task.output_size / disk_bps
-                fail_p = config.vertex_failure_probability
-                if fail_p and stream(fail_name).random() < fail_p:
-                    fail_rng = stream(fail_name)
-                    yield self.env.timeout(
-                        read_time + service * float(fail_rng.uniform(0.1, 0.9))
-                    )
-                    if attempts >= config.max_attempts:
-                        raise RuntimeError(
-                            f"task {task.task_id} failed {attempts} attempts"
-                        )
-                    continue
-                yield self.env.timeout(read_time + service + write_time)
-                self.completed.add(task.task_id)
-                if self.obs.enabled:
-                    # Timeline sample: job progress over sim time.
-                    self.obs.timeline.sample(
-                        "scheduler.tasks_completed",
-                        self.env.now,
-                        len(self.completed),
-                    )
-                if self.tracer.enabled:
-                    tid = task.task_id
-                    self.tracer.add(
-                        "task.download", track=name,
-                        start=started, end=started + read_time, task_id=tid,
-                    )
-                    self.tracer.add(
-                        "task.compute", track=name,
-                        start=started + read_time,
-                        end=started + read_time + service,
-                        task_id=tid,
-                    )
-                    self.tracer.add(
-                        "task.upload", track=name,
-                        start=started + read_time + service,
-                        end=self.env.now, task_id=tid,
-                    )
-                self.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        worker=name,
-                        started_at=started,
-                        finished_at=self.env.now,
-                        download_time=read_time,
-                        compute_time=service,
-                        upload_time=write_time,
-                        attempt=attempts,
-                    )
+                attempt = Attempt(
+                    task, name, number, self.env.now,
+                    task.input_size / disk_bps,
+                    draw_service(
+                        stream, name, service, config.straggler_probability,
+                        config.straggler_slowdown,
+                    ),
+                    task.output_size / disk_bps,
+                    draw_failure(
+                        stream, name, config.vertex_failure_probability
+                    ),
                 )
-                break
+                yield self.env.timeout(attempt.runs_for)
+                if attempt.fail_share is None:
+                    break
+            else:
+                raise RuntimeError(
+                    f"task {task.task_id} failed {number} attempts"
+                )
+            self.completed.add(task.task_id)
+            if self.obs.enabled:
+                # Timeline sample: job progress over sim time.
+                self.obs.timeline.sample(
+                    "scheduler.tasks_completed",
+                    self.env.now,
+                    len(self.completed),
+                )
+            self.records.append(attempt.finish(self.tracer, self.env.now))
 
 
 class LocalDryadLinq:
@@ -317,23 +285,10 @@ class LocalDryadLinq:
 
             def one(task: TaskSpec) -> TaskRecord:
                 Path(task.output_key).parent.mkdir(parents=True, exist_ok=True)
-                t0 = time.monotonic()  # repro: noqa[RPR001] real runtime
-                executable.run(task.input_key, task.output_key)
-                t1 = time.monotonic()  # repro: noqa[RPR001] real runtime
-                tracer.add(
-                    "task.compute",
-                    track=f"node{node}",
-                    start=t0 - start,
-                    end=t1 - start,
-                    domain="wall",
-                    task_id=task.task_id,
-                )
-                return TaskRecord(
-                    task_id=task.task_id,
-                    worker=f"node{node}",
-                    started_at=t0 - start,
-                    finished_at=t1 - start,
-                    compute_time=t1 - t0,
+                return run_timed(
+                    tracer, f"node{node}", task.task_id,
+                    lambda: executable.run(task.input_key, task.output_key),
+                    start,
                 )
 
             if not partition:

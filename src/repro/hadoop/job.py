@@ -26,6 +26,9 @@ from repro.apps.executables import Executable
 from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
+from repro.core.attempt import (
+    Attempt, check_faults, draw_failure, draw_service, run_timed,
+)
 from repro.core.task import RunResult, TaskRecord, TaskSpec
 from repro.hadoop.hdfs import HdfsClient
 from repro.hadoop.inputformat import FileNameInputFormat
@@ -69,10 +72,9 @@ class HadoopJobConfig:
                 f"{slots} slots exceed the node's "
                 f"{self.cluster.node.machine.cores} cores"
             )
-        if not 0 <= self.task_failure_probability < 1:
-            raise ValueError("task_failure_probability must be in [0, 1)")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        check_faults(
+            self, "task_failure_probability", "speculative_progress_threshold"
+        )
 
     @property
     def slots_per_node(self) -> int:
@@ -115,18 +117,6 @@ class HadoopSimulator:
         )
 
 
-@dataclass
-class _Running:
-    """JobTracker's view of one in-flight attempt."""
-
-    task: TaskSpec
-    node: int
-    started: float
-    expected_end: float
-    speculative: bool
-    has_backup: bool = False
-
-
 class _HadoopRun:
     def __init__(
         self, config: HadoopJobConfig, app: Application, tasks: list[TaskSpec]
@@ -153,7 +143,7 @@ class _HadoopRun:
         for task in tasks:
             self.hdfs.put(task.input_key, task.input_size)
         self.pending: list[TaskSpec] = list(tasks)
-        self.running: dict[str, list[_Running]] = {}
+        self.running: dict[str, list[Attempt]] = {}
         self.completed: set[str] = set()
         self.attempts_used: dict[str, int] = {t.task_id: 0 for t in tasks}
         # Backups share a task's dispatch count but not its failure
@@ -238,7 +228,7 @@ class _HadoopRun:
         victim.has_backup = True
         return victim.task, True
 
-    def _backup_candidate(self) -> _Running | None:
+    def _backup_candidate(self) -> Attempt | None:
         """With the queue drained: the running attempt to back up, the
         one with the latest expected finish whose progress is below the
         threshold, or None."""
@@ -305,13 +295,9 @@ class _HadoopRun:
     # -- the map slot ------------------------------------------------------------
     def _slot(self, node: int, name: str, index: int):
         config = self.config
-        machine = config.cluster.node.machine
         # Streams are created on first draw: most slots never fail or
         # straggle, and some never run a task.
         stream = self.rng.stream
-        fail_name, straggle_name, noise_name = (
-            f"{name}-fail", f"{name}-straggle", f"{name}-noise"
-        )
         while len(self.completed) < len(self.tasks):
             assignment = self._next_assignment(node)
             if assignment is None:
@@ -333,46 +319,31 @@ class _HadoopRun:
                 node=node,
             )
             self.attempts_used[task.task_id] += 1
-            attempt_no = self.attempts_used[task.task_id]
-
-            read_time = self.hdfs.read_seconds(task.input_key, node)
             service = task_runtime_seconds(
-                self.app.perf_model,
-                task.work_units,
-                machine,
+                self.app.perf_model, task.work_units,
+                config.cluster.node.machine,
                 concurrent_workers=config.slots_per_node,
             )
-            straggle_p = config.straggler_probability
-            if (
-                straggle_p
-                and stream(straggle_name).random() < straggle_p
-                and not speculative
-            ):
-                service *= config.straggler_slowdown
-            service *= float(stream(noise_name).uniform(0.98, 1.02))
-            write_time = self.hdfs.write_seconds(task.output_size)
-            total = read_time + service + write_time
-
-            info = _Running(
-                task=task,
-                node=node,
-                started=started,
-                expected_end=started + total,
+            attempt = Attempt(
+                task, name, self.attempts_used[task.task_id], started,
+                self.hdfs.read_seconds(task.input_key, node),
+                draw_service(
+                    stream, name, service, config.straggler_probability,
+                    config.straggler_slowdown, straggles=not speculative,
+                ),
+                self.hdfs.write_seconds(task.output_size),
+                draw_failure(stream, name, config.task_failure_probability),
                 speculative=speculative,
             )
-            self.running.setdefault(task.task_id, []).append(info)
+            self.running.setdefault(task.task_id, []).append(attempt)
             self._no_backup_candidate = False
             self._sample_running()
             self._wake_sleeper()
 
-            fail_p = config.task_failure_probability
-            if fail_p and stream(fail_name).random() < fail_p:
-                # Die partway through the compute phase; re-queue.
-                fail_rng = stream(fail_name)
-                yield self.env.timeout(
-                    read_time + service * float(fail_rng.uniform(0.1, 0.9))
-                )
-                self._attempt_over(task, info)
+            yield self.env.timeout(attempt.runs_for)
+            if attempt.fail_share is not None:
+                # Died partway through the compute phase; re-queue.
+                self._attempt_over(attempt)
                 self.failures[task.task_id] += 1
                 if task.task_id not in self.completed:
                     if self.failures[task.task_id] >= config.max_attempts:
@@ -383,52 +354,23 @@ class _HadoopRun:
                     self.pending.append(task)
                 continue
 
-            yield self.env.timeout(total)
             won = task.task_id not in self.completed
             if won:
                 self.completed.add(task.task_id)
-            self._attempt_over(task, info)
-            if self.tracer.enabled:
-                tid = task.task_id
-                self.tracer.add(
-                    "task.download", track=name,
-                    start=started, end=started + read_time, task_id=tid,
-                )
-                self.tracer.add(
-                    "task.compute", track=name,
-                    start=started + read_time,
-                    end=started + read_time + service,
-                    task_id=tid, speculative=speculative,
-                )
-                self.tracer.add(
-                    "task.upload", track=name,
-                    start=started + read_time + service,
-                    end=started + total, task_id=tid,
-                )
+            self._attempt_over(attempt)
             self.records.append(
-                TaskRecord(
-                    task_id=task.task_id,
-                    worker=name,
-                    started_at=started,
-                    finished_at=self.env.now,
-                    download_time=read_time,
-                    compute_time=service,
-                    upload_time=write_time,
-                    attempt=attempt_no,
-                    was_duplicate=not won,
-                    speculative=speculative,
-                    won=won,
+                attempt.finish(
+                    self.tracer, self.env.now, won=won, speculative=speculative
                 )
             )
             if len(self.completed) == len(self.tasks) and not self.done.triggered:
                 self.done.succeed(self.env.now)
 
-    def _attempt_over(self, task: TaskSpec, info: _Running) -> None:
-        attempts = self.running.get(task.task_id, [])
-        if info in attempts:
-            attempts.remove(info)
+    def _attempt_over(self, attempt: Attempt) -> None:
+        attempts = self.running[attempt.task.task_id]
+        attempts.remove(attempt)
         if not attempts:
-            self.running.pop(task.task_id, None)
+            del self.running[attempt.task.task_id]
         self._no_backup_candidate = False
         self._sample_running()
 
@@ -487,30 +429,14 @@ class MiniHadoop:
             (name, path), = list(reader)
             last_error: Exception | None = None
             for attempt in range(1, self.max_attempts + 1):
-                t0 = time.monotonic()  # repro: noqa[RPR001] real runtime
                 try:
-                    executable.run(path, output_dir / name)
+                    return run_timed(
+                        tracer, "minihadoop", name,
+                        lambda: executable.run(path, output_dir / name),
+                        start, attempt,
+                    )
                 except Exception as exc:  # re-execute failed attempts
                     last_error = exc
-                    continue
-                t1 = time.monotonic()  # repro: noqa[RPR001] real runtime
-                tracer.add(
-                    "task.compute",
-                    track="minihadoop",
-                    start=t0 - start,
-                    end=t1 - start,
-                    domain="wall",
-                    task_id=name,
-                    attempt=attempt,
-                )
-                return TaskRecord(
-                    task_id=name,
-                    worker="minihadoop",
-                    started_at=t0 - start,
-                    finished_at=t1 - start,
-                    compute_time=t1 - t0,
-                    attempt=attempt,
-                )
             raise RuntimeError(
                 f"map task {name!r} failed {self.max_attempts} attempts"
             ) from last_error

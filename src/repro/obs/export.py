@@ -68,9 +68,6 @@ _DOMAIN_NAMES = {"sim": "simulated time", "wall": "wall time"}
 #: worker process × time domain, allocated in first-seen order).
 _WORKER_PID_BASE = 10
 
-#: The span names making up the paper's phase decomposition.
-TASK_PHASES = ("task.queue_wait", "task.download", "task.compute", "task.upload")
-
 # The trace is compact, sorted-key JSON.  ``indent`` would force
 # CPython's pure-Python encoder, which costs several times the C one.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

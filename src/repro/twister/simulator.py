@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.cloud.instance_types import get_instance_type
 from repro.cloud.queue import MessageQueue
 from repro.cloud.storage import BlobStore
+from repro.core.attempt import add_phases
 from repro.obs.context import current as _current_obs
 from repro.sim.engine import make_environment
 from repro.sim.rng import RngRegistry
@@ -95,7 +96,6 @@ class TwisterAzureSimulator:
             msg = yield from queue.poll(
                 lambda: True, 1.0, stable_until=math.inf
             )
-            track = f"{mode}-worker-{index}"
             t0 = env.now
             if mode == "naive" or first:
                 yield env.process(storage.get("static"))
@@ -109,19 +109,12 @@ class TwisterAzureSimulator:
             )
             upload_end = env.now
             yield env.process(queue.delete(msg))
-            if tracer.enabled:
-                tracer.add(
-                    "task.download", track=track,
-                    start=t0, end=download_end, iteration=iteration,
-                )
-                tracer.add(
-                    "task.compute", track=track,
-                    start=download_end, end=compute_end, iteration=iteration,
-                )
-                tracer.add(
-                    "task.upload", track=track,
-                    start=compute_end, end=upload_end, iteration=iteration,
-                )
+            add_phases(
+                tracer,
+                f"{mode}-worker-{index}",
+                (t0, download_end, compute_end, upload_end),
+                iteration=iteration,
+            )
 
         def driver():
             for iteration in range(config.n_iterations):
