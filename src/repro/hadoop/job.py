@@ -9,7 +9,8 @@ the paper credits for Hadoop's behaviour:
   resides on its node (non-local tasks pay a network read);
 * **speculative execution**: when the queue drains, free slots launch
   backup copies of the slowest running tasks; the first finisher wins;
-* **failure handling**: failed attempts are re-queued (bounded retries).
+* **failure handling**: a failed attempt's task is re-queued (bounded
+  retries) unless another attempt of it runs, which may be backed up.
 
 :class:`MiniHadoop` is the real-execution counterpart: a thread pool of
 map slots drives executables through the paper's custom
@@ -152,9 +153,9 @@ class _HadoopRun:
         self.records: list[TaskRecord] = []
         self.done = self.env.event()
         # The drained-queue scan found no backup candidate.  It stays
-        # empty until an attempt starts or ends: progress, has_backup and
-        # completed only grow, and an ended primary can hand attempts[0]
-        # to its backup.
+        # empty until an attempt starts or ends: progress and completed
+        # only grow, has_backup is cleared only when an attempt fails,
+        # and an ended primary can hand attempts[0] to its backup.
         self._no_backup_candidate = False
         # Slots that found no work, each as [next tick, slot index, the
         # event it waits on]; see _idle.
@@ -342,7 +343,8 @@ class _HadoopRun:
 
             yield self.env.timeout(attempt.runs_for)
             if attempt.fail_share is not None:
-                # Died partway through the compute phase; re-queue.
+                # Died partway through compute.  Re-queue the task unless
+                # its other attempt runs, which may then be backed up anew.
                 self._attempt_over(attempt)
                 self.failures[task.task_id] += 1
                 if task.task_id not in self.completed:
@@ -351,7 +353,10 @@ class _HadoopRun:
                             f"task {task.task_id} failed "
                             f"{config.max_attempts} attempts"
                         )
-                    self.pending.append(task)
+                    if task.task_id in self.running:
+                        self.running[task.task_id][0].has_backup = False
+                    else:
+                        self.pending.append(task)
                 continue
 
             won = task.task_id not in self.completed

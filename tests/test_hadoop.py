@@ -188,6 +188,68 @@ class TestHadoopSimulator:
         (record,) = [r for r in result.records if r.task_id == "cap3-00016"]
         assert record.speculative and record.won and record.attempt == 2
 
+    def test_a_failed_attempt_with_a_running_backup_is_not_requeued(
+        self, cap3, monkeypatch
+    ):
+        """No task ever has more than one attempt plus one backup live.
+        Here cap3-00016's primary fails while its backup runs; putting
+        the task back on the queue used to start a third attempt (and
+        a backup of that), which were still running when the job
+        ended."""
+        from repro.hadoop.job import _HadoopRun
+
+        peak: dict[str, int] = {}
+        sample = _HadoopRun._sample_running
+
+        def watch(run):
+            for task_id, attempts in run.running.items():
+                peak[task_id] = max(peak.get(task_id, 0), len(attempts))
+            sample(run)
+
+        monkeypatch.setattr(_HadoopRun, "_sample_running", watch)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        tasks = cap3_task_specs(20)
+        sim = HadoopSimulator(
+            HadoopJobConfig(
+                cluster=get_cluster("cap3-baremetal").subset(2),
+                seed=0,
+                task_failure_probability=0.2,
+                max_attempts=2,
+            )
+        )
+        result = sim.run(cap3, tasks)
+        assert result.completed_task_ids == {t.task_id for t in tasks}
+        assert peak["cap3-00016"] == 2
+        assert max(peak.values()) <= 2
+        report = sim.last_environment.sanitizer_report()
+        assert report.scheduled_processes == 3  # losing backups only
+
+    def test_a_primary_whose_backup_failed_is_backed_up_again(self, cap3):
+        """cap3-00047 straggles from time 0 and its backup (attempt 2)
+        fails at 93.8 s.  The task is not re-queued while its primary
+        runs, so the primary must be eligible for another backup: that
+        one (attempt 3) wins long before the primary's 270 s finish."""
+        config = HadoopJobConfig(
+            cluster=get_cluster("cap3-baremetal").subset(4),
+            seed=11,
+            task_failure_probability=0.2,
+            straggler_probability=0.3,
+            straggler_slowdown=6.0,
+            max_attempts=10,
+            speculative_progress_threshold=0.95,
+            scheduling_policy="lpt",
+            locality_aware=False,
+        )
+        tasks = cap3_task_specs(
+            48, reads_per_file=200, inhomogeneous=True, seed=11
+        )
+        result = HadoopSimulator(config).run(cap3, tasks)
+        (winner,) = [
+            r for r in result.records if r.task_id == "cap3-00047" and r.won
+        ]
+        assert winner.speculative and winner.attempt == 3
+        assert result.makespan_seconds < 200
+
     def test_failed_attempts_still_exhaust_the_budget(self, cap3):
         tasks = cap3_task_specs(20, reads_per_file=200, seed=0)
         config = hadoop_config(
