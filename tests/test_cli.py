@@ -388,3 +388,170 @@ class TestParser:
         assert args.app == "cap3"
         assert args.backend == "ec2"
         assert args.files == 200
+
+    def test_every_subcommand_renders_help(self):
+        # argparse expands (and rejects a stray ``%`` in) help strings
+        # only when help is formatted.
+        parser = build_parser()
+        assert "usage: repro" in parser.format_help()
+        for name, command in _subcommands(parser).items():
+            assert f"usage: repro {name}" in command.format_help()
+
+    def test_parser_surface_is_pinned(self):
+        # SHA-256 of every action of every subcommand: option strings,
+        # dest, default, choices, type, nargs, action class, required.
+        # Help wording is free to change; nothing else is.
+        import hashlib
+
+        dump = _parser_dump(build_parser())
+        assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == (
+            PARSER_DUMP_SHA256
+        ), dump
+
+    def test_ci_command_lines_parse(self):
+        commands = _ci_repro_commands()
+        assert len(commands) >= 20
+        parser = build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            assert callable(args.handler), argv
+
+
+PARSER_DUMP_SHA256 = (
+    "0eb94dc6b84425f1f5a7a6eb0fe4cd3299038b3aa4ade273b2c35c6edd3cd648"
+)
+
+
+def _subcommands(parser):
+    import argparse
+
+    (action,) = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _parser_dump(parser) -> str:
+    """One line per action of the top parser and of every subcommand."""
+    lines = []
+    for name, command in [("repro", parser), *_subcommands(parser).items()]:
+        for action in command._actions:
+            choices = action.choices
+            if isinstance(choices, dict):
+                choices = sorted(choices)
+            lines.append(repr((
+                name, action.option_strings, action.dest, action.default,
+                None if choices is None else list(choices),
+                getattr(action.type, "__name__", action.type),
+                action.nargs, type(action).__name__, action.required,
+            )))
+    return "\n".join(lines) + "\n"
+
+
+def _ci_repro_commands() -> "list[list[str]]":
+    """Every ``python -m repro`` invocation in the CI workflow, as argv:
+    folded ``run: >`` blocks joined, ``for x in a b; do`` loops
+    expanded, shell redirections dropped."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    workflow = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    scripts = []
+    i = 0
+    while i < len(lines):
+        match = re.match(r"(\s*)(?:- )?run: ?(.*)$", lines[i])
+        i += 1
+        if not match:
+            continue
+        indent, style = len(match.group(1)), match.group(2).strip()
+        if style not in (">", "|"):
+            scripts.append(style)
+            continue
+        block = []
+        while i < len(lines) and (
+            not lines[i].strip()
+            or len(lines[i]) - len(lines[i].lstrip()) > indent
+        ):
+            block.append(lines[i].strip())
+            i += 1
+        if style == ">":
+            scripts.append(" ".join(line for line in block if line))
+        else:
+            scripts.extend(block)
+    loops = {}
+    for script in scripts:
+        loop = re.match(r"for (\w+) in ([^;]+); do", script)
+        if loop:
+            loops[loop.group(1)] = loop.group(2).split()
+    commands = []
+    for script in scripts:
+        if "python -m repro " not in script:
+            continue
+        text = script.split("python -m repro ", 1)[1]
+        expansions = [text]
+        for var, values in loops.items():
+            if f"${var}" in text or f"${{{var}}}" in text:
+                expansions = [
+                    e.replace(f"${{{var}}}", v).replace(f"${var}", v)
+                    for e in expansions for v in values
+                ]
+        for expanded in expansions:
+            argv = shlex.split(expanded)
+            for stop in (">", "|", "&&", ";"):
+                if stop in argv:
+                    argv = argv[: argv.index(stop)]
+            commands.append(argv)
+    return commands
+
+
+class TestPinnedStudyOutput:
+    """The full stdout and ``--json`` bytes of the ``chaos`` and
+    ``serve`` subcommands at small seeded settings (SHA-256)."""
+
+    def _pinned(self, tmp_path, monkeypatch, *argv):
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(*argv)
+        assert code == 0, text
+        digest = lambda data: hashlib.sha256(data).hexdigest()  # noqa: E731
+        return (
+            digest(text.encode("utf-8")),
+            digest((tmp_path / "rows.json").read_bytes()),
+        )
+
+    def test_chaos_smoke(self, tmp_path, monkeypatch):
+        assert self._pinned(
+            tmp_path, monkeypatch,
+            "chaos", "--smoke", "--jobs", "1", "--no-cache",
+            "--json", "rows.json",
+        ) == (
+            "cd3b606c343579c093ee74ba136ec6af7fcb922bbb505f12a0b581417baed80e",
+            "fcc78b342ec596616f4841fc89318f1604d8f4f09818ba7b316bdf7507691f0f",
+        )
+
+    def test_serve(self, tmp_path, monkeypatch):
+        assert self._pinned(
+            tmp_path, monkeypatch,
+            "serve", "--seed", "42", "--duration", "60", "--fleet", "1",
+            "--jobs", "1", "--json", "rows.json",
+        ) == (
+            "02f3bc1031d3b04c544604f9345b79ddfafdb07fd58055cfcebacdd22d5e9e50",
+            "6d3fc66d77db9d4d6850733d08f172936cddca2de4a1d0e414433cfaf59bf3a2",
+        )
+
+    def test_serve_prints_abandoned_jobs(self, tmp_path, monkeypatch):
+        # One single-worker Small instance cannot drain the window, so
+        # the output ends in the ``fleet 1: N abandoned`` line.
+        assert self._pinned(
+            tmp_path, monkeypatch,
+            "serve", "--seed", "42", "--duration", "60", "--fleet", "1",
+            "--instance-type", "Small", "--workers", "1",
+            "--jobs", "1", "--json", "rows.json",
+        ) == (
+            "2f1ff12ce34dd2bf95a81d4e109734866cc325598f6748f45cab2b856767a513",
+            "27c3d085fd25489ba7927384ab0b3be171487d7351811a59040ab4d0337bebc2",
+        )
