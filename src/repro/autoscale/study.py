@@ -18,6 +18,7 @@ byte for byte, preemption timing included.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from repro.autoscale.plan import AutoscalePlan
@@ -25,8 +26,9 @@ from repro.autoscale.policies import default_policy
 from repro.cloud.spot import BidStrategy, SpotMarketModel
 from repro.core.application import get_application
 from repro.core.backends import make_backend
+from repro.core.experiment import _grid_rows
 from repro.core.report import format_table, serialize_rows
-from repro.sweep import point_for, run_points
+from repro.sweep import point_for
 from repro.workloads import study_task_specs
 
 __all__ = [
@@ -86,14 +88,10 @@ def autoscale_study(
     Row order is the ``apps x policies x spot_fractions`` product
     order, never worker completion order.
     """
-    grid = [
-        (app_name, policy_name, float(fraction))
-        for app_name in apps
-        for policy_name in policies
-        for fraction in spot_fractions
-    ]
-    points = []
-    for app_name, policy_name, fraction in grid:
+    grid = list(product(apps, policies, map(float, spot_fractions)))
+
+    def point_of(cell):
+        app_name, policy_name, fraction = cell
         plan = AutoscalePlan(
             policy=default_policy(policy_name),
             min_instances=1,
@@ -108,36 +106,30 @@ def autoscale_study(
             seed=seed,
             autoscale=plan,
         )
-        points.append(
-            point_for(
-                get_application(app_name),
-                backend,
-                study_task_specs(app_name, n_files),
-            )
+        return point_for(
+            get_application(app_name),
+            backend,
+            study_task_specs(app_name, n_files),
         )
-    results = run_points(points, jobs=jobs, cache=cache)
-    rows = []
-    for (app_name, policy_name, fraction), result in zip(grid, results):
-        extras = result.extras
-        rows.append(
-            AutoscaleStudyRow(
-                app=app_name,
-                policy=policy_name,
-                bid=BidStrategy.mixed(fraction).label,
-                spot_fraction=fraction,
-                makespan_s=result.makespan_s,
-                total_cost=result.total_cost,
-                amortized_cost=result.amortized_cost,
-                preemptions=extras.get("autoscale_preemptions", 0.0),
-                spot_unavailable=extras.get("autoscale_spot_unavailable", 0.0),
-                instances_added=extras.get("autoscale_instances_added", 0.0),
-                instances_removed=extras.get(
-                    "autoscale_instances_removed", 0.0
-                ),
-                peak_instances=extras.get("autoscale_peak_instances", 0.0),
-            )
-        )
-    return rows
+
+    def values(cell, result):
+        app_name, policy_name, fraction = cell
+        return {
+            "app": app_name,
+            "policy": policy_name,
+            "bid": BidStrategy.mixed(fraction).label,
+            "spot_fraction": fraction,
+            **{
+                name: result.extras.get(f"autoscale_{name}", 0.0)
+                for name in ("preemptions", "spot_unavailable",
+                             "instances_added", "instances_removed",
+                             "peak_instances")
+            },
+        }
+
+    return _grid_rows(
+        AutoscaleStudyRow, grid, point_of, values, jobs=jobs, cache=cache
+    )
 
 
 def render_frontier(rows: Sequence[AutoscaleStudyRow]) -> str:

@@ -14,7 +14,8 @@ byte for byte (``jobs=1`` and ``jobs=8`` included).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import product
 from typing import Iterable, Sequence
 
 from repro.chaos.plan import ChaosPlan
@@ -152,67 +153,55 @@ def chaos_study(
     the grid itself doesn't contain one), never worker completion
     order — a determinism requirement, like every study in this repo.
     """
-    from repro.sweep import run_points
+    from repro.core.experiment import _grid_rows
 
-    grid = [
-        (app_name, float(intensity), mitigation)
-        for app_name in apps
-        for intensity in intensities
-        for mitigation in mitigations
-    ]
+    grid = list(product(apps, map(float, intensities), mitigations))
     for app_name in apps:
         if (app_name, 0.0, "none") not in grid:
             grid.insert(0, (app_name, 0.0, "none"))
 
-    points = [
-        chaos_point(
-            app_name,
-            intensity,
-            mitigation,
-            n_files=n_files,
-            n_instances=n_instances,
-            workers_per_instance=workers_per_instance,
-            seed=seed,
-            horizon_s=horizon_s,
-        )
-        for app_name, intensity, mitigation in grid
-    ]
-    results = run_points(points, jobs=jobs, cache=cache)
-
-    baseline_makespan = {
-        key[0]: result.makespan_s
-        for key, result in zip(grid, results)
-        if key[1] == 0.0 and key[2] == "none"
-    }
-    rows = []
-    for (app_name, intensity, mitigation), result in zip(grid, results):
-        extras = result.extras
-        makespan = result.makespan_s
-        baseline = baseline_makespan[app_name]
+    def values(cell, result):
+        app_name, intensity, mitigation = cell
+        extras, makespan = result.extras, result.makespan_s
         completed = extras.get("tasks_completed", float(result.n_tasks))
-        rows.append(
-            ChaosStudyRow(
-                app=app_name,
-                intensity=intensity,
-                mitigation=mitigation,
-                makespan_s=makespan,
-                makespan_inflation=(
-                    makespan / baseline if baseline > 0 else 0.0
-                ),
-                total_cost=result.total_cost,
-                completed=completed,
-                failed=extras.get("tasks_failed", 0.0),
-                faults_injected=extras.get("chaos_faults_injected", 0.0),
-                mttr_s=extras.get("chaos_mttr_s", 0.0),
-                redundant_fraction=extras.get("redundant_fraction", 0.0),
-                speculative_launched=extras.get("speculative_launched", 0.0),
-                speculative_wins=extras.get("speculative_wins", 0.0),
-                goodput_tasks_per_hour=(
-                    completed / (makespan / 3600.0) if makespan > 0 else 0.0
-                ),
-            )
-        )
-    return rows
+        return {
+            "app": app_name,
+            "intensity": intensity,
+            "mitigation": mitigation,
+            "makespan_inflation": 0.0,  # set below, once baselines have run
+            "completed": completed,
+            "failed": extras.get("tasks_failed", 0.0),
+            "faults_injected": extras.get("chaos_faults_injected", 0.0),
+            "mttr_s": extras.get("chaos_mttr_s", 0.0),
+            **{
+                name: extras.get(name, 0.0)
+                for name in ("redundant_fraction", "speculative_launched",
+                             "speculative_wins")
+            },
+            "goodput_tasks_per_hour": (
+                completed / (makespan / 3600.0) if makespan > 0 else 0.0
+            ),
+        }
+
+    rows = _grid_rows(
+        ChaosStudyRow, grid,
+        lambda cell: chaos_point(
+            *cell, n_files=n_files, n_instances=n_instances,
+            workers_per_instance=workers_per_instance, seed=seed,
+            horizon_s=horizon_s,
+        ),
+        values, jobs=jobs, cache=cache,
+    )
+    baseline = {
+        r.app: r.makespan_s
+        for r in rows if r.intensity == 0.0 and r.mitigation == "none"
+    }
+    return [
+        replace(r, makespan_inflation=(
+            r.makespan_s / baseline[r.app] if baseline[r.app] > 0 else 0.0
+        ))
+        for r in rows
+    ]
 
 
 def render_resilience(rows: Sequence[ChaosStudyRow]) -> str:

@@ -38,35 +38,123 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
+from repro.autoscale import AutoscalePlan, default_policy
+from repro.chaos import CAMPAIGN_MITIGATIONS, chaos_study
+from repro.chaos.campaign import DEFAULT_INTENSITIES
 from repro.cloud.instance_types import AZURE_INSTANCE_TYPES, EC2_INSTANCE_TYPES
+from repro.cloud.spot import BidStrategy
 from repro.cluster import CLUSTERS, get_cluster
 from repro.core.application import get_application
 from repro.core.backends import make_backend
 from repro.core.report import format_table
+from repro.obs import observe
 
 __all__ = ["build_parser", "main"]
 
 
-def _add_jobs(parser, what: str) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"{what} (default: REPRO_JOBS or cpu count)",
-    )
+#: Every flag more than one subcommand takes, declared once: its
+#: argparse keywords by name.  A subcommand adds its own default and help.
+_SHARED = {
+    "--app": dict(choices=("cap3", "blast", "gtm"), default="cap3"),
+    "--files": dict(type=int),
+    "--seed": dict(type=int),
+    "--instances": dict(type=int, help="cloud instances"),
+    "--instance-type": dict(help="e.g. HCXL or Small"),
+    "--workers": dict(type=int, help="workers per instance"),
+    "--jobs": dict(type=int, help="worker processes that run points in "
+                   "parallel (default: REPRO_JOBS or cpu count)"),
+    "--no-cache": dict(action="store_true",
+                       help="skip the result cache under .repro-cache/"),
+    "--smoke": dict(action="store_true"),
+    "--json": dict(metavar="OUT.json",
+                   help="also write the rows as canonical JSON"),
+    "--trace": dict(metavar="OUT.json", help="capture the run, in every "
+                    "worker process, and export one merged Chrome "
+                    "trace_event JSON (open in ui.perfetto.dev)"),
+    "--autoscale": dict(choices=("target-tracking", "step"),
+                        help="run an elastic pool under this scaling policy "
+                        "instead of a static fleet (cloud backends only)"),
+    "--spot-fraction": dict(
+        type=float, default=BidStrategy.spot_fraction,
+        help="fraction of the elastic pool bought on the spot market "
+        "(0 = all on-demand, 1 = all spot; requires --autoscale)",
+    ),
+    "--bid-multiplier": dict(
+        type=float, default=BidStrategy.bid_multiplier,
+        help="spot bid as a multiple of the on-demand price (requires "
+        "--autoscale)",
+    ),
+    "--min-instances": dict(type=int, default=AutoscalePlan.min_instances,
+                            help="elastic pool floor (requires --autoscale)"),
+    "--max-instances": dict(type=int, default=AutoscalePlan.max_instances,
+                            help="elastic pool ceiling (requires --autoscale)"),
+    "--billing": dict(
+        choices=("hourly", "per-second"), default=AutoscalePlan.billing,
+        help="billing mode for the elastic pool's instances (requires "
+        "--autoscale)",
+    ),
+}
+
+#: The elastic-pool flags: each requires ``--autoscale`` unless it is
+#: left at its default.  Each is the :class:`AutoscalePlan` field (or,
+#: for the bid, :class:`BidStrategy` field) of its name.
+_ELASTIC = (
+    "--spot-fraction", "--bid-multiplier", "--min-instances",
+    "--max-instances", "--billing",
+)
+
+#: Flags that carry a study or backend parameter: flag -> keyword of
+#: :func:`~repro.chaos.chaos_study`, :func:`~repro.serve.serve_study`
+#: (whose signatures hold the ``chaos`` and ``serve`` defaults) or, for
+#: ``run``'s cloud deployment shape, ``make_backend``.
+_CHAOS_PARAMS = {
+    "--files": "n_files", "--instances": "n_instances",
+    "--workers": "workers_per_instance", "--seed": "seed",
+    "--horizon": "horizon_s",
+}
+_SERVE_PARAMS = {
+    "--seed": "seed", "--duration": "duration_s",
+    "--instance-type": "instance_type", "--provider": "provider",
+    "--workers": "workers_per_instance",
+}
+_SHAPE_PARAMS = {
+    "--instances": "n_instances", "--instance-type": "instance_type",
+    "--workers": "workers_per_instance",
+}
 
 
-def _add_no_cache(parser) -> None:
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the result cache under .repro-cache/",
-    )
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _joined(values) -> str:
+    """A tuple default as its ``--flag a,b,c`` text."""
+    return ",".join(format(value, "g") for value in values)
+
+
+def _study_defaults(study, params: dict) -> dict:
+    """Flag -> default, for each ``params`` flag: the default of the
+    ``study`` parameter it maps to."""
+    signature = inspect.signature(study).parameters
+    return {flag: signature[name].default for flag, name in params.items()}
+
+
+def _study_kwargs(args, params: dict) -> dict:
+    """The keyword arguments that ``params``' flags carry."""
+    return {name: getattr(args, _dest(flag)) for flag, name in params.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.lint.cli import add_lint_parser, cmd_lint
+    from repro.serve import serve_study
+    from repro.serve.study import DEFAULT_FLEET_SIZES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -76,323 +164,174 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "catalog", help="print instance-type and cluster catalogs"
-    ).set_defaults(handler=_cmd_catalog)
+    def command(name, handler, help_text, defaults=None):
+        """Add subcommand ``name``; returns its ``add(flag, **own)``,
+        which declares a flag from ``_SHARED``, ``defaults`` and its
+        ``own`` keywords."""
+        command = sub.add_parser(name, help=help_text)
+        elastic: dict = {}
+        command.set_defaults(handler=handler, elastic=elastic)
 
-    run_parser = sub.add_parser(
-        "run", help="run a workload on a backend and print metrics"
-    )
-    run_parser.set_defaults(handler=_cmd_run)
-    run_parser.add_argument(
-        "--app", choices=("cap3", "blast", "gtm"), default="cap3"
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=("ec2", "azure", "hadoop", "dryadlinq"),
-        default="ec2",
-    )
-    run_parser.add_argument("--files", type=int, default=200)
-    run_parser.add_argument(
-        "--instances", type=int, default=None,
-        help="cloud instances (default: paper setup)",
-    )
-    run_parser.add_argument(
-        "--instance-type", default=None, help="e.g. HCXL or Small"
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=None, help="workers per instance"
-    )
-    run_parser.add_argument(
-        "--nodes", type=int, default=None, help="bare-metal nodes"
-    )
-    run_parser.add_argument(
-        "--cluster", default=None, help=f"one of {sorted(CLUSTERS)}"
-    )
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
-        "--inhomogeneous", action="store_true",
-        help="inhomogeneous task sizes (Cap3/BLAST)",
-    )
-    run_parser.add_argument(
-        "--sanitize", action="store_true",
-        help="run on the instrumented event loop and print the "
-        "sanitizer report (sets REPRO_SANITIZE=1)",
-    )
-    _add_no_cache(run_parser)
-    run_parser.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="record spans/metrics and export a Chrome trace_event JSON "
-        "(open in chrome://tracing or ui.perfetto.dev); forces an "
-        "in-process, uncached run",
-    )
-    run_parser.add_argument(
-        "--autoscale", choices=("target-tracking", "step"), default=None,
-        help="run an elastic pool under this scaling policy instead of "
-        "the static deployment (cloud backends only)",
-    )
-    run_parser.add_argument(
-        "--spot-fraction", type=float, default=0.0,
-        help="fraction of the elastic pool bought on the spot market "
-        "(0 = all on-demand, 1 = all spot; requires --autoscale)",
-    )
-    run_parser.add_argument(
-        "--bid-multiplier", type=float, default=0.5,
-        help="spot bid as a multiple of the on-demand price",
-    )
-    run_parser.add_argument(
-        "--min-instances", type=int, default=1,
-        help="elastic pool floor (requires --autoscale)",
-    )
-    run_parser.add_argument(
-        "--max-instances", type=int, default=16,
-        help="elastic pool ceiling (requires --autoscale)",
-    )
-    run_parser.add_argument(
-        "--billing", choices=("hourly", "per-second"), default="hourly",
-        help="billing mode for the elastic pool's instances",
-    )
+        def add(flag, **own):
+            if defaults and flag in defaults:
+                own = {"default": defaults[flag], **own}
+            action = command.add_argument(
+                *flag.split(), **{**_SHARED.get(flag, {}), **own}
+            )
+            if flag in _ELASTIC:
+                elastic[flag] = action.default
 
-    sweep_parser = sub.add_parser(
-        "sweep",
-        help="run the paper's instance-type sweep through the worker pool",
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-    sweep_parser.add_argument(
-        "--app", choices=("cap3", "blast", "gtm"), default="cap3"
-    )
-    sweep_parser.add_argument("--files", type=int, default=16)
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    _add_jobs(sweep_parser, "sweep worker processes")
-    _add_no_cache(sweep_parser)
-    sweep_parser.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="capture inside every worker process and export one merged "
-        "multi-process Chrome trace_event JSON",
-    )
+        return add
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="sustained-traffic job service study: multi-tenant arrival "
-        "streams, fair-share scheduling, cost-vs-latency frontier",
-    )
-    serve_parser.set_defaults(handler=_cmd_serve)
-    serve_parser.add_argument("--seed", type=int, default=42)
-    serve_parser.add_argument(
-        "--duration", type=float, default=600.0,
-        help="simulated seconds the arrival window stays open",
-    )
-    serve_parser.add_argument(
-        "--fleet", default="1,2,4", metavar="N[,N...]",
-        help="comma-separated fleet sizes to study (default 1,2,4)",
-    )
-    serve_parser.add_argument(
-        "--instance-type", default="HCXL", help="e.g. HCXL or Small"
-    )
-    serve_parser.add_argument(
-        "--provider", choices=("aws", "azure"), default="aws"
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=8, help="workers per instance"
-    )
-    _add_jobs(serve_parser, "fleet points run in parallel")
-    serve_parser.add_argument(
-        "--autoscale", choices=("target-tracking", "step"), default=None,
-        help="autoscale each fleet point instead of keeping it static",
-    )
-    serve_parser.add_argument(
-        "--spot-fraction", type=float, default=0.0,
-        help="fraction of the elastic fleet bought on the spot market "
-        "(requires --autoscale)",
-    )
-    serve_parser.add_argument(
-        "--max-instances", type=int, default=8,
-        help="elastic fleet ceiling (requires --autoscale)",
-    )
-    serve_parser.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="capture each fleet point (in-process or on the worker "
-        "pool, at any --jobs) and export one merged Chrome trace_event "
-        "JSON (one synthetic process per fleet point)",
-    )
-    serve_parser.add_argument(
-        "--json", metavar="OUT.json", default=None,
-        help="also write the frontier rows as canonical JSON",
-    )
+    command("catalog", _cmd_catalog, "print instance-type and cluster catalogs")
 
-    trace_parser = sub.add_parser(
-        "trace", help="validate and summarize an exported Chrome trace"
-    )
-    trace_parser.set_defaults(handler=_cmd_trace)
-    trace_parser.add_argument(
-        "trace", help="trace JSON written by 'run --trace' or 'sweep --trace'"
-    )
+    run = command("run", _cmd_run, "run a workload on a backend and print "
+                  "metrics")
+    run("--app")
+    run("--backend", choices=("ec2", "azure", "hadoop", "dryadlinq"),
+        default="ec2")
+    run("--files", default=200)
+    run("--instances", help="cloud instances (default: paper setup)")
+    run("--instance-type")
+    run("--workers")
+    run("--nodes", type=int, help="bare-metal nodes")
+    run("--cluster", help=f"one of {sorted(CLUSTERS)}")
+    run("--seed", default=0)
+    run("--inhomogeneous", action="store_true",
+        help="inhomogeneous task sizes (Cap3/BLAST)")
+    run("--sanitize", action="store_true",
+        help="run on the instrumented event loop and print the sanitizer "
+        "report (sets REPRO_SANITIZE=1)")
+    run("--no-cache")
+    run("--trace", help="record the run in-process and uncached, and "
+        "export a Chrome trace_event JSON (open in ui.perfetto.dev)")
+    run("--autoscale")
+    for flag in _ELASTIC:
+        run(flag)
 
-    report_parser = sub.add_parser(
-        "report",
-        help="render a self-contained HTML report from a trace, a run "
-        "result and the BENCH_*.json history",
-    )
-    report_parser.set_defaults(handler=_cmd_report)
-    report_parser.add_argument(
-        "trace", help="Chrome trace JSON (from 'run --trace' or 'sweep --trace')"
-    )
-    report_parser.add_argument(
-        "--run", default=None, metavar="RESULT.json",
-        help="RunResult JSON exported via RunResult.to_json",
-    )
-    report_parser.add_argument(
-        "--bench", nargs="*", default=None, metavar="BENCH.json",
-        help="bench history files, oldest first (default: BENCH_*.json "
-        "in the working directory)",
-    )
-    report_parser.add_argument(
-        "-o", "--output", default="report.html", help="output HTML path"
-    )
-    report_parser.add_argument("--title", default=None)
-    report_parser.add_argument(
-        "--timeline-csv", default=None, metavar="OUT.csv",
-        help="also write the trace's timeline counter series as CSV",
-    )
+    sweep = command("sweep", _cmd_sweep, "run the paper's instance-type "
+                    "sweep through the worker pool")
+    sweep("--app")
+    sweep("--files", default=16)
+    sweep("--seed", default=0)
+    sweep("--jobs")
+    sweep("--no-cache")
+    sweep("--trace")
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the microbenchmark suite and write BENCH JSON"
+    serve = command(
+        "serve", _cmd_serve, "sustained-traffic job service study: "
+        "multi-tenant arrival streams, fair-share scheduling, "
+        "cost-vs-latency frontier",
+        _study_defaults(serve_study, _SERVE_PARAMS),
     )
-    bench_parser.set_defaults(handler=_cmd_bench)
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny sizes: verify wiring in seconds, numbers not publishable",
-    )
-    _add_jobs(bench_parser, "sweep worker processes")
-    bench_parser.add_argument(
-        "--output", default="BENCH_3.json", help="output JSON path"
-    )
-    bench_parser.add_argument(
-        "--gate", default=None, metavar="BASELINE",
-        help="fail if kernel events/s regress past --gate-tolerance of "
-        "this baseline BENCH JSON",
-    )
-    bench_parser.add_argument(
-        "--gate-tolerance", type=float, default=0.10, metavar="FRACTION",
-        help="allowed kernel events/s regression fraction (default 0.10)",
-    )
-    bench_parser.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="compare two BENCH JSON files and print a delta table with "
-        "regressions flagged (skips running the suite)",
-    )
+    serve("--seed")
+    serve("--duration", type=float,
+          help="simulated seconds the arrival window stays open")
+    serve("--fleet", default=_joined(DEFAULT_FLEET_SIZES), metavar="N[,N...]",
+          help="comma-separated fleet sizes to study (default %(default)s)")
+    serve("--instance-type")
+    serve("--provider", choices=("aws", "azure"))
+    serve("--workers")
+    serve("--jobs")
+    serve("--autoscale")
+    serve("--spot-fraction")
+    serve("--max-instances", default=8)
+    serve("--trace")
+    serve("--json")
 
-    cache_parser = sub.add_parser(
-        "cache", help="inspect or clear the sweep result cache"
-    )
-    cache_parser.set_defaults(handler=_cmd_cache)
-    cache_parser.add_argument("action", choices=("stats", "clear"))
-    cache_parser.add_argument(
-        "--dir", default=None,
-        help="cache directory (default: REPRO_CACHE_DIR or .repro-cache)",
-    )
+    trace = command("trace", _cmd_trace, "validate and summarize an exported "
+                    "Chrome trace")
+    trace("trace", help="trace JSON written by 'run --trace' or "
+          "'sweep --trace'")
 
-    cost_parser = sub.add_parser(
-        "cost", help="Table 4-style cost comparison for a Cap3 workload"
-    )
-    cost_parser.set_defaults(handler=_cmd_cost)
-    cost_parser.add_argument("--files", type=int, default=4096)
-    cost_parser.add_argument("--reads-per-file", type=int, default=458)
+    report = command("report", _cmd_report, "render a self-contained HTML "
+                     "report from a trace, a run result and the BENCH_*.json "
+                     "history")
+    report("trace", help="Chrome trace JSON (from 'run --trace' or "
+           "'sweep --trace')")
+    report("--run", metavar="RESULT.json",
+           help="RunResult JSON exported via RunResult.to_json")
+    report("--bench", nargs="*", metavar="BENCH.json",
+           help="bench history files, oldest first (default: BENCH_*.json "
+           "in the working directory)")
+    report("-o --output", default="report.html", help="output HTML path")
+    report("--title")
+    report("--timeline-csv", metavar="OUT.csv",
+           help="also write the trace's timeline counter series as CSV")
 
-    figures_parser = sub.add_parser(
-        "figures", help="regenerate one of the paper's figures"
-    )
-    figures_parser.set_defaults(handler=_cmd_figures)
-    figures_parser.add_argument(
-        "figure", nargs="?", default=None,
-        help="figure id (omit to list available ids)",
-    )
+    bench = command("bench", _cmd_bench, "run the microbenchmark suite and "
+                    "write BENCH JSON")
+    bench("--smoke",
+          help="tiny sizes: verify wiring in seconds, numbers not publishable")
+    bench("--jobs")
+    bench("--output", default="BENCH_3.json", help="output JSON path")
+    bench("--gate", metavar="BASELINE", help="fail if kernel events/s "
+          "regress past --gate-tolerance of this baseline BENCH JSON")
+    bench("--gate-tolerance", type=float, default=0.10, metavar="FRACTION",
+          help="allowed kernel events/s regression fraction "
+          "(default %(default)s)")
+    bench("--compare", nargs=2, metavar=("OLD", "NEW"),
+          help="compare two BENCH JSON files and print a delta table with "
+          "regressions flagged (skips running the suite)")
 
-    analyze_parser = sub.add_parser(
-        "analyze", help="analyze a trace JSON exported via RunResult.to_json"
-    )
-    analyze_parser.set_defaults(handler=_cmd_analyze)
-    analyze_parser.add_argument("trace", help="path to the trace JSON")
-    analyze_parser.add_argument(
-        "--gantt-width", type=int, default=72, help="Gantt chart width"
-    )
+    cache = command("cache", _cmd_cache, "inspect or clear the sweep result "
+                    "cache")
+    cache("action", choices=("stats", "clear"))
+    cache("--dir", help="cache directory (default: REPRO_CACHE_DIR or "
+          ".repro-cache)")
 
-    gendata_parser = sub.add_parser(
-        "gendata", help="write a real synthetic workload to disk"
-    )
-    gendata_parser.set_defaults(handler=_cmd_gendata)
-    gendata_parser.add_argument(
-        "--app", choices=("cap3", "blast", "gtm"), default="cap3"
-    )
-    gendata_parser.add_argument("directory", help="output directory")
-    gendata_parser.add_argument("--files", type=int, default=8)
-    gendata_parser.add_argument(
-        "--size", type=int, default=None,
-        help="reads per file (cap3), queries per file (blast) or points "
-             "per file (gtm); app default if omitted",
-    )
-    gendata_parser.add_argument("--seed", type=int, default=0)
+    cost = command("cost", _cmd_cost, "Table 4-style cost comparison for a "
+                   "Cap3 workload")
+    cost("--files", default=4096)
+    cost("--reads-per-file", type=int, default=458)
 
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="deterministic fault-injection campaign: sweep fault "
-        "intensity x mitigation and print the resilience report",
-    )
-    chaos_parser.set_defaults(handler=_cmd_chaos)
-    chaos_parser.add_argument(
-        "--app", choices=("cap3", "blast", "gtm"), default="cap3"
-    )
-    chaos_parser.add_argument("--files", type=int, default=48)
-    chaos_parser.add_argument("--instances", type=int, default=2)
-    chaos_parser.add_argument(
-        "--workers", type=int, default=8, help="workers per instance"
-    )
-    chaos_parser.add_argument("--seed", type=int, default=13)
-    chaos_parser.add_argument(
-        "--intensities", default="0,0.5,1", metavar="X[,X...]",
-        help="comma-separated fault intensities (0 = fault-free)",
-    )
-    chaos_parser.add_argument(
-        "--mitigations", default=None, metavar="M[,M...]",
-        help="comma-separated subset of none,retry,speculation,"
-        "retry+speculation (default: all four)",
-    )
-    chaos_parser.add_argument(
-        "--horizon", type=float, default=240.0,
-        help="seconds of the measured window faults are scheduled into",
-    )
-    _add_jobs(chaos_parser, "campaign cells run in parallel")
-    _add_no_cache(chaos_parser)
-    chaos_parser.add_argument(
-        "--smoke", action="store_true",
-        help="1-seed PR smoke: a tiny grid (fault-free baseline plus "
-        "one defended high-intensity cell), seconds of wall time",
-    )
-    chaos_parser.add_argument(
-        "--json", metavar="OUT.json", default=None,
-        help="also write the resilience rows as canonical JSON",
-    )
-    chaos_parser.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="also play one traced run at the highest requested "
-        "intensity (retry+speculation) and export its Chrome trace "
-        "with the chaos-track instants",
-    )
+    figures = command("figures", _cmd_figures, "regenerate one of the "
+                      "paper's figures")
+    figures("figure", nargs="?", help="figure id (omit to list available ids)")
 
-    docs_parser = sub.add_parser(
-        "docs", help="check documentation: links resolve, code blocks run"
-    )
-    docs_parser.set_defaults(handler=_cmd_docs)
-    docs_parser.add_argument(
-        "paths", nargs="*",
-        help="markdown files to check (default: README.md + docs/*.md)",
-    )
-    docs_parser.add_argument(
-        "--no-execute", action="store_true",
-        help="check links only, skip running python code blocks",
-    )
+    analyze = command("analyze", _cmd_analyze, "analyze a trace JSON "
+                      "exported via RunResult.to_json")
+    analyze("trace", help="path to the trace JSON")
+    analyze("--gantt-width", type=int, default=72, help="Gantt chart width")
 
-    from repro.lint.cli import add_lint_parser, cmd_lint
+    gendata = command("gendata", _cmd_gendata, "write a real synthetic "
+                      "workload to disk")
+    gendata("--app")
+    gendata("directory", help="output directory")
+    gendata("--files", default=8)
+    gendata("--size", type=int, help="reads per file (cap3), queries per "
+            "file (blast) or points per file (gtm); app default if omitted")
+    gendata("--seed", default=0)
+
+    chaos = command(
+        "chaos", _cmd_chaos, "deterministic fault-injection campaign: sweep "
+        "fault intensity x mitigation and print the resilience report",
+        _study_defaults(chaos_study, _CHAOS_PARAMS),
+    )
+    for flag in ("--app", "--files", "--instances", "--workers", "--seed"):
+        chaos(flag)
+    chaos("--intensities", default=_joined(DEFAULT_INTENSITIES),
+          metavar="X[,X...]",
+          help="comma-separated fault intensities (0 = fault-free)")
+    chaos("--mitigations", metavar="M[,M...]", help="comma-separated subset "
+          f"of {','.join(CAMPAIGN_MITIGATIONS)} (default: all)")
+    chaos("--horizon", type=float,
+          help="seconds of the measured window faults are scheduled into")
+    chaos("--jobs")
+    chaos("--no-cache")
+    chaos("--smoke", help="1-seed PR smoke: a tiny grid (fault-free baseline "
+          "plus one defended high-intensity cell), seconds of wall time")
+    chaos("--json")
+    chaos("--trace", help="also play one traced run at the highest requested "
+          "intensity (retry+speculation) and export its Chrome trace with "
+          "the chaos-track instants")
+
+    docs = command("docs", _cmd_docs, "check documentation: links resolve, "
+                   "code blocks run")
+    docs("paths", nargs="*",
+         help="markdown files to check (default: README.md + docs/*.md)")
+    docs("--no-execute", action="store_true",
+         help="check links only, skip running python code blocks")
 
     add_lint_parser(sub).set_defaults(handler=cmd_lint)
     return parser
@@ -417,46 +356,28 @@ def _tasks_for(app_name: str, n_files: int, inhomogeneous: bool, seed: int):
 
 
 def _cmd_catalog(args, out) -> int:
-    rows = [
-        [t.name, f"{t.machine.memory_gb} GB", t.ec2_compute_units or "-",
-         f"{t.machine.cores} x {t.machine.clock_ghz} GHz",
-         f"${t.cost_per_hour}/h"]
-        for t in EC2_INSTANCE_TYPES.values()
+    tables = [
+        ("Table 1: EC2 instance types",
+         ["EC2 type", "memory", "ECU", "cores", "price"],
+         [[t.name, f"{t.machine.memory_gb} GB", t.ec2_compute_units or "-",
+           f"{t.machine.cores} x {t.machine.clock_ghz} GHz",
+           f"${t.cost_per_hour}/h"] for t in EC2_INSTANCE_TYPES.values()]),
+        ("Table 2: Azure instance types",
+         ["Azure type", "cores", "memory", "price"],
+         [[t.name, t.machine.cores, f"{t.machine.memory_gb} GB",
+           f"${t.cost_per_hour}/h"] for t in AZURE_INSTANCE_TYPES.values()]),
+        ("Bare-metal clusters",
+         ["cluster", "nodes", "cores/node", "clock", "memory/node", "os"],
+         [[c.name, c.n_nodes, c.node.machine.cores,
+           f"{c.node.machine.clock_ghz} GHz",
+           f"{c.node.machine.memory_gb} GB", c.node.machine.os]
+          for c in CLUSTERS.values()]),
     ]
-    print(format_table(
-        ["EC2 type", "memory", "ECU", "cores", "price"], rows,
-        title="Table 1: EC2 instance types",
-    ), file=out)
-    rows = [
-        [t.name, t.machine.cores, f"{t.machine.memory_gb} GB",
-         f"${t.cost_per_hour}/h"]
-        for t in AZURE_INSTANCE_TYPES.values()
-    ]
-    print(file=out)
-    print(format_table(
-        ["Azure type", "cores", "memory", "price"], rows,
-        title="Table 2: Azure instance types",
-    ), file=out)
-    rows = [
-        [c.name, c.n_nodes, c.node.machine.cores,
-         f"{c.node.machine.clock_ghz} GHz",
-         f"{c.node.machine.memory_gb} GB", c.node.machine.os]
-        for c in CLUSTERS.values()
-    ]
-    print(file=out)
-    print(format_table(
-        ["cluster", "nodes", "cores/node", "clock", "memory/node", "os"],
-        rows, title="Bare-metal clusters",
+    print("\n\n".join(
+        format_table(header, rows, title=title)
+        for title, header, rows in tables
     ), file=out)
     return 0
-
-
-def _check_jobs(args) -> None:
-    """Validate the jobs policy up front, so a bad ``--jobs`` or
-    ``REPRO_JOBS`` is reported before the run starts, not mid-run."""
-    from repro.sweep.runner import resolve_jobs
-
-    resolve_jobs(args.jobs)
 
 
 def _comma_list(flag: str, text: str, parse=str, what: str = "names"):
@@ -473,34 +394,31 @@ def _comma_list(flag: str, text: str, parse=str, what: str = "names"):
 
 
 def _autoscale_plan(args):
-    """The elastic-pool plan behind ``--autoscale`` (``run`` and ``serve``;
-    only ``run`` has the floor, bid and billing flags)."""
-    from repro.autoscale import AutoscalePlan, default_policy
-    from repro.cloud.spot import BidStrategy
-
+    """The elastic-pool plan behind ``--autoscale`` (``run`` and
+    ``serve``), or ``None`` without it.  Without ``--autoscale``, an
+    elastic flag moved off its default is an error."""
+    if args.autoscale is None:
+        for flag, default in args.elastic.items():
+            if getattr(args, _dest(flag)) != default:
+                raise ValueError(f"{flag} requires --autoscale")
+        return None
+    # Each elastic flag is the plan field of its name; fields the
+    # subcommand has no flag for keep the plan's defaults.
+    plan = {_dest(flag): getattr(args, _dest(flag)) for flag in args.elastic}
+    bid = BidStrategy.mixed(
+        plan.pop("spot_fraction"),
+        plan.pop("bid_multiplier", BidStrategy.bid_multiplier),
+    )
     return AutoscalePlan(
-        policy=default_policy(args.autoscale),
-        min_instances=getattr(args, "min_instances", 1),
-        max_instances=args.max_instances,
-        bid=BidStrategy.mixed(
-            args.spot_fraction,
-            bid_multiplier=getattr(args, "bid_multiplier", 0.5),
-        ),
-        billing=getattr(args, "billing", "hourly"),
+        policy=default_policy(args.autoscale), bid=bid, **plan
     )
 
 
-@contextmanager
-def _traced(trace: "str | None", label: str):
-    """Observe the block under a live bundle labelled ``label`` when
-    ``trace`` names an output file; yields the bundle, or ``None``."""
-    if trace is None:
-        yield None
-        return
-    from repro.obs import observe
+def _cache(args):
+    """The sweep result cache, or ``None`` under ``--no-cache``."""
+    from repro.sweep.cache import default_cache
 
-    with observe(label=label) as obs:
-        yield obs
+    return None if args.no_cache else default_cache()
 
 
 def _write_trace(path: str, obs, out) -> None:
@@ -522,17 +440,36 @@ def _write_trace(path: str, obs, out) -> None:
     )
 
 
+def _run_study(args, out, label: str, study, rows_name="", replay=None):
+    """The path behind ``run``, ``sweep``, ``serve`` and ``chaos``: run
+    ``study()`` for its ``(rows, report)``, print the report, write the
+    rows to ``--json`` and the capture to ``--trace``.  The capture is of
+    the study itself, or of ``replay()`` when given.  (A bad ``--jobs``
+    or ``REPRO_JOBS`` fails in the study before any point runs.)"""
+    traced = args.trace and replay is None
+    with observe(label=label) if traced else nullcontext() as obs:
+        rows, report = study()
+    print(report, file=out)
+    if getattr(args, "json", None):
+        from repro.core.report import serialize_rows
+
+        with open(args.json, "w", encoding="utf-8") as handle:
+            handle.write(serialize_rows(rows) + "\n")
+        print(f"{rows_name} rows written to {args.json}", file=out)
+    if args.trace:
+        if replay is not None:
+            with observe(label=label) as obs:
+                replay()
+        _write_trace(args.trace, obs, out)
+    return 0
+
+
 def _progress_printer(out):
     """A ``run_points`` progress callback printing one line per event."""
-
-    def show_progress(event) -> None:
-        print(
-            f"[{event.index + 1}/{event.total}] "
-            f"{event.label}: {event.status}",
-            file=out,
-        )
-
-    return show_progress
+    return lambda event: print(
+        f"[{event.index + 1}/{event.total}] {event.label}: {event.status}",
+        file=out,
+    )
 
 
 def _read_json(path: str, what: str):
@@ -563,33 +500,18 @@ def _load_trace(path: str, out):
 
 
 def _cmd_run(args, out) -> int:
-    # Sanitize this run only: later in-process runs see the old value.
-    previous = os.environ.get("REPRO_SANITIZE")
-    if args.sanitize:
-        os.environ["REPRO_SANITIZE"] = "1"
-    try:
-        return _run_and_report(args, out)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SANITIZE", None)
-        else:
-            os.environ["REPRO_SANITIZE"] = previous
+    from repro.sweep.points import InlinePoint, point_for, run_inline
+    from repro.sweep.runner import run_points
 
-
-def _run_and_report(args, out) -> int:
     app = get_application(args.app)
     tasks = _tasks_for(args.app, args.files, args.inhomogeneous, args.seed)
     kwargs: dict = {"seed": args.seed}
+    autoscale = _autoscale_plan(args)
     if args.backend in ("ec2", "azure"):
-        if args.instances is not None:
-            kwargs["n_instances"] = args.instances
-        if args.instance_type is not None:
-            kwargs["instance_type"] = args.instance_type
-        if args.workers is not None:
-            kwargs["workers_per_instance"] = args.workers
-        if args.autoscale is not None:
-            kwargs["autoscale"] = _autoscale_plan(args)
-    elif args.autoscale is not None:
+        shape = {**_study_kwargs(args, _SHAPE_PARAMS), "autoscale": autoscale}
+        # An unset shape flag keeps the paper's deployment.
+        kwargs.update({k: v for k, v in shape.items() if v is not None})
+    elif autoscale is not None:
         raise ValueError("--autoscale requires a cloud backend (ec2 or azure)")
     else:
         cluster_name = args.cluster or (
@@ -601,132 +523,111 @@ def _run_and_report(args, out) -> int:
             cluster = cluster.subset(args.nodes)
         kwargs["cluster"] = cluster
     backend = make_backend(args.backend, **kwargs)
-    from repro.sweep.cache import default_cache
-    from repro.sweep.points import InlinePoint, point_for, run_inline
-    from repro.sweep.runner import run_points
 
-    if args.trace or args.sanitize:
-        # Tracing needs the span stream of this process and the
-        # sanitizer report needs the live backend's event loop, so
-        # run in-process and uncached.
-        point = InlinePoint(
-            app=app, backend=backend, tasks=tasks, label=backend.name
+    def study():
+        if args.trace or args.sanitize:
+            # Tracing needs the span stream of this process and the
+            # sanitizer report needs the live backend's event loop, so
+            # run in-process and uncached.
+            r = run_inline(InlinePoint(
+                app=app, backend=backend, tasks=tasks, label=backend.name
+            ))
+        else:
+            # One point: it runs in this process whatever the jobs policy.
+            (r,) = run_points(
+                [point_for(app, backend, tasks)], jobs=1,
+                cache=_cache(args), progress=_progress_printer(out),
+            )
+        rows = [
+            ["backend", r.backend],
+            ["tasks", str(r.n_tasks)],
+            ["cores", str(r.cores)],
+            ["makespan", f"{r.makespan_s:,.1f} s"],
+            ["T1 (sequential)", f"{r.t1_s:,.1f} s"],
+            ["parallel efficiency (Eq.1)", f"{r.efficiency:.3f}"],
+            ["avg time/file/core (Eq.2)", f"{r.per_file_per_core_s:.2f} s"],
+        ]
+        if r.billed:
+            rows += [["compute cost (hour units)", f"${r.compute_cost:.2f}"],
+                     ["amortized total cost", f"${r.amortized_cost:.2f}"]]
+        extras = r.extras
+        if args.autoscale is not None and extras:
+            rows.extend(
+                [
+                    ["scaling events (up/down)",
+                     f"{extras.get('autoscale_scale_up_events', 0):.0f} / "
+                     f"{extras.get('autoscale_scale_down_events', 0):.0f}"],
+                    ["peak instances",
+                     f"{extras.get('autoscale_peak_instances', 0):.0f}"],
+                    ["spot preemptions",
+                     f"{extras.get('autoscale_preemptions', 0):.0f}"],
+                    ["spot capacity denied",
+                     f"{extras.get('autoscale_spot_unavailable', 0):.0f}"],
+                ]
+            )
+        report = format_table(
+            ["metric", "value"], rows, title=f"{args.app} on {args.backend}"
         )
-        with _traced(args.trace, f"{args.app}-{args.backend}") as obs:
-            r = run_inline(point)
-    else:
-        # One point: it runs in this process whatever the jobs policy.
-        r = run_points(
-            [point_for(app, backend, tasks)],
-            jobs=1,
-            cache=None if args.no_cache else default_cache(),
-            progress=_progress_printer(out),
-        )[0]
-    rows = [
-        ["backend", r.backend],
-        ["tasks", str(r.n_tasks)],
-        ["cores", str(r.cores)],
-        ["makespan", f"{r.makespan_s:,.1f} s"],
-        ["T1 (sequential)", f"{r.t1_s:,.1f} s"],
-        ["parallel efficiency (Eq.1)", f"{r.efficiency:.3f}"],
-        ["avg time/file/core (Eq.2)", f"{r.per_file_per_core_s:.2f} s"],
-    ]
-    if r.billed:
-        rows.append(
-            ["compute cost (hour units)", f"${r.compute_cost:.2f}"]
-        )
-        rows.append(
-            ["amortized total cost", f"${r.amortized_cost:.2f}"]
-        )
-    extras = r.extras
-    if args.autoscale is not None and extras:
-        rows.extend(
-            [
-                ["scaling events (up/down)",
-                 f"{extras.get('autoscale_scale_up_events', 0):.0f} / "
-                 f"{extras.get('autoscale_scale_down_events', 0):.0f}"],
-                ["peak instances",
-                 f"{extras.get('autoscale_peak_instances', 0):.0f}"],
-                ["spot preemptions",
-                 f"{extras.get('autoscale_preemptions', 0):.0f}"],
-                ["spot capacity denied",
-                 f"{extras.get('autoscale_spot_unavailable', 0):.0f}"],
-            ]
-        )
-    print(format_table(["metric", "value"], rows,
-                       title=f"{args.app} on {args.backend}"), file=out)
-    if args.sanitize:
         env = getattr(backend, "last_environment", None)
-        if env is not None and hasattr(env, "sanitizer_report"):
-            print(file=out)
-            print("sanitizer report:", file=out)
-            print(env.sanitizer_report().summary(), file=out)
-    if args.trace:
-        _write_trace(args.trace, obs, out)
-    return 0
+        if args.sanitize and hasattr(env, "sanitizer_report"):
+            report += "\n\nsanitizer report:\n"
+            report += env.sanitizer_report().summary()
+        return r, report
+
+    # Sanitize this run only: later in-process runs see the old value.
+    previous = os.environ.get("REPRO_SANITIZE")
+    if args.sanitize:
+        os.environ["REPRO_SANITIZE"] = "1"
+    try:
+        return _run_study(args, out, f"{args.app}-{args.backend}", study)
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SANITIZE", None)
+        else:
+            os.environ["REPRO_SANITIZE"] = previous
 
 
 def _cmd_sweep(args, out) -> int:
-    _check_jobs(args)
     from repro.core.experiment import instance_type_study
     from repro.figures import ec2_16core_backends
-    from repro.sweep.cache import default_cache
 
-    tasks = _tasks_for(args.app, args.files, False, args.seed)
-    with _traced(args.trace, f"{args.app}-sweep") as obs:
+    def study():
         results = instance_type_study(
             get_application(args.app),
             ec2_16core_backends(seed=args.seed),
-            tasks,
+            _tasks_for(args.app, args.files, False, args.seed),
             jobs=args.jobs,
-            cache=None if args.no_cache else default_cache(),
+            cache=_cache(args),
             progress=_progress_printer(out),
         )
-    rows = [
-        [r.label, f"{r.compute_time_s:,.1f} s", f"${r.amortized_cost:.2f}"]
-        for r in results
-    ]
-    print(format_table(
-        ["instance type", "makespan", "amortized cost"], rows,
-        title=f"{args.app} sweep ({args.files} files)",
-    ), file=out)
-    if args.trace:
-        _write_trace(args.trace, obs, out)
-    return 0
+        return results, format_table(
+            ["instance type", "makespan", "amortized cost"],
+            [[r.label, f"{r.compute_time_s:,.1f} s",
+              f"${r.amortized_cost:.2f}"] for r in results],
+            title=f"{args.app} sweep ({args.files} files)",
+        )
+
+    return _run_study(args, out, f"{args.app}-sweep", study)
 
 
 def _cmd_serve(args, out) -> int:
-    _check_jobs(args)
-    from repro.serve import render_frontier, serialize_rows, serve_study
+    from repro.serve import render_frontier, serve_study
 
     fleet_sizes = _comma_list("--fleet", args.fleet, int, "integers")
-    autoscale = None if args.autoscale is None else _autoscale_plan(args)
-    with _traced(args.trace, "serve-study") as obs:
+    autoscale = _autoscale_plan(args)
+
+    def study():
         rows, results = serve_study(
-            fleet_sizes,
-            provider=args.provider,
-            instance_type=args.instance_type,
-            workers_per_instance=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            autoscale=autoscale,
-            jobs=args.jobs,
+            fleet_sizes, autoscale=autoscale, jobs=args.jobs,
+            **_study_kwargs(args, _SERVE_PARAMS),
         )
-    print(render_frontier(rows), file=out)
-    for result in results:
-        if result.abandoned or result.duplicates:
-            print(
-                f"fleet {result.n_instances}: {result.abandoned} abandoned, "
-                f"{result.duplicates} duplicate execution(s)",
-                file=out,
-            )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(serialize_rows(rows) + "\n")
-        print(f"frontier rows written to {args.json}", file=out)
-    if args.trace:
-        _write_trace(args.trace, obs, out)
-    return 0
+        return rows, "\n".join([render_frontier(rows)] + [
+            f"fleet {r.n_instances}: {r.abandoned} abandoned, "
+            f"{r.duplicates} duplicate execution(s)"
+            for r in results if r.abandoned or r.duplicates
+        ])
+
+    return _run_study(args, out, "serve-study", study, "frontier")
 
 
 def _cmd_report(args, out) -> int:
@@ -734,6 +635,7 @@ def _cmd_report(args, out) -> int:
 
     from repro.obs import series_from_trace
     from repro.obs.report import write_report
+    from repro.obs.timeline import series_csv
 
     document = _load_trace(args.trace, out)
     if document is None:
@@ -756,16 +658,12 @@ def _cmd_report(args, out) -> int:
         file=out,
     )
     if args.timeline_csv:
-        series = series_from_trace(document)
-        lines = ["series,time_s,value"]
-        for name in sorted(series):
-            for ts, value in series[name]:
-                lines.append(f"{name},{ts:.9g},{value:.9g}")
+        text = series_csv(series_from_trace(document))
         with open(args.timeline_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
         print(
             f"timeline CSV written to {args.timeline_csv} "
-            f"({len(lines) - 1} samples)",
+            f"({len(text.splitlines()) - 1} samples)",
             file=out,
         )
     return 0
@@ -827,8 +725,10 @@ def _cmd_bench(args, out) -> int:
             file=out,
         )
         return 0
-    _check_jobs(args)
     from repro.sweep.bench import main as bench_main
+    from repro.sweep.runner import resolve_jobs
+
+    resolve_jobs(args.jobs)  # before the suite's first timing, not mid-run
 
     return bench_main(args, out)
 
@@ -894,32 +794,22 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_gendata(args, out) -> int:
-    def size(name: str) -> dict:  # omitted: the writer's own default
-        return {} if args.size is None else {name: args.size}
+    from repro.workloads import genome, protein, pubchem
 
-    if args.app == "cap3":
-        from repro.workloads.genome import write_cap3_workload
-
-        specs = write_cap3_workload(
-            args.directory, n_files=args.files, seed=args.seed,
-            **size("reads_per_file"),
-        )
-        extra = ""
-    elif args.app == "blast":
-        from repro.workloads.protein import write_blast_workload
-
-        specs, db = write_blast_workload(
-            args.directory, n_files=args.files, seed=args.seed,
-            **size("queries_per_file"),
-        )
+    writer, size_name = {
+        "cap3": (genome.write_cap3_workload, "reads_per_file"),
+        "blast": (protein.write_blast_workload, "queries_per_file"),
+        "gtm": (pubchem.write_gtm_workload, "points_per_file"),
+    }[args.app]
+    # An omitted --size keeps the writer's own default.
+    size = {} if args.size is None else {size_name: args.size}
+    specs = writer(args.directory, n_files=args.files, seed=args.seed, **size)
+    extra = ""
+    if args.app == "blast":
+        specs, db = specs
         extra = f" (database: {len(db)} sequences, in memory only)"
-    else:
-        from repro.workloads.pubchem import write_gtm_workload
-
-        specs, sample = write_gtm_workload(
-            args.directory, n_files=args.files, seed=args.seed,
-            **size("points_per_file"),
-        )
+    elif args.app == "gtm":
+        specs, sample = specs
         extra = f" (training sample: {sample.shape[0]} points)"
     total_bytes = sum(s.input_size for s in specs)
     print(
@@ -931,85 +821,49 @@ def _cmd_gendata(args, out) -> int:
 
 
 def _cmd_chaos(args, out) -> int:
-    _check_jobs(args)
-    from repro.chaos import (
-        CAMPAIGN_MITIGATIONS,
-        chaos_point,
-        chaos_study,
-        render_resilience,
-        serialize_rows,
-    )
+    from repro.chaos import chaos_point, render_resilience
+    from repro.sweep import run_point
 
-    intensities = _comma_list(
+    settings = _study_kwargs(args, _CHAOS_PARAMS)
+    grid = {"intensities": _comma_list(
         "--intensities", args.intensities, float, "numbers"
-    )
-    mitigations = CAMPAIGN_MITIGATIONS
+    )}
     if args.mitigations is not None:
-        mitigations = _comma_list("--mitigations", args.mitigations)
-        unknown = [m for m in mitigations if m not in CAMPAIGN_MITIGATIONS]
-        if unknown:
-            raise ValueError(
-                f"unknown mitigation(s) {unknown}; "
-                f"choose from {list(CAMPAIGN_MITIGATIONS)}"
-            )
-    n_files = args.files
-    horizon = args.horizon
+        grid["mitigations"] = _comma_list("--mitigations", args.mitigations)
     if args.smoke:
         # The PR gate: one seed, the fault-free baseline plus a single
         # defended high-intensity cell — seconds, not minutes.  The
         # shrunk horizon keeps the fault schedule inside the shorter
         # smoke run.
-        n_files = min(n_files, 16)
-        intensities = (0.0, 1.0)
-        mitigations = ("none", "retry+speculation")
-        horizon = min(horizon, 90.0)
-    cache = None
-    if not args.no_cache:
-        from repro.sweep import default_cache
+        settings.update(
+            n_files=min(args.files, 16), horizon_s=min(args.horizon, 90.0)
+        )
+        grid = {"intensities": (0.0, 1.0),
+                "mitigations": ("none", "retry+speculation")}
 
-        cache = default_cache()
-    rows = chaos_study(
-        apps=(args.app,),
-        intensities=intensities,
-        mitigations=mitigations,
-        n_files=n_files,
-        n_instances=args.instances,
-        workers_per_instance=args.workers,
-        seed=args.seed,
-        horizon_s=horizon,
-        jobs=args.jobs,
-        cache=cache,
-    )
-    print(render_resilience(rows), file=out)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(serialize_rows(rows) + "\n")
-        print(f"resilience rows written to {args.json}", file=out)
-    if args.trace:
+    def study():
+        rows = chaos_study(
+            apps=(args.app,), jobs=args.jobs, cache=_cache(args),
+            **grid, **settings,
+        )
+        return rows, render_resilience(rows)
+
+    def replay():
         # Trace the campaign's own (highest intensity, retry+speculation)
         # cell, so the trace explains a row of the table.
-        from repro.sweep import run_point
-
-        intensity = max(intensities)
-        point = chaos_point(
-            args.app,
-            intensity,
-            "retry+speculation",
-            n_files=n_files,
-            n_instances=args.instances,
-            workers_per_instance=args.workers,
-            seed=args.seed,
-            horizon_s=horizon,
+        intensity = max(grid["intensities"])
+        traced = run_point(
+            chaos_point(args.app, intensity, "retry+speculation", **settings)
         )
-        with _traced(args.trace, f"chaos-{args.app}") as obs:
-            traced = run_point(point)
         print(
             f"traced cell: intensity {intensity:.2f}, retry+speculation, "
             f"makespan {traced.makespan_s:,.1f} s",
             file=out,
         )
-        _write_trace(args.trace, obs, out)
-    return 0
+
+    return _run_study(
+        args, out, f"chaos-{args.app}", study, "resilience", replay
+    )
 
 
 def _cmd_docs(args, out) -> int:

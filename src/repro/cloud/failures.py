@@ -53,6 +53,28 @@ class FaultPlan:
     poison_task_ids: frozenset[str] = frozenset()
     poison_restart_s: float = 30.0  # replacement worker delay
 
+    def __post_init__(self) -> None:
+        # At a receive-miss or read-error rate of 1, every attempt fails
+        # forever, so those two stop short of 1.
+        for name, ok, bound in [
+            ("message_duplicate_probability",
+             0 <= self.message_duplicate_probability <= 1, "in [0, 1]"),
+            ("straggler_probability", 0 <= self.straggler_probability <= 1,
+             "in [0, 1]"),
+            ("queue_miss_probability", 0 <= self.queue_miss_probability < 1,
+             "in [0, 1)"),
+            ("storage_error_rate", 0 <= self.storage_error_rate < 1,
+             "in [0, 1)"),
+            ("straggler_slowdown", self.straggler_slowdown >= 1, ">= 1"),
+            ("poison_restart_s", self.poison_restart_s >= 0, ">= 0"),
+            ("WorkerCrash restart_after", all(
+                c.restart_after is None or c.restart_after >= 0
+                for c in self.worker_crashes
+            ), ">= 0"),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} must be {bound}")
+
     def crashes_for(self, worker_index: int) -> list[WorkerCrash]:
         """Crashes scheduled against one worker, in time order."""
         return sorted(

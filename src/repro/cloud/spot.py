@@ -174,6 +174,8 @@ class BidStrategy:
         spot_fraction: float, bid_multiplier: float = 0.5
     ) -> "BidStrategy":
         """``spot_fraction`` of the pool on spot, the rest on-demand."""
+        if not 0.0 <= spot_fraction <= 1.0:
+            raise ValueError("spot_fraction must be in [0, 1]")
         if spot_fraction <= 0.0:
             return BidStrategy.on_demand()
         if spot_fraction >= 1.0:

@@ -17,7 +17,7 @@ ordered by the input sweep regardless of worker completion order, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from repro.core.application import Application
@@ -62,19 +62,13 @@ def instance_type_study(
     ``progress`` is forwarded to :func:`run_points` (a callable taking
     one :class:`~repro.sweep.runner.PointProgress` per event).
     """
-    points = [point_for(app, backend, tasks) for backend in backends]
-    results = run_points(points, jobs=jobs, cache=cache, progress=progress)
-    return [
-        InstanceStudyRow(
-            label=r.label,
-            compute_time_s=r.makespan_s,
-            compute_cost=r.compute_cost,
-            amortized_cost=r.amortized_cost,
-            total_cost=r.total_cost,
-            per_core_time_s=r.per_file_per_core_s,
-        )
-        for r in results
-    ]
+    return _grid_rows(
+        InstanceStudyRow, backends,
+        lambda backend: point_for(app, backend, tasks),
+        lambda _, r: {"compute_time_s": r.makespan_s,
+                      "per_core_time_s": r.per_file_per_core_s},
+        jobs=jobs, cache=cache, progress=progress,
+    )
 
 
 @dataclass(frozen=True)
@@ -107,20 +101,35 @@ def scalability_study(
     replicates its data set so workload scales with the fleet.
     ``progress`` is forwarded to :func:`run_points`.
     """
-    points = [
-        point_for(app, backend_factory(cores), tasks_for(cores))
-        for cores in core_counts
-    ]
+    return _grid_rows(
+        ScalingPoint, core_counts,
+        lambda cores: point_for(app, backend_factory(cores), tasks_for(cores)),
+        jobs=jobs, cache=cache, progress=progress,
+    )
+
+
+def _grid_rows(row_type, grid, point_of, values=None, *, jobs, cache,
+               progress=None):
+    """One ``row_type`` per cell of ``grid``, in grid order.
+
+    ``point_of(cell)`` is the cell's sweep point; every point runs
+    through one :func:`run_points` call.  A row's fields are
+    ``values(cell, result)`` (a dict), and each field it leaves out is
+    the :class:`~repro.sweep.points.PointResult` attribute of that name.
+    """
+    points = [point_of(cell) for cell in grid]
     results = run_points(points, jobs=jobs, cache=cache, progress=progress)
     return [
-        ScalingPoint(
-            backend=r.backend,
-            cores=r.cores,
-            n_tasks=r.n_tasks,
-            makespan_s=r.makespan_s,
-            t1_s=r.t1_s,
-            efficiency=r.efficiency,
-            per_file_per_core_s=r.per_file_per_core_s,
-        )
-        for r in results
+        _project(row_type, result, **(values(cell, result) if values else {}))
+        for cell, result in zip(grid, results)
     ]
+
+
+def _project(row_type, *sources, **values):
+    """A ``row_type`` from ``values``; each field they leave out is read
+    off the first of ``sources`` with an attribute of that name."""
+    for name in (f.name for f in fields(row_type)):
+        if name not in values:
+            source = next(s for s in sources if hasattr(s, name))
+            values[name] = getattr(source, name)
+    return row_type(**values)

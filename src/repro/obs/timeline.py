@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["NULL_TIMELINE", "NullTimeline", "Timeline", "series_from_trace"]
+__all__ = [
+    "NULL_TIMELINE", "NullTimeline", "Timeline", "series_csv",
+    "series_from_trace",
+]
 
 
 class Timeline:
@@ -64,12 +67,7 @@ class Timeline:
 
     def to_csv(self) -> str:
         """``series,time_s,value`` rows, sorted by series then sample order."""
-        lines = ["series,time_s,value"]
-        snap = self.snapshot()
-        for name in sorted(snap):
-            for ts, value in snap[name]:
-                lines.append(f"{name},{ts:.9g},{value:.9g}")
-        return "\n".join(lines) + "\n"
+        return series_csv(self.snapshot())
 
     def __len__(self) -> int:
         with self._lock:
@@ -86,6 +84,15 @@ class NullTimeline(Timeline):
 
 
 NULL_TIMELINE = NullTimeline()
+
+
+def series_csv(series: "dict[str, list[tuple[float, float]]]") -> str:
+    """``series,time_s,value`` rows, sorted by series then sample order."""
+    lines = ["series,time_s,value"]
+    for name in sorted(series):
+        for ts, value in series[name]:
+            lines.append(f"{name},{ts:.9g},{value:.9g}")
+    return "\n".join(lines) + "\n"
 
 
 def series_from_trace(data: dict) -> dict[str, list[tuple[float, float]]]:

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from repro.autoscale.plan import AutoscalePlan
+from repro.core.experiment import _project
 from repro.core.report import format_table, serialize_rows
 from repro.obs.context import current, run_captured
 from repro.serve.service import ServeConfig, ServeResult, run_serve
@@ -176,31 +177,14 @@ def serve_study(
 
 def frontier_rows(results: "Sequence[ServeResult]") -> "list[ServeStudyRow]":
     """Flatten service results into (fleet, tenant) frontier rows."""
-    rows: list[ServeStudyRow] = []
-    for result in results:
-        for stats in result.tenants:
-            rows.append(
-                ServeStudyRow(
-                    fleet=result.n_instances,
-                    tenant=stats.name,
-                    app=stats.app,
-                    arrival=stats.arrival,
-                    submitted=stats.submitted,
-                    admitted=stats.admitted,
-                    shed=stats.shed,
-                    completed=stats.completed,
-                    abandoned=stats.abandoned,
-                    p50_s=stats.p50_s,
-                    p95_s=stats.p95_s,
-                    p99_s=stats.p99_s,
-                    slo_p95_s=stats.slo_p95_s,
-                    slo_ok=stats.slo_ok,
-                    makespan_s=result.makespan_s,
-                    total_cost=result.total_cost,
-                    cost_per_1k_jobs=result.cost_per_1k_jobs,
-                )
-            )
-    return rows
+    return [
+        _project(
+            ServeStudyRow, stats, result,
+            fleet=result.n_instances, tenant=stats.name,
+        )
+        for result in results
+        for stats in result.tenants
+    ]
 
 
 def _fmt(value: "float | None", spec: str = ".1f") -> str:

@@ -378,6 +378,53 @@ class TestBadInputExits2:
         assert not list(tmp_path.rglob("MANIFEST.json"))
 
 
+class TestElasticFlags:
+    """``--spot-fraction``, ``--max-instances``, ``--min-instances``,
+    ``--bid-multiplier`` and ``--billing`` need ``--autoscale``, and the
+    spot fraction must lie in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["run", "--files", "8", "--spot-fraction", "0.7"],
+             "--spot-fraction"),
+            (["run", "--backend", "hadoop", "--files", "8",
+              "--max-instances", "4"], "--max-instances"),
+            (["run", "--files", "8", "--min-instances", "2"],
+             "--min-instances"),
+            (["run", "--files", "8", "--bid-multiplier", "0.9"],
+             "--bid-multiplier"),
+            (["run", "--files", "8", "--billing", "per-second"], "--billing"),
+            (["serve", "--duration", "60", "--fleet", "1",
+              "--spot-fraction", "0.5"], "--spot-fraction"),
+            (["serve", "--duration", "60", "--fleet", "1",
+              "--max-instances", "4"], "--max-instances"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_elastic_flag_without_autoscale_exits_2(self, argv, flag):
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text == f"error: {flag} requires --autoscale\n"
+
+    def test_defaults_without_autoscale_are_fine(self):
+        # Restating a default is not an elastic request.
+        code, text = run_cli(
+            "run", "--files", "4", "--instances", "1", "--no-cache",
+            "--spot-fraction", "0", "--max-instances", "16",
+        )
+        assert code == 0, text
+
+    @pytest.mark.parametrize("fraction", ["7", "-2"])
+    def test_spot_fraction_out_of_range_exits_2(self, fraction):
+        code, text = run_cli(
+            "run", "--app", "cap3", "--files", "8", "--autoscale", "step",
+            "--spot-fraction", fraction,
+        )
+        assert code == 2
+        assert text == "error: spot_fraction must be in [0, 1]\n"
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

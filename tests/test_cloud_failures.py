@@ -1,5 +1,7 @@
 """Edge-case tests for the legacy fault plan (repro.cloud.failures)."""
 
+import pytest
+
 from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.core.application import get_application
@@ -53,6 +55,48 @@ class TestPlanContracts:
 
     def test_empty_plan_crashes_for_any_worker(self):
         assert FaultPlan.none().crashes_for(0) == []
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("message_duplicate_probability", -0.1),
+            ("message_duplicate_probability", 1.5),
+            ("straggler_probability", 2.0),
+            ("straggler_probability", -0.5),
+            ("queue_miss_probability", 1.0),
+            ("queue_miss_probability", 1.5),
+            ("storage_error_rate", 1.0),
+            ("storage_error_rate", 3),
+            ("storage_error_rate", float("nan")),
+            ("straggler_slowdown", 0.5),
+            ("straggler_slowdown", -1.0),
+            ("poison_restart_s", -5),
+            ("worker_crashes", [WorkerCrash(0, 10.0, restart_after=-1.0)]),
+        ],
+    )
+    def test_rejects_out_of_range_settings(self, field, value):
+        name = "restart_after" if field == "worker_crashes" else field
+        with pytest.raises(ValueError, match=name):
+            FaultPlan(**{field: value})
+
+    def test_accepts_the_bounds(self):
+        FaultPlan(
+            worker_crashes=[WorkerCrash(0, 10.0, restart_after=0.0)],
+            message_duplicate_probability=1.0,
+            straggler_probability=1.0,
+            queue_miss_probability=0.999,
+            storage_error_rate=0.999,
+            straggler_slowdown=1.0,
+            poison_restart_s=0.0,
+        )
+
+    def test_out_of_range_straggler_fails_at_construction(self):
+        # It used to build, and the run died mid-simulation with
+        # "negative timeout delay".
+        with pytest.raises(ValueError, match="straggler_probability"):
+            small_config(fault_plan=FaultPlan(
+                straggler_probability=2.0, straggler_slowdown=-1.0
+            ))
 
 
 class TestEdgeCaseRuns:

@@ -92,6 +92,12 @@ class TestBidStrategy:
         with pytest.raises(ValueError, match="bid_multiplier"):
             BidStrategy(kind="spot", spot_fraction=1.0, bid_multiplier=0.0)
 
+    @pytest.mark.parametrize("fraction", [-2.0, -0.01, 1.01, 7.0, float("nan")])
+    def test_mixed_rejects_a_fraction_outside_0_1(self, fraction):
+        # mixed() used to clamp: 7 gave an all-spot pool, -2 all on-demand.
+        with pytest.raises(ValueError, match="spot_fraction"):
+            BidStrategy.mixed(fraction)
+
 
 def test_price_fraction_anchored_to_the_price_book():
     from repro.cloud.pricing import AWS_PRICES
