@@ -53,13 +53,14 @@ from repro.cluster import CLUSTERS, get_cluster
 from repro.core.application import get_application
 from repro.core.backends import make_backend
 from repro.core.report import format_table
-from repro.obs import observe
+from repro.obs import observe, summarize_chrome_trace, write_chrome_trace
 
 __all__ = ["build_parser", "main"]
 
 
-#: Every flag more than one subcommand takes, declared once: its
-#: argparse keywords by name.  A subcommand adds its own default and help.
+#: Every flag more than one subcommand takes, and the elastic-pool
+#: group, declared once: argparse keywords by name.  A subcommand adds
+#: its own default and help.
 _SHARED = {
     "--app": dict(choices=("cap3", "blast", "gtm"), default="cap3"),
     "--files": dict(type=int),
@@ -168,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
         """Add subcommand ``name``; returns its ``add(flag, **own)``,
         which declares a flag from ``_SHARED``, ``defaults`` and its
         ``own`` keywords."""
-        command = sub.add_parser(name, help=help_text)
+        subparser = sub.add_parser(name, help=help_text)
         elastic: dict = {}
-        command.set_defaults(handler=handler, elastic=elastic)
+        subparser.set_defaults(handler=handler, elastic=elastic)
 
         def add(flag, **own):
             if defaults and flag in defaults:
                 own = {"default": defaults[flag], **own}
-            action = command.add_argument(
+            action = subparser.add_argument(
                 *flag.split(), **{**_SHARED.get(flag, {}), **own}
             )
             if flag in _ELASTIC:
@@ -338,20 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tasks_for(app_name: str, n_files: int, inhomogeneous: bool, seed: int):
+    from repro.workloads import (
+        blast_task_specs, cap3_task_specs, gtm_task_specs,
+    )
+
     if app_name == "cap3":
-        from repro.workloads.genome import cap3_task_specs
-
-        return cap3_task_specs(
-            n_files, inhomogeneous=inhomogeneous, seed=seed
-        )
+        return cap3_task_specs(n_files, inhomogeneous=inhomogeneous, seed=seed)
     if app_name == "blast":
-        from repro.workloads.protein import blast_task_specs
-
         return blast_task_specs(
             n_files, inhomogeneous_base=inhomogeneous, seed=seed
         )
-    from repro.workloads.pubchem import gtm_task_specs
-
     return gtm_task_specs(n_files)
 
 
@@ -421,25 +418,6 @@ def _cache(args):
     return None if args.no_cache else default_cache()
 
 
-def _write_trace(path: str, obs, out) -> None:
-    """Export ``obs`` as a Chrome trace, then print its summary and
-    where it went (with the merged worker count when there is one)."""
-    from repro.obs import summarize_chrome_trace, write_chrome_trace
-
-    document = write_chrome_trace(path, obs)
-    workers = document["otherData"].get("workers", [])
-    merged = f", {len(workers)} worker process(es) merged" if workers else ""
-    print(file=out)
-    print(summarize_chrome_trace(document), file=out)
-    print(file=out)
-    print(
-        f"trace written to {path} "
-        f"({len(document['traceEvents'])} events{merged}; open in "
-        "chrome://tracing or ui.perfetto.dev)",
-        file=out,
-    )
-
-
 def _run_study(args, out, label: str, study, rows_name="", replay=None):
     """The path behind ``run``, ``sweep``, ``serve`` and ``chaos``: run
     ``study()`` for its ``(rows, report)``, print the report, write the
@@ -447,7 +425,7 @@ def _run_study(args, out, label: str, study, rows_name="", replay=None):
     the study itself, or of ``replay()`` when given.  (A bad ``--jobs``
     or ``REPRO_JOBS`` fails in the study before any point runs.)"""
     traced = args.trace and replay is None
-    with observe(label=label) if traced else nullcontext() as obs:
+    with (observe(label=label) if traced else nullcontext()) as obs:
         rows, report = study()
     print(report, file=out)
     if getattr(args, "json", None):
@@ -460,7 +438,18 @@ def _run_study(args, out, label: str, study, rows_name="", replay=None):
         if replay is not None:
             with observe(label=label) as obs:
                 replay()
-        _write_trace(args.trace, obs, out)
+        document = write_chrome_trace(args.trace, obs)
+        workers = len(document["otherData"].get("workers", []))
+        merged = f", {workers} worker process(es) merged" if workers else ""
+        print(file=out)
+        print(summarize_chrome_trace(document), file=out)
+        print(file=out)
+        print(
+            f"trace written to {args.trace} "
+            f"({len(document['traceEvents'])} events{merged}; open in "
+            "chrome://tracing or ui.perfetto.dev)",
+            file=out,
+        )
     return 0
 
 
@@ -670,8 +659,6 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    from repro.obs import summarize_chrome_trace
-
     document = _load_trace(args.trace, out)
     if document is None:
         return 2
@@ -714,16 +701,10 @@ def _cmd_bench(args, out) -> int:
     if args.compare is not None:
         from repro.obs.report import bench_compare, format_bench_compare
 
-        docs = [_read_json(path, "bench file") for path in args.compare]
-        rows = bench_compare(docs[0], docs[1], tolerance=args.gate_tolerance)
-        print(
-            format_bench_compare(
-                rows,
-                os.path.basename(args.compare[0]),
-                os.path.basename(args.compare[1]),
-            ),
-            file=out,
-        )
+        old, new = (_read_json(path, "bench file") for path in args.compare)
+        rows = bench_compare(old, new, tolerance=args.gate_tolerance)
+        names = [os.path.basename(path) for path in args.compare]
+        print(format_bench_compare(rows, *names), file=out)
         return 0
     from repro.sweep.bench import main as bench_main
     from repro.sweep.runner import resolve_jobs
@@ -821,7 +802,7 @@ def _cmd_gendata(args, out) -> int:
 
 
 def _cmd_chaos(args, out) -> int:
-    from repro.chaos import chaos_point, render_resilience
+    from repro.chaos import chaos_point, mitigation_settings, render_resilience
     from repro.sweep import run_point
 
     settings = _study_kwargs(args, _CHAOS_PARAMS)
@@ -830,6 +811,8 @@ def _cmd_chaos(args, out) -> int:
     )}
     if args.mitigations is not None:
         grid["mitigations"] = _comma_list("--mitigations", args.mitigations)
+        for mitigation in grid["mitigations"]:  # even under --smoke
+            mitigation_settings(mitigation)  # KeyError: an unknown name
     if args.smoke:
         # The PR gate: one seed, the fault-free baseline plus a single
         # defended high-intensity cell — seconds, not minutes.  The

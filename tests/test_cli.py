@@ -353,6 +353,8 @@ class TestBadInputExits2:
              "--fleet must name at least one value"),
             (["chaos", "--mitigations", ",", "--jobs", "1", "--no-cache"],
              "--mitigations must name at least one value"),
+            (["chaos", "--smoke", "--mitigations", "none,bogus", "--jobs",
+              "1", "--no-cache"], "bogus"),
             (["gendata", "{dir}", "--files", "0"], "n_files"),
             (["gendata", "{dir}", "--files", "-2"], "n_files"),
             (["gendata", "{dir}", "--size", "0"], "reads_per_file"),
