@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps.cap3 import _firsts, _PostingTable, _ragged, _ReadSet
 from repro.apps.fasta import FastaRecord
 
 __all__ = [
@@ -72,9 +73,13 @@ _BLOSUM62_ROWS = [
     [0, -3, -3, -3, -1, -2, -2, -3, -3, 3, 1, -2, 1, -1, -2, -2, 0, -3, -2, 4],
 ]
 _BLOSUM62 = np.array(_BLOSUM62_ROWS, dtype=np.int32)
-_BLOSUM62_FLAT = _BLOSUM62.ravel()
-# The gapped DP packs two counts below 2**32 as ``hi * _PAIR + lo``.
-_PAIR = 1 << 32
+# The gapped DP's substitution scores with a pad letter (20) off either
+# sequence, indexed ``subject * 21 + query``; a pad cell scores _DEAD.
+_PAD = len(AMINO_ACIDS)
+_DEAD = -128
+_BAND_SCORES = np.full((21, 21), _DEAD, dtype=np.int8)
+_BAND_SCORES[:20, :20] = _BLOSUM62
+_BAND_SCORES = _BAND_SCORES.ravel()
 
 
 def blosum62(a: str, b: str) -> int:
@@ -177,12 +182,31 @@ def _encode(seq: str) -> np.ndarray:
         raise ValueError(f"unknown amino acid {exc.args[0]!r}") from None
 
 
+def _word_keys(words: np.ndarray) -> np.ndarray:
+    """Key of each row of ``words`` (n x k residue indices): a base-20
+    int64 code, or for k too large for an int64 the row's bytes.  Keys
+    are equal exactly when the words are."""
+    k = words.shape[1]
+    if len(AMINO_ACIDS) ** k < 2**63:
+        return words @ len(AMINO_ACIDS) ** np.arange(k - 1, -1, -1)
+    return np.ascontiguousarray(words, dtype=np.uint8).view(f"S{k}")[:, 0]
+
+
+def _window_keys(residues: np.ndarray, k: int) -> np.ndarray:
+    """Key of every k-word window of an encoded sequence."""
+    if len(residues) < k:
+        return _word_keys(np.zeros((0, k), dtype=np.int64))
+    return _word_keys(np.lib.stride_tricks.sliding_window_view(residues, k))
+
+
 class BlastDatabase:
     """An in-memory protein database with a k-word index.
 
-    ``memory_bytes`` reports the resident footprint (sequences + index),
-    the quantity that has to fit in instance RAM for the paper's
-    memory-sensitivity results.
+    The index is a posting table: every word of every sequence, keys in
+    one stable sort, so a word's postings keep (sequence, position)
+    order.  ``memory_bytes`` reports the resident footprint (sequences
+    + index), the quantity that has to fit in instance RAM for the
+    paper's memory-sensitivity results.
     """
 
     def __init__(self, records: list[FastaRecord], word_size: int = 3):
@@ -193,12 +217,8 @@ class BlastDatabase:
         self.seqs = [r.seq for r in records]
         self.encoded = [_encode(r.seq) for r in records]
         self.total_residues = sum(len(s) for s in self.seqs)
-        self.index: dict[bytes, list[tuple[int, int]]] = {}
-        for seq_idx, enc in enumerate(self.encoded):
-            as_bytes = enc.astype(np.uint8).tobytes()
-            for pos in range(0, len(as_bytes) - word_size + 1):
-                word = as_bytes[pos : pos + word_size]
-                self.index.setdefault(word, []).append((seq_idx, pos))
+        self.residues = _ReadSet(self.encoded, word_size, _window_keys)
+        self.index = _PostingTable(self.residues, len(records))
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -207,31 +227,31 @@ class BlastDatabase:
     def memory_bytes(self) -> int:
         """Approximate resident footprint of sequences plus index."""
         seq_bytes = self.total_residues
-        # Each posting is a (seq_idx, pos) tuple: dominated by list/tuple
-        # overhead; 64 bytes is a fair CPython estimate.
-        postings = sum(len(v) for v in self.index.values())
-        return seq_bytes + 64 * postings
+        # Modelled as a CPython dict of (seq_idx, pos) tuples per word:
+        # list/tuple overhead makes 64 bytes a posting a fair estimate.
+        return seq_bytes + 64 * len(self.index)
 
 
 def _query_words(
     enc: np.ndarray, params: BlastParams
-) -> list[tuple[int, bytes]]:
-    """(position, word) probes for a query, optionally with neighbourhood.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, words) probes for a query, optionally with
+    neighbourhood: ``words[n]`` is the k-word probed at query position
+    ``positions[n]``.
 
     Positions inside low-complexity regions are skipped when filtering
     is enabled — they would otherwise seed floods of spurious hits.
 
     Scoring is vectorized: every candidate single-substitution variant
     of every window is scored in one broadcast against BLOSUM62, and
-    probes are emitted in the same (position, word position,
-    replacement) order the scalar loops used, so downstream diagonal
-    bucketing sees an identical stream.
+    probes come in the same (position, word position, replacement)
+    order the scalar loops used, so downstream diagonal bucketing sees
+    an identical stream.
     """
     k = params.word_size
     n = len(enc)
     if n < k:
-        return []
-    base = enc.astype(np.uint8).tobytes()
+        return np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=enc.dtype)
     windows = np.lib.stride_tricks.sliding_window_view(enc, k)
     if params.low_complexity_filter is not None:
         masked = mask_low_complexity(enc, params.low_complexity_filter)
@@ -241,14 +261,14 @@ def _query_words(
         positions = np.nonzero(allowed)[0]
     else:
         positions = np.arange(len(windows))
+    kept = windows[positions]  # (Q, k)
     if params.neighborhood_threshold is None:
-        return [(pos, base[pos : pos + k]) for pos in positions.tolist()]
+        return positions, kept
 
     # Neighbourhood: single-substitution variants scoring >= T against
     # the query word (true BLASTP admits any word >= T; one substitution
     # captures the overwhelming majority for k=3).  score[q, i, r] is
     # the exact self-score of window q with position i replaced by r.
-    kept = windows[positions]  # (Q, k)
     diag = np.ascontiguousarray(np.diagonal(_BLOSUM62))
     self_scores = diag[kept]  # (Q, k)
     exact = self_scores.sum(axis=1)  # (Q,)
@@ -259,16 +279,12 @@ def _query_words(
     admit &= kept[:, :, None] != np.arange(len(AMINO_ACIDS))[None, None, :]
     # C-order nonzero == the scalar loop's (q, i, replacement) order.
     q_idx, i_idx, r_idx = np.nonzero(admit)
-    variants = kept[q_idx].astype(np.uint8)
+    variants = kept[q_idx]
     variants[np.arange(len(q_idx)), i_idx] = r_idx
-    variant_bytes = variants.tobytes()
-    bounds = np.searchsorted(q_idx, np.arange(len(kept) + 1))
-    probes: list[tuple[int, bytes]] = []
-    for q, pos in enumerate(positions.tolist()):
-        probes.append((pos, base[pos : pos + k]))
-        for v in range(bounds[q], bounds[q + 1]):
-            probes.append((pos, variant_bytes[v * k : (v + 1) * k]))
-    return probes
+    # Each window's own word, then its variants.
+    owner = np.concatenate([np.arange(len(kept)), q_idx])
+    order = np.argsort(owner, kind="stable")
+    return positions[owner[order]], np.concatenate([kept, variants])[order]
 
 
 def _ungapped_extend(
@@ -282,70 +298,96 @@ def _ungapped_extend(
     """X-drop extension along the diagonal.
 
     Returns (q_start, q_end, s_start, s_end, score) with end exclusive.
+    A one-seed call of :func:`_xdrop_extend`.
     """
-    seed_score = float(
-        _BLOSUM62[
-            query[q_pos : q_pos + word_size], subject[s_pos : s_pos + word_size]
-        ].sum()
+    score, left, right = _xdrop_extend(
+        query, subject, np.array([q_pos]), np.array([s_pos]),
+        (0, len(query)), (0, len(subject)), word_size, xdrop,
     )
-    # Both directions run as one batched scan each: gather the whole
-    # diagonal's substitution scores, cumulative-sum them, and cut at
-    # the first X-drop.  Every partial sum is a small integer, exactly
-    # representable in float64, so this matches the scalar per-step
-    # arithmetic bit for bit.
-    # Extend right.
-    best, best_right = _scan_extend(
-        seed_score,
-        seed_score,
-        query[q_pos + word_size :],
-        subject[s_pos + word_size :],
-        xdrop,
-    )
-    # Extend left.
-    best, best_left = _scan_extend(
-        best,
-        best,
-        query[q_pos - 1 :: -1] if q_pos > 0 else query[:0],
-        subject[s_pos - 1 :: -1] if s_pos > 0 else subject[:0],
-        xdrop,
-    )
-    q_start = q_pos - best_left
-    s_start = s_pos - best_left
-    q_end = q_pos + word_size + best_right
-    s_end = s_pos + word_size + best_right
-    return q_start, q_end, s_start, s_end, best
+    left, right = int(left[0]), int(right[0])
+    return (q_pos - left, q_pos + word_size + right, s_pos - left,
+            s_pos + word_size + right, float(score[0]))
 
 
-def _scan_extend(
-    start_score: float,
-    best: float,
-    query_tail: np.ndarray,
-    subject_tail: np.ndarray,
+def _xdrop_extend(
+    q_buf: np.ndarray,
+    s_buf: np.ndarray,
+    q_at: np.ndarray,
+    s_at: np.ndarray,
+    q_bounds: tuple,
+    s_bounds: tuple,
+    word_size: int,
     xdrop: float,
-) -> tuple[float, int]:
-    """One X-drop scan: walk paired residues accumulating from
-    ``start_score``; returns (best score, steps to the best prefix).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ungapped X-drop extension of many seeds at once.
 
-    The stop rule reproduces the scalar loop exactly: the scan ends at
-    the first step whose running score falls more than ``xdrop`` below
-    the best seen so far (that step is still examined), and the
-    reported best is the *first* maximum of the prefix walked.
+    Seed n is the word at ``q_buf[q_at[n]:]`` against ``s_buf[s_at[n]:]``
+    and may extend over ``[lo, hi)`` of ``q_bounds`` and ``s_bounds``
+    (arrays or scalars).  It extends right from the word's score, then
+    left from the best right extension.  Returns each seed's score and
+    the residues taken on the left and on the right.  Every score is
+    an integer sum, so this matches the scalar per-step float
+    arithmetic exactly.
     """
-    steps = min(len(query_tail), len(subject_tail))
-    if steps == 0:
-        return best, 0
-    running = start_score + np.cumsum(
-        _BLOSUM62[query_tail[:steps], subject_tail[:steps]]
+    k = word_size
+    offsets = np.arange(k)
+    score = _BLOSUM62[q_buf[q_at[:, None] + offsets],
+                      s_buf[s_at[:, None] + offsets]].sum(axis=1)
+    taken = []
+    for steps, q_from, s_from, way in (
+        (np.minimum(q_bounds[1] - q_at, s_bounds[1] - s_at) - k,
+         q_at + k, s_at + k, 1),
+        (np.minimum(q_at - q_bounds[0], s_at - s_bounds[0]),
+         q_at - 1, s_at - 1, -1),
+    ):
+        seed, t = _ragged(steps)
+        score, n = _xdrop_scan(score, _BLOSUM62[
+            q_buf[q_from[seed] + way * t], s_buf[s_from[seed] + way * t]
+        ], steps, xdrop)
+        taken.append(n)
+    right, left = taken
+    return score, left, right
+
+
+def _xdrop_scan(
+    start: np.ndarray, scores: np.ndarray, steps: np.ndarray, xdrop: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """X-drop scans of many seeds in one pass: seed n walks its
+    ``steps[n]`` substitution scores (laid end to end in ``scores``),
+    accumulating from ``start[n]``.  Returns each seed's best score and
+    the steps to the best prefix.
+
+    The stop rule is the scalar loop's: a scan ends at the first step
+    whose running score falls more than ``xdrop`` below the best seen so
+    far (that step is still examined), and the reported best is the
+    *first* maximum of the prefix walked, kept only if it beats
+    ``start``.
+    """
+    seed, t = _ragged(steps)
+    first = np.cumsum(steps) - steps
+    total = np.concatenate(([0], np.cumsum(scores)))
+    running = start[seed] + total[1:] - total[first][seed]
+    # Each seed's running maximum: lift every seed above the one before.
+    lift = seed * (int(np.ptp(running)) + 1 if len(running) else 0)
+    high = np.maximum.accumulate(running + lift) - lift
+    np.maximum(high, start[seed], out=high)
+    stop = steps - 1
+    drop = np.nonzero(high - running > xdrop)[0]
+    drop = drop[_firsts(seed[drop])]
+    stop[seed[drop]] = t[drop]
+    walked = t <= stop[seed]
+    best = start.copy()
+    ran = np.nonzero(steps)[0]
+    best[ran] = np.maximum.reduceat(
+        np.where(walked, running, np.iinfo(np.int64).min), first[ran]
     )
-    high_water = np.maximum.accumulate(running)
-    np.maximum(high_water, start_score, out=high_water)
-    drops = (high_water - running) > xdrop
-    stop = int(np.argmax(drops)) if drops.any() else steps - 1
-    walked = running[: stop + 1]
-    peak = int(np.argmax(walked))
-    if walked[peak] > best:
-        return float(walked[peak]), peak + 1
-    return best, 0
+    peak = np.nonzero(walked & (running == best[seed]))[0]
+    peak = peak[_firsts(seed[peak])]
+    taken = np.zeros(len(steps), dtype=np.int64)
+    taken[seed[peak]] = np.where(
+        best[seed[peak]] > start[seed[peak]], t[peak] + 1, 0
+    )
+    return np.where(taken > 0, best, start), taken
 
 
 def _banded_sw(
@@ -376,79 +418,120 @@ def _batched_sw(
     the best cell is the row-major first maximum.  The up chain
     ``S[w] = max(E[w], S[w-1] - gap)`` is the scan
     ``maximum.accumulate(E + gap*w) - gap*w``, exact while scores and
-    the gap are integers or dyadic fractions (11, 10.5).  See
-    docs/PERFORMANCE.md, "App kernel fast paths".
+    the gap are integers or dyadic fractions (11, 10.5).
+
+    The forward pass computes scores only, recording per cell whether
+    the diagonal move restarts, whether the left move won and the lane
+    its up chain starts from; one traceback from each best cell then
+    recovers the start, length and matches.  See docs/PERFORMANCE.md,
+    "App kernel fast paths".
     """
     band = params.band_width
     gap = params.gap_penalty
     width = 2 * band + 1
-    lanes = np.arange(width)
-    gap_ramp = gap * lanes
     n_jobs = len(jobs)
-    rows = np.arange(n_jobs)
-    cells = rows[:, None] * width  # flat index of each job's lane 0
     q_len = np.array([len(q) for q, _, _ in jobs], dtype=np.int64)
     s_len = np.array([len(s) for _, s, _ in jobs], dtype=np.int64)
     lo_d = np.array([d for _, _, d in jobs], dtype=np.int64) - band
     # Rows that reach the query: -width < j + lo_d < len(query).
     first = np.maximum(0, 1 - width - lo_d)
     stop = np.minimum(s_len, q_len - lo_d)
-    # A trailing pad residue keeps the masked gathers in bounds.
-    q_buf = np.concatenate([q for q, _, _ in jobs] + [[0]])
-    s_buf = np.concatenate([s for _, s, _ in jobs] + [[0]])
-    q_off = (np.cumsum(q_len) - q_len)[:, None]
-    s_off = np.cumsum(s_len) - s_len
+    n_rows = int((stop - first).max(initial=0))
+    if n_rows == 0:
+        return [(0.0, 0, 0, 0, 0, 0, 0)] * n_jobs
+    # Each alignment's query from position first + lo_d and subject
+    # from row first, as far as its band reaches, with a pad letter off
+    # either sequence (and past ``stop``): a pad cell is dead.
+    q_buf = np.concatenate([q for q, _, _ in jobs] + [[_PAD]])
+    s_buf = np.concatenate([s for _, s, _ in jobs] + [[_PAD]])
+    i = (first + lo_d)[:, None] + np.arange(n_rows + width - 1)
+    j = first[:, None] + np.arange(n_rows)
+    q_at = (np.cumsum(q_len) - q_len)[:, None] + i
+    s_at = (np.cumsum(s_len) - s_len)[:, None] + j
+    q_pad = q_buf[np.where((i >= 0) & (i < q_len[:, None]), q_at, -1)]
+    s_pad = s_buf[np.where(j < stop[:, None], s_at, -1)]
+    # Cell (row t, alignment a, lane w) pairs subject row first + t with
+    # query position first + lo_d + t + w.
+    q_band = np.lib.stride_tricks.sliding_window_view(
+        q_pad.astype(np.int16), width, axis=1
+    ).transpose(1, 0, 2)
+    sub = _BAND_SCORES[s_pad.T.astype(np.int16)[:, :, None] * 21 + q_band]
+    dead = sub == _DEAD
 
-    dead_lane = np.full((n_jobs, 1), -np.inf)
+    # Per cell: the diagonal move restarts, the left move won, and the
+    # lane its up chain starts from (the cell itself if not up).
+    lanes = np.arange(width, dtype=np.min_scalar_type(width - 1))
+    restart = np.empty(sub.shape, dtype=bool)
+    from_left = np.empty(sub.shape, dtype=bool)
+    origin = np.empty(sub.shape, dtype=lanes.dtype)
+    top = np.empty((n_rows, n_jobs))  # each row's first maximum
+    top_lane = np.empty((n_rows, n_jobs), dtype=np.intp)
+    job = np.arange(n_jobs)
+    gap_ramp = gap * lanes
     score = np.full((n_jobs, width), -np.inf)  # -inf marks a dead cell
-    # Per cell, two packed pairs: the path's start (query position,
-    # subject position) and its tally (length, matches).
-    attrs = np.zeros((2, n_jobs, width), dtype=np.int64)
-    fresh = np.zeros_like(attrs)
-    best = np.zeros(n_jobs)
-    # The best cell's start, tally and packed end (query, subject).
-    best_attrs = np.zeros((3, n_jobs), dtype=np.int64)
-    for t in range(int((stop - first).max(initial=0))):
-        j = first + t
-        i = (j + lo_d)[:, None] + lanes
-        live = (i >= 0) & (i < q_len[:, None]) & (j < stop)[:, None]
-        q_res = q_buf[q_off + np.where(live, i, 0)]
-        s_res = s_buf[s_off + np.where(j < stop, j, 0)][:, None]
-        # Diagonal move.
-        restart = score <= 0
-        sub = _BLOSUM62_FLAT[s_res * 20 + q_res]
-        diag = np.where(restart, 0.0, score) + sub
-        fresh[0] = i * _PAIR + j[:, None]
-        diag_attrs = np.where(restart, fresh, attrs)
-        diag_attrs[1] += (q_res == s_res) + _PAIR
-        # Left move, then the better of the two.
-        left = np.concatenate((score[:, 1:], dead_lane), axis=1) - gap
-        from_left = left > diag
-        move = np.where(live, np.where(from_left, left, diag), -np.inf)
-        left_attrs = np.concatenate((attrs[:, :, 1:], attrs[:, :, :1]), axis=2)
-        move_attrs = np.where(from_left, left_attrs, diag_attrs)
-        move_attrs[1] += from_left * _PAIR
-        # Up moves: the scan, and each up-chain's origin lane.
-        run = np.maximum.accumulate(move + gap_ramp, axis=1)
-        up = np.concatenate((dead_lane, run[:, :-1]), axis=1) - gap_ramp
-        from_up = (up > move) | ((up == move) & from_left)
-        origin = np.maximum.accumulate(np.where(from_up, 0, lanes), axis=1)
-        attrs = np.take(move_attrs.reshape(2, -1), cells + origin, axis=1)
-        attrs[1] += (lanes - origin) * _PAIR
-        cell = np.where(from_up, up, move)
-        score = np.where(live & (cell >= 0), cell, -np.inf)
-        # Row-major first maximum, kept only if strictly better.
-        col = score.argmax(axis=1)
-        top = score[rows, col]
-        better = top > best
-        best = np.where(better, top, best)
-        end = (i[rows, col] + 1) * _PAIR + j + 1
-        best_attrs = np.where(better, (*attrs[:, rows, col], end), best_attrs)
-    (q_start, length, q_end), (s_start, matches, s_end) = (
-        half.tolist() for half in np.divmod(best_attrs, _PAIR)
-    )
+    left = np.full_like(score, -np.inf)
+    up = np.full_like(score, -np.inf)
+    run = np.empty_like(score)
+    from_up = np.empty(score.shape, dtype=bool)
+    flag = np.empty_like(from_up)
+    stem = np.empty(score.shape, dtype=lanes.dtype)
+    for t in range(n_rows):
+        np.less_equal(score, 0.0, out=restart[t])
+        move = np.maximum(score, 0.0)
+        move += sub[t]
+        np.subtract(score[:, 1:], gap, out=left[:, :-1])
+        np.greater(left, move, out=from_left[t])
+        np.putmask(move, from_left[t], left)
+        np.putmask(move, dead[t], -np.inf)
+        np.add(move, gap_ramp, out=run)
+        np.maximum.accumulate(run, axis=1, out=run)
+        np.subtract(run[:, :-1], gap_ramp[1:], out=up[:, 1:])
+        # Up if strictly better, or tied with a left move.
+        np.greater(up, move, out=from_up)
+        np.equal(up, move, out=flag)
+        flag &= from_left[t]
+        from_up |= flag
+        np.logical_not(from_up, out=flag)
+        np.multiply(lanes, flag, out=stem)
+        np.maximum.accumulate(stem, axis=1, out=origin[t])
+        np.putmask(move, from_up, up)
+        np.less(move, 0.0, out=flag)
+        flag |= dead[t]
+        np.putmask(move, flag, -np.inf)
+        score = move
+        top_lane[t] = score.argmax(axis=1)
+        top[t] = score[job, top_lane[t]]
+
+    # The best cell is the row-major first maximum, if positive.
+    best_row = top.argmax(axis=0)
+    found = top[best_row, job] > 0
+    best = np.where(found, top[best_row, job], 0.0)
+    lane = top_lane[best_row, job]
+    q_end = np.where(found, best_row + first + lo_d + lane + 1, 0)
+    s_end = np.where(found, best_row + first + 1, 0)
+    # Traceback: every open alignment steps back one row per turn.
+    length = np.zeros(n_jobs, dtype=np.int64)
+    matches = np.zeros(n_jobs, dtype=np.int64)
+    q_start = np.zeros(n_jobs, dtype=np.int64)
+    s_start = np.zeros(n_jobs, dtype=np.int64)
+    walking = np.zeros(n_jobs, dtype=bool)
+    for t in range(int(best_row[found].max(initial=-1)), -1, -1):
+        walking |= found & (best_row == t)
+        at = np.nonzero(walking)[0]
+        w = lane[at]
+        o = origin[t, at, w].astype(np.intp)
+        length[at] += w - o + 1
+        by_diag = ~from_left[t, at, o]
+        matches[at] += by_diag & (q_pad[at, t + o] == s_pad[at, t])
+        starts = by_diag & restart[t, at, o]
+        ends = at[starts]
+        q_start[ends] = (first + lo_d)[ends] + t + o[starts]
+        s_start[ends] = first[ends] + t
+        walking[ends] = False
+        lane[at] = o + ~by_diag  # a left move came from lane w + 1
     return list(zip(
-        best.tolist(), q_start, q_end, s_start, s_end, matches, length
+        best.tolist(), q_start.tolist(), q_end.tolist(), s_start.tolist(),
+        s_end.tolist(), matches.tolist(), length.tolist(),
     ))
 
 
@@ -462,51 +545,77 @@ def _evalue(raw_score: float, query_len: int, db_residues: int) -> tuple[float, 
 
 
 def _gapped_jobs(
-    enc: np.ndarray, db: BlastDatabase, params: BlastParams
-) -> list[tuple[int, int]]:
-    """Stages 1-3 for one encoded query: the ``(subject, diagonal)``
-    pairs that stage 4 aligns with gaps."""
-    k = params.word_size
-    if len(enc) < k:
+    encoded: list[np.ndarray], db: BlastDatabase, params: BlastParams
+) -> list[list[tuple[int, int]]]:
+    """Stages 1-3 for a batch of encoded queries: per query, the
+    ``(subject, diagonal)`` pairs that stage 4 aligns with gaps, in the
+    order a per-query probe, posting walk first meets the subjects."""
+    if not encoded:
         return []
-    # Stage 1+2: word hits grouped per (subject, diagonal); two-hit check.
-    probes = _query_words(enc, params)
-    by_diag: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for q_pos, word in probes:
-        for s_idx, s_pos in db.index.get(word, ()):
-            by_diag.setdefault((s_idx, q_pos - s_pos), []).append((q_pos, s_pos))
+    window = params.two_hit_window
+    q_len = np.array([len(enc) for enc in encoded])
+    # Stage 1: every probe word of the batch in one index lookup; hits
+    # come in probe-then-posting order, which ranks them.
+    probes = [_query_words(enc, params) for enc in encoded]
+    owner = np.repeat(np.arange(len(encoded)), [len(p) for p, _ in probes])
+    hit, s_idx, s_pos = db.index.lookup(
+        _word_keys(np.concatenate([w for _, w in probes]))
+    )
+    query = owner[hit]
+    q_pos = np.concatenate([p for p, _ in probes])[hit]
+    diagonal = q_pos - s_pos
 
-    # Stage 3: ungapped X-drop extension of triggered diagonals; keep,
-    # per subject, the best-scoring ungapped HSP.  Stage 4 (gapped,
-    # expensive) then runs once per subject around that HSP's diagonal —
-    # the classic BLAST strategy of gapping only the best seed.
-    best_ungapped: dict[int, tuple[float, int]] = {}  # s_idx -> (score, diag)
-    for (s_idx, diagonal), seeds in by_diag.items():
-        seeds.sort()
-        trigger = None
-        if len(seeds) == 1:
-            # Single-hit fallback for very short queries only.
-            if len(enc) <= 2 * params.two_hit_window:
-                trigger = seeds[0]
-        else:
-            for (q1, s1), (q2, s2) in zip(seeds, seeds[1:]):
-                if 0 < q2 - q1 <= params.two_hit_window:
-                    trigger = (q1, s1)
-                    break
-        if trigger is None:
-            continue
-        subject = db.encoded[s_idx]
-        q_pos, s_pos = trigger
-        ung = _ungapped_extend(
-            enc, subject, q_pos, s_pos, k, params.xdrop_ungapped
-        )
-        if ung[4] < params.min_ungapped_score:
-            continue
-        current = best_ungapped.get(s_idx)
-        if current is None or ung[4] > current[0]:
-            best_ungapped[s_idx] = (ung[4], diagonal)
+    # Stage 2: hits grouped per (query, subject, diagonal) in query
+    # position order.  A group triggers at the first of two hits at most
+    # ``window`` apart (a very short query's lone hit triggers too), and
+    # ranks by its first hit.
+    rank = np.lexsort((q_pos, diagonal, s_idx, query))
+    query, s_idx, diagonal, q_pos, s_pos = (
+        v[rank] for v in (query, s_idx, diagonal, q_pos, s_pos)
+    )
+    head = _firsts(query, s_idx, diagonal)
+    group = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    pair = np.diff(q_pos)
+    pair = np.flatnonzero(~head[1:] & (pair > 0) & (pair <= window))
+    pair = pair[_firsts(group[pair])]
+    trigger = np.full(len(starts), -1)
+    trigger[group[pair]] = pair
+    single = (np.diff(starts, append=len(rank)) == 1) & (
+        q_len[query[starts]] <= 2 * window
+    )
+    trigger[single] = starts[single]
+    rank = np.minimum.reduceat(rank, starts)[trigger >= 0]
+    seed = trigger[trigger >= 0]
 
-    return [(s_idx, diag) for s_idx, (_, diag) in best_ungapped.items()]
+    # Stage 3: ungapped X-drop extension of every triggered group; keep,
+    # per query and subject, the best-scoring ungapped HSP (the first
+    # group to reach it), listed where the subject first passed.  Stage
+    # 4 (gapped, expensive) then runs once per subject around that HSP's
+    # diagonal — the classic BLAST strategy of gapping only the best
+    # seed.
+    q_lo = (np.cumsum(q_len) - q_len)[query[seed]]
+    s_lo = db.residues.starts[s_idx[seed]]
+    score, _, _ = _xdrop_extend(
+        np.concatenate(encoded), db.residues.buf,
+        q_lo + q_pos[seed], s_lo + s_pos[seed],
+        (q_lo, q_lo + q_len[query[seed]]),
+        (s_lo, s_lo + db.residues.lengths[s_idx[seed]]),
+        params.word_size, params.xdrop_ungapped,
+    )
+    kept = score >= params.min_ungapped_score
+    rank, seed, score = rank[kept], seed[kept], score[kept]
+    by = np.lexsort((rank, -score, s_idx[seed], query[seed]))
+    heads = np.flatnonzero(_firsts(query[seed[by]], s_idx[seed[by]]))
+    listed = np.minimum.reduceat(rank[by], heads)
+    chosen = seed[by[heads]]
+    chosen = chosen[np.lexsort((listed, query[chosen]))]
+    jobs: list[list[tuple[int, int]]] = [[] for _ in encoded]
+    for n, subject, diag in zip(
+        *(v[chosen].tolist() for v in (query, s_idx, diagonal))
+    ):
+        jobs[n].append((subject, diag))
+    return jobs
 
 
 def _search_batch(
@@ -514,10 +623,11 @@ def _search_batch(
 ) -> list[list[BlastHit]]:
     """Full pipeline for a batch of queries, each query's hits in order.
 
-    Every gapped alignment of the batch runs in one :func:`_batched_sw`.
+    Stages 1-3 run batched across the queries, and every gapped
+    alignment of the batch runs in one :func:`_batched_sw`.
     """
     encoded = [_encode(query.seq) for query in queries]
-    jobs = [_gapped_jobs(enc, db, params) for enc in encoded]
+    jobs = _gapped_jobs(encoded, db, params)
     aligned = iter(_batched_sw(
         [(enc, db.encoded[s_idx], diagonal)
          for enc, query_jobs in zip(encoded, jobs)

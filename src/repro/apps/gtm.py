@@ -26,6 +26,10 @@ import numpy as np
 
 __all__ = ["GtmModel", "gtm_interpolate", "gtm_responsibilities", "train_gtm"]
 
+# Rows per interpolation block: a (block x K) float64 temporary stays
+# in cache for the paper's K = 100 latent cells.
+_BLOCK_ROWS = 512
+
 
 @dataclass
 class GtmModel:
@@ -222,8 +226,14 @@ def gtm_interpolate(
     point (Bishop's posterior mode), which preserves hard cluster
     boundaries at the cost of grid quantization.
 
-    Points stream through in ``batch_size`` chunks so memory stays
-    proportional to ``batch_size * K`` regardless of N.
+    Points stream through in blocks of ``min(batch_size, _BLOCK_ROWS)``
+    rows, the last block taking the remainder, so the two reused
+    (block x K) buffers stay cache-sized whatever N is (under twice the
+    block length) and no block is shorter than that unless it is the
+    whole input.  Each block runs the arithmetic of :func:`_sqdist` and
+    of :func:`gtm_responsibilities`' softmax in the same order.  See
+    docs/PERFORMANCE.md, "App kernel fast paths", for why short blocks
+    are avoided.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -237,18 +247,31 @@ def gtm_interpolate(
         raise ValueError("batch_size must be >= 1")
     if projection not in ("mean", "mode"):
         raise ValueError(f"unknown projection {projection!r}")
-    out = np.empty((points.shape[0], model.latent_dim))
+    n_points = points.shape[0]
+    out = np.empty((n_points, model.latent_dim))
     projections = model.projections()
-    for start in range(0, points.shape[0], batch_size):
-        chunk = points[start : start + batch_size]
-        sq = _sqdist(chunk, projections)
+    proj_norms = np.sum(projections * projections, axis=1)[None, :]
+    scale = -0.5 * model.beta
+    block = min(batch_size, _BLOCK_ROWS)
+    edges = [*range(0, max(n_points - block, 0) + 1, block), n_points]
+    cross_buf = np.empty((n_points - edges[-2], len(projections)))
+    sq_buf = np.empty_like(cross_buf)
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = points[lo:hi]
+        cross = cross_buf[: hi - lo]
+        sq = sq_buf[: hi - lo]
+        np.matmul(chunk, projections.T, out=cross)
+        cross *= 2.0
+        np.add(np.sum(chunk * chunk, axis=1)[:, None], proj_norms, out=sq)
+        sq -= cross
+        np.maximum(sq, 0.0, out=sq)
         if projection == "mode":
             winners = sq.argmin(axis=1)  # max responsibility = min dist
-            out[start : start + chunk.shape[0]] = model.latent_points[winners]
+            out[lo:hi] = model.latent_points[winners]
             continue
-        log_p = -0.5 * model.beta * sq
-        log_p -= log_p.max(axis=1, keepdims=True)
-        p = np.exp(log_p)
-        p /= p.sum(axis=1, keepdims=True)
-        out[start : start + chunk.shape[0]] = p @ model.latent_points
+        sq *= scale  # now log p
+        sq -= sq.max(axis=1, keepdims=True)
+        np.exp(sq, out=sq)
+        sq /= sq.sum(axis=1, keepdims=True)
+        out[lo:hi] = sq @ model.latent_points
     return out

@@ -153,7 +153,7 @@ class BidStrategy:
             raise ValueError(f"unknown bid strategy kind {self.kind!r}")
         if not 0.0 <= self.spot_fraction <= 1.0:
             raise ValueError("spot_fraction must be in [0, 1]")
-        if self.bid_multiplier <= 0:
+        if not self.bid_multiplier > 0:  # NaN fails too
             raise ValueError("bid_multiplier must be positive")
 
     # -- constructors ---------------------------------------------------------
@@ -176,6 +176,8 @@ class BidStrategy:
         """``spot_fraction`` of the pool on spot, the rest on-demand."""
         if not 0.0 <= spot_fraction <= 1.0:
             raise ValueError("spot_fraction must be in [0, 1]")
+        if not bid_multiplier > 0:  # checked even when unused
+            raise ValueError("bid_multiplier must be positive")
         if spot_fraction <= 0.0:
             return BidStrategy.on_demand()
         if spot_fraction >= 1.0:

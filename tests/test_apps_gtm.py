@@ -5,10 +5,59 @@ import pytest
 
 from repro.apps.gtm import (
     GtmModel,
+    _sqdist,
     gtm_interpolate,
     gtm_responsibilities,
     train_gtm,
 )
+
+
+# The chunked interpolation that cache-sized blocks replaced, verbatim.
+def _gtm_interpolate_reference(
+    model: GtmModel,
+    points: np.ndarray,
+    batch_size: int = 10_000,
+    projection: str = "mean",
+) -> np.ndarray:
+    """Project out-of-sample ``points`` (N x D) to latent space (N x L).
+
+    ``projection='mean'`` (default) gives each point the responsibility-
+    weighted mean of the latent grid — the posterior mean of Bae et al.
+    ``projection='mode'`` gives the single most responsible latent grid
+    point (Bishop's posterior mode), which preserves hard cluster
+    boundaries at the cost of grid quantization.
+
+    Points stream through in ``batch_size`` chunks so memory stays
+    proportional to ``batch_size * K`` regardless of N.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    if points.shape[1] != model.data_dim:
+        raise ValueError(
+            f"points have dimension {points.shape[1]}, model expects "
+            f"{model.data_dim}"
+        )
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if projection not in ("mean", "mode"):
+        raise ValueError(f"unknown projection {projection!r}")
+    out = np.empty((points.shape[0], model.latent_dim))
+    projections = model.projections()
+    for start in range(0, points.shape[0], batch_size):
+        chunk = points[start : start + batch_size]
+        sq = _sqdist(chunk, projections)
+        if projection == "mode":
+            winners = sq.argmin(axis=1)  # max responsibility = min dist
+            out[start : start + chunk.shape[0]] = model.latent_points[winners]
+            continue
+        log_p = -0.5 * model.beta * sq
+        log_p -= log_p.max(axis=1, keepdims=True)
+        p = np.exp(log_p)
+        p /= p.sum(axis=1, keepdims=True)
+        out[start : start + chunk.shape[0]] = p @ model.latent_points
+    return out
+
 
 
 def three_clusters(n_per=60, dim=10, seed=0):
@@ -163,6 +212,39 @@ class TestInterpolation:
         expected = resp @ model.latent_points
         actual = gtm_interpolate(model, points[:10])
         np.testing.assert_allclose(actual, expected)
+
+
+class TestBlockedExactness:
+    """Cache-sized blocks must give the bits of one whole-input pass.
+
+    Like ``tests/test_gtm_pinned.py``, this assumes the BLAS build: on
+    the OpenBLAS it was written against, blocks of 64 rows or more
+    match the whole input bit for bit, and 1- or 7-row blocks do not.
+    """
+
+    @pytest.fixture(scope="class")
+    def pubchem_like(self):
+        points, _ = three_clusters(n_per=100, dim=16, seed=5)
+        model = train_gtm(points, iterations=30, tol=0.0)
+        return model, np.random.default_rng(6).normal(
+            scale=3.0, size=(2500, 16)
+        )
+
+    @pytest.mark.parametrize("n_points", [1, 40, 511, 512, 513, 2500])
+    @pytest.mark.parametrize("projection", ["mean", "mode"])
+    def test_default_blocks_equal_one_block(
+        self, pubchem_like, n_points, projection
+    ):
+        model, points = pubchem_like
+        points = points[:n_points]
+        blocked = gtm_interpolate(model, points, projection=projection)
+        whole = gtm_interpolate(
+            model, points, batch_size=10**9, projection=projection
+        )
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, _gtm_interpolate_reference(
+            model, points, batch_size=10**9, projection=projection
+        ))
 
 
 class TestModelHelpers:

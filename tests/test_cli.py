@@ -426,6 +426,17 @@ class TestElasticFlags:
         assert code == 2
         assert text == "error: spot_fraction must be in [0, 1]\n"
 
+    @pytest.mark.parametrize(
+        ("multiplier", "fraction"), [("-1", "0"), ("nan", "0.5")]
+    )
+    def test_bad_bid_multiplier_exits_2(self, multiplier, fraction):
+        code, text = run_cli(
+            "run", "--app", "cap3", "--files", "4", "--autoscale", "step",
+            "--bid-multiplier", multiplier, "--spot-fraction", fraction,
+        )
+        assert code == 2
+        assert text == "error: bid_multiplier must be positive\n"
+
 
 class TestParser:
     def test_requires_command(self):

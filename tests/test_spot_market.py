@@ -98,6 +98,19 @@ class TestBidStrategy:
         with pytest.raises(ValueError, match="spot_fraction"):
             BidStrategy.mixed(fraction)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("multiplier", [-1.0, 0.0, float("nan")])
+    def test_bad_bid_multiplier_rejected_at_any_fraction(
+        self, fraction, multiplier
+    ):
+        # mixed(0) returned on_demand() before looking at the bid, and
+        # ``<= 0`` let NaN through.
+        with pytest.raises(ValueError, match="bid_multiplier"):
+            BidStrategy.mixed(fraction, bid_multiplier=multiplier)
+        with pytest.raises(ValueError, match="bid_multiplier"):
+            BidStrategy(kind="mixed", spot_fraction=0.5,
+                        bid_multiplier=multiplier)
+
 
 def test_price_fraction_anchored_to_the_price_book():
     from repro.cloud.pricing import AWS_PRICES

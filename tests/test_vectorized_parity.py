@@ -14,14 +14,17 @@ import pytest
 from repro.apps import blast as blast_mod
 from repro.apps.blast import (
     AMINO_ACIDS,
+    BlastDatabase,
     BlastParams,
     LowComplexityFilter,
     _BLOSUM62,
     _banded_sw,
     _batched_sw,
     _encode,
+    _gapped_jobs,
     _query_words,
     _ungapped_extend,
+    _word_keys,
     blast_search,
     mask_low_complexity,
 )
@@ -41,6 +44,26 @@ from repro.apps.fasta import FastaRecord
 
 
 # -- scalar references (pre-vectorization code, verbatim) -----------------
+
+
+def _probe_list(probes):
+    """``_query_words``' (positions, words) as the scalar loop's list of
+    (position, word bytes) probes."""
+    positions, words = probes
+    return [
+        (pos, bytes(word))
+        for pos, word in zip(positions.tolist(), words.astype(np.uint8))
+    ]
+
+
+def _probe_arrays(probes, k):
+    """The scalar loop's probe list as ``_query_words``' arrays."""
+    return (
+        np.array([pos for pos, _ in probes], dtype=np.int64),
+        np.array([list(word) for _, word in probes], dtype=np.int64).reshape(
+            -1, k
+        ),
+    )
 
 
 def _query_words_reference(enc, params):
@@ -217,6 +240,163 @@ def _banded_sw_reference(
     return best, q_start, q_end, s_start, s_end, matches, align_len
 
 
+# The attribute-tracking batched DP that scores-plus-traceback replaced,
+# verbatim: every cell carries its path's start and tally.
+_BLOSUM62_FLAT = _BLOSUM62.ravel()
+_PAIR = 1 << 32
+
+
+def _batched_sw_reference(
+    jobs: list[tuple[np.ndarray, np.ndarray, int]], params: BlastParams
+) -> list[tuple[float, int, int, int, int, int, int]]:
+    """Banded Smith-Waterman for many ``(query, subject, diagonal)`` jobs.
+
+    One DP over (alignments x band lanes), one NumPy step per subject
+    row from each alignment's first row that reaches the query; lane
+    ``w`` is query position ``j + diagonal - band_width + w``.  Ties go
+    as in a cell-by-cell scan: diagonal, then up (subject gap) if
+    strictly better, then left (query gap) if strictly better than both;
+    the best cell is the row-major first maximum.  The up chain
+    ``S[w] = max(E[w], S[w-1] - gap)`` is the scan
+    ``maximum.accumulate(E + gap*w) - gap*w``, exact while scores and
+    the gap are integers or dyadic fractions (11, 10.5).  See
+    docs/PERFORMANCE.md, "App kernel fast paths".
+    """
+    band = params.band_width
+    gap = params.gap_penalty
+    width = 2 * band + 1
+    lanes = np.arange(width)
+    gap_ramp = gap * lanes
+    n_jobs = len(jobs)
+    rows = np.arange(n_jobs)
+    cells = rows[:, None] * width  # flat index of each job's lane 0
+    q_len = np.array([len(q) for q, _, _ in jobs], dtype=np.int64)
+    s_len = np.array([len(s) for _, s, _ in jobs], dtype=np.int64)
+    lo_d = np.array([d for _, _, d in jobs], dtype=np.int64) - band
+    # Rows that reach the query: -width < j + lo_d < len(query).
+    first = np.maximum(0, 1 - width - lo_d)
+    stop = np.minimum(s_len, q_len - lo_d)
+    # A trailing pad residue keeps the masked gathers in bounds.
+    q_buf = np.concatenate([q for q, _, _ in jobs] + [[0]])
+    s_buf = np.concatenate([s for _, s, _ in jobs] + [[0]])
+    q_off = (np.cumsum(q_len) - q_len)[:, None]
+    s_off = np.cumsum(s_len) - s_len
+
+    dead_lane = np.full((n_jobs, 1), -np.inf)
+    score = np.full((n_jobs, width), -np.inf)  # -inf marks a dead cell
+    # Per cell, two packed pairs: the path's start (query position,
+    # subject position) and its tally (length, matches).
+    attrs = np.zeros((2, n_jobs, width), dtype=np.int64)
+    fresh = np.zeros_like(attrs)
+    best = np.zeros(n_jobs)
+    # The best cell's start, tally and packed end (query, subject).
+    best_attrs = np.zeros((3, n_jobs), dtype=np.int64)
+    for t in range(int((stop - first).max(initial=0))):
+        j = first + t
+        i = (j + lo_d)[:, None] + lanes
+        live = (i >= 0) & (i < q_len[:, None]) & (j < stop)[:, None]
+        q_res = q_buf[q_off + np.where(live, i, 0)]
+        s_res = s_buf[s_off + np.where(j < stop, j, 0)][:, None]
+        # Diagonal move.
+        restart = score <= 0
+        sub = _BLOSUM62_FLAT[s_res * 20 + q_res]
+        diag = np.where(restart, 0.0, score) + sub
+        fresh[0] = i * _PAIR + j[:, None]
+        diag_attrs = np.where(restart, fresh, attrs)
+        diag_attrs[1] += (q_res == s_res) + _PAIR
+        # Left move, then the better of the two.
+        left = np.concatenate((score[:, 1:], dead_lane), axis=1) - gap
+        from_left = left > diag
+        move = np.where(live, np.where(from_left, left, diag), -np.inf)
+        left_attrs = np.concatenate((attrs[:, :, 1:], attrs[:, :, :1]), axis=2)
+        move_attrs = np.where(from_left, left_attrs, diag_attrs)
+        move_attrs[1] += from_left * _PAIR
+        # Up moves: the scan, and each up-chain's origin lane.
+        run = np.maximum.accumulate(move + gap_ramp, axis=1)
+        up = np.concatenate((dead_lane, run[:, :-1]), axis=1) - gap_ramp
+        from_up = (up > move) | ((up == move) & from_left)
+        origin = np.maximum.accumulate(np.where(from_up, 0, lanes), axis=1)
+        attrs = np.take(move_attrs.reshape(2, -1), cells + origin, axis=1)
+        attrs[1] += (lanes - origin) * _PAIR
+        cell = np.where(from_up, up, move)
+        score = np.where(live & (cell >= 0), cell, -np.inf)
+        # Row-major first maximum, kept only if strictly better.
+        col = score.argmax(axis=1)
+        top = score[rows, col]
+        better = top > best
+        best = np.where(better, top, best)
+        end = (i[rows, col] + 1) * _PAIR + j + 1
+        best_attrs = np.where(better, (*attrs[:, rows, col], end), best_attrs)
+    (q_start, length, q_end), (s_start, matches, s_end) = (
+        half.tolist() for half in np.divmod(best_attrs, _PAIR)
+    )
+    return list(zip(
+        best.tolist(), q_start, q_end, s_start, s_end, matches, length
+    ))
+
+
+def _blast_index_reference(encoded, k):
+    """The dict word index ``BlastDatabase`` built before its posting
+    table, verbatim: word bytes -> [(sequence, position)]."""
+    index = {}
+    for seq_idx, enc in enumerate(encoded):
+        as_bytes = enc.astype(np.uint8).tobytes()
+        for pos in range(0, len(as_bytes) - k + 1):
+            word = as_bytes[pos : pos + k]
+            index.setdefault(word, []).append((seq_idx, pos))
+    return index
+
+
+def _index_as_dict(db):
+    """``db``'s posting table in the dict index's shape."""
+    index = {}
+    for seq_idx, pos in zip(db.index.read.tolist(), db.index.pos.tolist()):
+        word = db.encoded[seq_idx][pos : pos + db.word_size]
+        index.setdefault(word.astype(np.uint8).tobytes(), []).append(
+            (seq_idx, pos)
+        )
+    return index
+
+
+def _gapped_jobs_reference(enc, db, params):
+    """Stages 1-3 for one query as the per-query dict walk ran them."""
+    k = params.word_size
+    if len(enc) < k:
+        return []
+    index = _blast_index_reference(db.encoded, k)
+    probes = _query_words_reference(enc, params)
+    by_diag = {}
+    for q_pos, word in probes:
+        for s_idx, s_pos in index.get(word, ()):
+            by_diag.setdefault((s_idx, q_pos - s_pos), []).append(
+                (q_pos, s_pos)
+            )
+    best_ungapped = {}
+    for (s_idx, diagonal), seeds in by_diag.items():
+        seeds.sort()
+        trigger = None
+        if len(seeds) == 1:
+            if len(enc) <= 2 * params.two_hit_window:
+                trigger = seeds[0]
+        else:
+            for (q1, s1), (q2, s2) in zip(seeds, seeds[1:]):
+                if 0 < q2 - q1 <= params.two_hit_window:
+                    trigger = (q1, s1)
+                    break
+        if trigger is None:
+            continue
+        q_pos, s_pos = trigger
+        ung = _ungapped_extend_reference(
+            enc, db.encoded[s_idx], q_pos, s_pos, k, params.xdrop_ungapped
+        )
+        if ung[4] < params.min_ungapped_score:
+            continue
+        current = best_ungapped.get(s_idx)
+        if current is None or ung[4] > current[0]:
+            best_ungapped[s_idx] = (ung[4], diagonal)
+    return [(s_idx, diag) for s_idx, (_, diag) in best_ungapped.items()]
+
+
 def _random_protein(rng, length):
     return "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=length))
 
@@ -228,8 +408,8 @@ class TestQueryWordsParity:
         params = BlastParams(neighborhood_threshold=threshold)
         for length in (2, 3, 5, 40, 120):
             enc = _encode(_random_protein(rng, length))
-            assert _query_words(enc, params) == _query_words_reference(
-                enc, params
+            assert _probe_list(_query_words(enc, params)) == (
+                _query_words_reference(enc, params)
             ), (threshold, length)
 
     def test_with_low_complexity_filter(self):
@@ -241,7 +421,7 @@ class TestQueryWordsParity:
         # Splice in a low-complexity homopolymer run to exercise masking.
         seq = _random_protein(rng, 30) + "A" * 20 + _random_protein(rng, 30)
         enc = _encode(seq)
-        probes = _query_words(enc, params)
+        probes = _probe_list(_query_words(enc, params))
         assert probes == _query_words_reference(enc, params)
         assert probes  # the unmasked flanks still seed
 
@@ -250,7 +430,7 @@ class TestQueryWordsParity:
             low_complexity_filter=LowComplexityFilter(window=6)
         )
         enc = _encode("A" * 24)
-        assert _query_words(enc, params) == []
+        assert _probe_list(_query_words(enc, params)) == []
 
 
 class TestUngappedExtendParity:
@@ -371,6 +551,139 @@ class TestBandedSwParity:
         assert _batched_sw([], BlastParams()) == []
 
 
+def _fuzz_batches():
+    """Seeded job batches for the scores-plus-traceback DP: band widths
+    1/3/16/40, gaps 0/2/10.5/11, alphabets of 2 to 20 letters (so scores
+    tie), and in every batch a job with no positive cell."""
+    rng = np.random.default_rng(2026)
+    batches = []
+    for n in range(320):
+        band = (1, 3, 16, 40)[n % 4]
+        gap = (0.0, 2.0, 10.5, 11.0)[n // 4 % 4]
+        letters = rng.choice(20, size=int(rng.integers(2, 21)), replace=False)
+        jobs = []
+        for _ in range(int(rng.integers(1, 9))):
+            m, s_len = (int(x) for x in rng.integers(1, 60, size=2))
+            query = letters[rng.integers(0, len(letters), size=m)]
+            subject = letters[rng.integers(0, len(letters), size=s_len)]
+            diagonal = int(rng.integers(-s_len - band - 2, m + band + 3))
+            jobs.append((query, subject, diagonal))
+        # W against D scores -4: no cell is positive.
+        jobs.insert(int(rng.integers(0, len(jobs) + 1)), (
+            np.full(int(rng.integers(1, 30)), 17),
+            np.full(int(rng.integers(1, 30)), 3),
+            int(rng.integers(-5, 6)),
+        ))
+        batches.append((jobs, BlastParams(band_width=band, gap_penalty=gap)))
+    return batches
+
+
+class TestTracebackParity:
+    def test_matches_attribute_tracking_dp(self):
+        batches = _fuzz_batches()
+        assert len(batches) >= 300
+        empty = 0
+        for n, (jobs, params) in enumerate(batches):
+            want = _batched_sw_reference(jobs, params)
+            assert _batched_sw(jobs, params) == want, n
+            empty += sum(r == (0.0, 0, 0, 0, 0, 0, 0) for r in want)
+        assert empty >= len(batches)
+
+    def test_fuzz_covers_gapped_alignments_and_every_gap(self):
+        batches = _fuzz_batches()
+        results = [
+            r for jobs, params in batches
+            for r in _batched_sw_reference(jobs, params)
+        ]
+        gapped = [
+            r for r in results
+            if r[6] and not r[2] - r[1] == r[4] - r[3] == r[6]
+        ]
+        assert len(gapped) >= 100
+        assert {p.gap_penalty for _, p in batches} == {0.0, 2.0, 10.5, 11.0}
+        assert {p.band_width for _, p in batches} == {1, 3, 16, 40}
+
+
+class TestWordIndexParity:
+    @pytest.mark.parametrize("word_size", [2, 3, 15])
+    def test_posting_table_matches_dict_index(self, word_size):
+        from repro.workloads.protein import generate_protein_database
+
+        base = generate_protein_database(12, seed=41)
+        records = [
+            FastaRecord(id=i, seq=seq) for i, seq in zip(base.ids, base.seqs)
+        ] + [FastaRecord(id="short", seq="AC")]
+        db = BlastDatabase(records, word_size=word_size)
+        reference = _blast_index_reference(db.encoded, word_size)
+        assert _index_as_dict(db) == reference
+        assert db.memory_bytes == db.total_residues + 64 * sum(
+            len(v) for v in reference.values()
+        )
+
+    def test_word_keys_injective(self):
+        rng = np.random.default_rng(43)
+        for k in (3, 15):
+            words = rng.integers(0, 3, size=(400, k))
+            keys = _word_keys(words)
+            for a in range(0, 400, 7):
+                same_word = (words == words[a]).all(axis=1)
+                assert ((keys == keys[a]) == same_word).all()
+
+
+class TestGappedJobsParity:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            BlastParams(),
+            BlastParams(
+                neighborhood_threshold=11,
+                low_complexity_filter=LowComplexityFilter(),
+            ),
+            BlastParams(two_hit_window=4, min_ungapped_score=15),
+            BlastParams(word_size=2, xdrop_ungapped=3.0),
+        ],
+        ids=["defaults", "neighbourhood", "narrow-window", "k2"],
+    )
+    def test_matches_per_query_dict_walk(self, params):
+        from repro.workloads.protein import (
+            generate_protein_database,
+            generate_query_records,
+        )
+
+        db = generate_protein_database(25, seed=51)
+        db = BlastDatabase(
+            [FastaRecord(id=i, seq=q) for i, q in zip(db.ids, db.seqs)],
+            word_size=params.word_size,
+        )
+        queries = generate_query_records(db, 12, seed=52)
+        rng = np.random.default_rng(53)
+        # Short queries take the single-hit fallback.
+        encoded = [_encode(q.seq) for q in queries] + [
+            _encode(q.seq[start : start + 30])
+            for q, start in zip(queries[:4], rng.integers(0, 40, size=4))
+        ] + [_encode("AC")]
+        jobs = _gapped_jobs(encoded, db, params)
+        assert jobs == [
+            _gapped_jobs_reference(enc, db, params) for enc in encoded
+        ]
+        assert sum(len(j) for j in jobs) >= 12
+
+    def test_ungapped_ties_go_to_the_first_diagonal_met(self):
+        rng = np.random.default_rng(54)
+        flank = _random_protein(rng, 10)
+        segment = _random_protein(rng, 30)
+        subject = flank + segment + flank + segment + flank
+        db = BlastDatabase([FastaRecord(id="s", seq=subject)])
+        enc = _encode(segment)
+        jobs = _gapped_jobs([enc], db, BlastParams())
+        assert jobs == [_gapped_jobs_reference(enc, db, BlastParams())]
+        assert jobs == [[(0, -10)]]
+
+    def test_empty_batch(self):
+        db = BlastDatabase([FastaRecord(id="s", seq="ACDEFGHIK")])
+        assert _gapped_jobs([], db, BlastParams()) == []
+
+
 class TestBlastSearchParity:
     @pytest.mark.parametrize("num_threads", [1, 4])
     @pytest.mark.parametrize(
@@ -415,7 +728,9 @@ class TestBlastEndToEnd:
         # Pin against a probe-stream-faithful rerun through the
         # reference seeder (monkeypatched), hit for hit.
         original = blast_mod._query_words
-        blast_mod._query_words = _query_words_reference
+        blast_mod._query_words = lambda enc, p: _probe_arrays(
+            _query_words_reference(enc, p), p.word_size
+        )
         try:
             reference = blast_search(queries, db, params)
         finally:
