@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.cap3 import _firsts, _PostingTable, _ragged, _ReadSet
 from repro.apps.fasta import FastaRecord
 
 __all__ = [
@@ -182,31 +181,12 @@ def _encode(seq: str) -> np.ndarray:
         raise ValueError(f"unknown amino acid {exc.args[0]!r}") from None
 
 
-def _word_keys(words: np.ndarray) -> np.ndarray:
-    """Key of each row of ``words`` (n x k residue indices): a base-20
-    int64 code, or for k too large for an int64 the row's bytes.  Keys
-    are equal exactly when the words are."""
-    k = words.shape[1]
-    if len(AMINO_ACIDS) ** k < 2**63:
-        return words @ len(AMINO_ACIDS) ** np.arange(k - 1, -1, -1)
-    return np.ascontiguousarray(words, dtype=np.uint8).view(f"S{k}")[:, 0]
-
-
-def _window_keys(residues: np.ndarray, k: int) -> np.ndarray:
-    """Key of every k-word window of an encoded sequence."""
-    if len(residues) < k:
-        return _word_keys(np.zeros((0, k), dtype=np.int64))
-    return _word_keys(np.lib.stride_tricks.sliding_window_view(residues, k))
-
-
 class BlastDatabase:
     """An in-memory protein database with a k-word index.
 
-    The index is a posting table: every word of every sequence, keys in
-    one stable sort, so a word's postings keep (sequence, position)
-    order.  ``memory_bytes`` reports the resident footprint (sequences
-    + index), the quantity that has to fit in instance RAM for the
-    paper's memory-sensitivity results.
+    ``memory_bytes`` reports the resident footprint (sequences + index),
+    the quantity that has to fit in instance RAM for the paper's
+    memory-sensitivity results.
     """
 
     def __init__(self, records: list[FastaRecord], word_size: int = 3):
@@ -217,8 +197,12 @@ class BlastDatabase:
         self.seqs = [r.seq for r in records]
         self.encoded = [_encode(r.seq) for r in records]
         self.total_residues = sum(len(s) for s in self.seqs)
-        self.residues = _ReadSet(self.encoded, word_size, _window_keys)
-        self.index = _PostingTable(self.residues, len(records))
+        self.index: dict[bytes, list[tuple[int, int]]] = {}
+        for seq_idx, enc in enumerate(self.encoded):
+            as_bytes = enc.astype(np.uint8).tobytes()
+            for pos in range(0, len(as_bytes) - word_size + 1):
+                word = as_bytes[pos : pos + word_size]
+                self.index.setdefault(word, []).append((seq_idx, pos))
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -227,31 +211,31 @@ class BlastDatabase:
     def memory_bytes(self) -> int:
         """Approximate resident footprint of sequences plus index."""
         seq_bytes = self.total_residues
-        # Modelled as a CPython dict of (seq_idx, pos) tuples per word:
-        # list/tuple overhead makes 64 bytes a posting a fair estimate.
-        return seq_bytes + 64 * len(self.index)
+        # Each posting is a (seq_idx, pos) tuple: dominated by list/tuple
+        # overhead; 64 bytes is a fair CPython estimate.
+        postings = sum(len(v) for v in self.index.values())
+        return seq_bytes + 64 * postings
 
 
 def _query_words(
     enc: np.ndarray, params: BlastParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, words) probes for a query, optionally with
-    neighbourhood: ``words[n]`` is the k-word probed at query position
-    ``positions[n]``.
+) -> list[tuple[int, bytes]]:
+    """(position, word) probes for a query, optionally with neighbourhood.
 
     Positions inside low-complexity regions are skipped when filtering
     is enabled — they would otherwise seed floods of spurious hits.
 
     Scoring is vectorized: every candidate single-substitution variant
     of every window is scored in one broadcast against BLOSUM62, and
-    probes come in the same (position, word position, replacement)
-    order the scalar loops used, so downstream diagonal bucketing sees
-    an identical stream.
+    probes are emitted in the same (position, word position,
+    replacement) order the scalar loops used, so downstream diagonal
+    bucketing sees an identical stream.
     """
     k = params.word_size
     n = len(enc)
     if n < k:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=enc.dtype)
+        return []
+    base = enc.astype(np.uint8).tobytes()
     windows = np.lib.stride_tricks.sliding_window_view(enc, k)
     if params.low_complexity_filter is not None:
         masked = mask_low_complexity(enc, params.low_complexity_filter)
@@ -261,14 +245,14 @@ def _query_words(
         positions = np.nonzero(allowed)[0]
     else:
         positions = np.arange(len(windows))
-    kept = windows[positions]  # (Q, k)
     if params.neighborhood_threshold is None:
-        return positions, kept
+        return [(pos, base[pos : pos + k]) for pos in positions.tolist()]
 
     # Neighbourhood: single-substitution variants scoring >= T against
     # the query word (true BLASTP admits any word >= T; one substitution
     # captures the overwhelming majority for k=3).  score[q, i, r] is
     # the exact self-score of window q with position i replaced by r.
+    kept = windows[positions]  # (Q, k)
     diag = np.ascontiguousarray(np.diagonal(_BLOSUM62))
     self_scores = diag[kept]  # (Q, k)
     exact = self_scores.sum(axis=1)  # (Q,)
@@ -279,12 +263,16 @@ def _query_words(
     admit &= kept[:, :, None] != np.arange(len(AMINO_ACIDS))[None, None, :]
     # C-order nonzero == the scalar loop's (q, i, replacement) order.
     q_idx, i_idx, r_idx = np.nonzero(admit)
-    variants = kept[q_idx]
+    variants = kept[q_idx].astype(np.uint8)
     variants[np.arange(len(q_idx)), i_idx] = r_idx
-    # Each window's own word, then its variants.
-    owner = np.concatenate([np.arange(len(kept)), q_idx])
-    order = np.argsort(owner, kind="stable")
-    return positions[owner[order]], np.concatenate([kept, variants])[order]
+    variant_bytes = variants.tobytes()
+    bounds = np.searchsorted(q_idx, np.arange(len(kept) + 1))
+    probes: list[tuple[int, bytes]] = []
+    for q, pos in enumerate(positions.tolist()):
+        probes.append((pos, base[pos : pos + k]))
+        for v in range(bounds[q], bounds[q + 1]):
+            probes.append((pos, variant_bytes[v * k : (v + 1) * k]))
+    return probes
 
 
 def _ungapped_extend(
@@ -298,96 +286,70 @@ def _ungapped_extend(
     """X-drop extension along the diagonal.
 
     Returns (q_start, q_end, s_start, s_end, score) with end exclusive.
-    A one-seed call of :func:`_xdrop_extend`.
     """
-    score, left, right = _xdrop_extend(
-        query, subject, np.array([q_pos]), np.array([s_pos]),
-        (0, len(query)), (0, len(subject)), word_size, xdrop,
+    seed_score = float(
+        _BLOSUM62[
+            query[q_pos : q_pos + word_size], subject[s_pos : s_pos + word_size]
+        ].sum()
     )
-    left, right = int(left[0]), int(right[0])
-    return (q_pos - left, q_pos + word_size + right, s_pos - left,
-            s_pos + word_size + right, float(score[0]))
+    # Both directions run as one batched scan each: gather the whole
+    # diagonal's substitution scores, cumulative-sum them, and cut at
+    # the first X-drop.  Every partial sum is a small integer, exactly
+    # representable in float64, so this matches the scalar per-step
+    # arithmetic bit for bit.
+    # Extend right.
+    best, best_right = _scan_extend(
+        seed_score,
+        seed_score,
+        query[q_pos + word_size :],
+        subject[s_pos + word_size :],
+        xdrop,
+    )
+    # Extend left.
+    best, best_left = _scan_extend(
+        best,
+        best,
+        query[q_pos - 1 :: -1] if q_pos > 0 else query[:0],
+        subject[s_pos - 1 :: -1] if s_pos > 0 else subject[:0],
+        xdrop,
+    )
+    q_start = q_pos - best_left
+    s_start = s_pos - best_left
+    q_end = q_pos + word_size + best_right
+    s_end = s_pos + word_size + best_right
+    return q_start, q_end, s_start, s_end, best
 
 
-def _xdrop_extend(
-    q_buf: np.ndarray,
-    s_buf: np.ndarray,
-    q_at: np.ndarray,
-    s_at: np.ndarray,
-    q_bounds: tuple,
-    s_bounds: tuple,
-    word_size: int,
+def _scan_extend(
+    start_score: float,
+    best: float,
+    query_tail: np.ndarray,
+    subject_tail: np.ndarray,
     xdrop: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ungapped X-drop extension of many seeds at once.
+) -> tuple[float, int]:
+    """One X-drop scan: walk paired residues accumulating from
+    ``start_score``; returns (best score, steps to the best prefix).
 
-    Seed n is the word at ``q_buf[q_at[n]:]`` against ``s_buf[s_at[n]:]``
-    and may extend over ``[lo, hi)`` of ``q_bounds`` and ``s_bounds``
-    (arrays or scalars).  It extends right from the word's score, then
-    left from the best right extension.  Returns each seed's score and
-    the residues taken on the left and on the right.  Every score is
-    an integer sum, so this matches the scalar per-step float
-    arithmetic exactly.
+    The stop rule reproduces the scalar loop exactly: the scan ends at
+    the first step whose running score falls more than ``xdrop`` below
+    the best seen so far (that step is still examined), and the
+    reported best is the *first* maximum of the prefix walked.
     """
-    k = word_size
-    offsets = np.arange(k)
-    score = _BLOSUM62[q_buf[q_at[:, None] + offsets],
-                      s_buf[s_at[:, None] + offsets]].sum(axis=1)
-    taken = []
-    for steps, q_from, s_from, way in (
-        (np.minimum(q_bounds[1] - q_at, s_bounds[1] - s_at) - k,
-         q_at + k, s_at + k, 1),
-        (np.minimum(q_at - q_bounds[0], s_at - s_bounds[0]),
-         q_at - 1, s_at - 1, -1),
-    ):
-        seed, t = _ragged(steps)
-        score, n = _xdrop_scan(score, _BLOSUM62[
-            q_buf[q_from[seed] + way * t], s_buf[s_from[seed] + way * t]
-        ], steps, xdrop)
-        taken.append(n)
-    right, left = taken
-    return score, left, right
-
-
-def _xdrop_scan(
-    start: np.ndarray, scores: np.ndarray, steps: np.ndarray, xdrop: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """X-drop scans of many seeds in one pass: seed n walks its
-    ``steps[n]`` substitution scores (laid end to end in ``scores``),
-    accumulating from ``start[n]``.  Returns each seed's best score and
-    the steps to the best prefix.
-
-    The stop rule is the scalar loop's: a scan ends at the first step
-    whose running score falls more than ``xdrop`` below the best seen so
-    far (that step is still examined), and the reported best is the
-    *first* maximum of the prefix walked, kept only if it beats
-    ``start``.
-    """
-    seed, t = _ragged(steps)
-    first = np.cumsum(steps) - steps
-    total = np.concatenate(([0], np.cumsum(scores)))
-    running = start[seed] + total[1:] - total[first][seed]
-    # Each seed's running maximum: lift every seed above the one before.
-    lift = seed * (int(np.ptp(running)) + 1 if len(running) else 0)
-    high = np.maximum.accumulate(running + lift) - lift
-    np.maximum(high, start[seed], out=high)
-    stop = steps - 1
-    drop = np.nonzero(high - running > xdrop)[0]
-    drop = drop[_firsts(seed[drop])]
-    stop[seed[drop]] = t[drop]
-    walked = t <= stop[seed]
-    best = start.copy()
-    ran = np.nonzero(steps)[0]
-    best[ran] = np.maximum.reduceat(
-        np.where(walked, running, np.iinfo(np.int64).min), first[ran]
+    steps = min(len(query_tail), len(subject_tail))
+    if steps == 0:
+        return best, 0
+    running = start_score + np.cumsum(
+        _BLOSUM62[query_tail[:steps], subject_tail[:steps]]
     )
-    peak = np.nonzero(walked & (running == best[seed]))[0]
-    peak = peak[_firsts(seed[peak])]
-    taken = np.zeros(len(steps), dtype=np.int64)
-    taken[seed[peak]] = np.where(
-        best[seed[peak]] > start[seed[peak]], t[peak] + 1, 0
-    )
-    return np.where(taken > 0, best, start), taken
+    high_water = np.maximum.accumulate(running)
+    np.maximum(high_water, start_score, out=high_water)
+    drops = (high_water - running) > xdrop
+    stop = int(np.argmax(drops)) if drops.any() else steps - 1
+    walked = running[: stop + 1]
+    peak = int(np.argmax(walked))
+    if walked[peak] > best:
+        return float(walked[peak]), peak + 1
+    return best, 0
 
 
 def _banded_sw(
@@ -467,7 +429,7 @@ def _batched_sw(
     top = np.empty((n_rows, n_jobs))  # each row's first maximum
     top_lane = np.empty((n_rows, n_jobs), dtype=np.intp)
     job = np.arange(n_jobs)
-    gap_ramp = gap * lanes
+    gap_ramp = gap * np.arange(width)  # int64 lanes: an int gap cannot wrap
     score = np.full((n_jobs, width), -np.inf)  # -inf marks a dead cell
     left = np.full_like(score, -np.inf)
     up = np.full_like(score, -np.inf)
@@ -545,77 +507,51 @@ def _evalue(raw_score: float, query_len: int, db_residues: int) -> tuple[float, 
 
 
 def _gapped_jobs(
-    encoded: list[np.ndarray], db: BlastDatabase, params: BlastParams
-) -> list[list[tuple[int, int]]]:
-    """Stages 1-3 for a batch of encoded queries: per query, the
-    ``(subject, diagonal)`` pairs that stage 4 aligns with gaps, in the
-    order a per-query probe, posting walk first meets the subjects."""
-    if not encoded:
+    enc: np.ndarray, db: BlastDatabase, params: BlastParams
+) -> list[tuple[int, int]]:
+    """Stages 1-3 for one encoded query: the ``(subject, diagonal)``
+    pairs that stage 4 aligns with gaps."""
+    k = params.word_size
+    if len(enc) < k:
         return []
-    window = params.two_hit_window
-    q_len = np.array([len(enc) for enc in encoded])
-    # Stage 1: every probe word of the batch in one index lookup; hits
-    # come in probe-then-posting order, which ranks them.
-    probes = [_query_words(enc, params) for enc in encoded]
-    owner = np.repeat(np.arange(len(encoded)), [len(p) for p, _ in probes])
-    hit, s_idx, s_pos = db.index.lookup(
-        _word_keys(np.concatenate([w for _, w in probes]))
-    )
-    query = owner[hit]
-    q_pos = np.concatenate([p for p, _ in probes])[hit]
-    diagonal = q_pos - s_pos
+    # Stage 1+2: word hits grouped per (subject, diagonal); two-hit check.
+    probes = _query_words(enc, params)
+    by_diag: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for q_pos, word in probes:
+        for s_idx, s_pos in db.index.get(word, ()):
+            by_diag.setdefault((s_idx, q_pos - s_pos), []).append((q_pos, s_pos))
 
-    # Stage 2: hits grouped per (query, subject, diagonal) in query
-    # position order.  A group triggers at the first of two hits at most
-    # ``window`` apart (a very short query's lone hit triggers too), and
-    # ranks by its first hit.
-    rank = np.lexsort((q_pos, diagonal, s_idx, query))
-    query, s_idx, diagonal, q_pos, s_pos = (
-        v[rank] for v in (query, s_idx, diagonal, q_pos, s_pos)
-    )
-    head = _firsts(query, s_idx, diagonal)
-    group = np.cumsum(head) - 1
-    starts = np.flatnonzero(head)
-    pair = np.diff(q_pos)
-    pair = np.flatnonzero(~head[1:] & (pair > 0) & (pair <= window))
-    pair = pair[_firsts(group[pair])]
-    trigger = np.full(len(starts), -1)
-    trigger[group[pair]] = pair
-    single = (np.diff(starts, append=len(rank)) == 1) & (
-        q_len[query[starts]] <= 2 * window
-    )
-    trigger[single] = starts[single]
-    rank = np.minimum.reduceat(rank, starts)[trigger >= 0]
-    seed = trigger[trigger >= 0]
+    # Stage 3: ungapped X-drop extension of triggered diagonals; keep,
+    # per subject, the best-scoring ungapped HSP.  Stage 4 (gapped,
+    # expensive) then runs once per subject around that HSP's diagonal —
+    # the classic BLAST strategy of gapping only the best seed.
+    best_ungapped: dict[int, tuple[float, int]] = {}  # s_idx -> (score, diag)
+    for (s_idx, diagonal), seeds in by_diag.items():
+        seeds.sort()
+        trigger = None
+        if len(seeds) == 1:
+            # Single-hit fallback for very short queries only.
+            if len(enc) <= 2 * params.two_hit_window:
+                trigger = seeds[0]
+        else:
+            for (q1, s1), (q2, s2) in zip(seeds, seeds[1:]):
+                if 0 < q2 - q1 <= params.two_hit_window:
+                    trigger = (q1, s1)
+                    break
+        if trigger is None:
+            continue
+        subject = db.encoded[s_idx]
+        q_pos, s_pos = trigger
+        ung = _ungapped_extend(
+            enc, subject, q_pos, s_pos, k, params.xdrop_ungapped
+        )
+        if ung[4] < params.min_ungapped_score:
+            continue
+        current = best_ungapped.get(s_idx)
+        if current is None or ung[4] > current[0]:
+            best_ungapped[s_idx] = (ung[4], diagonal)
 
-    # Stage 3: ungapped X-drop extension of every triggered group; keep,
-    # per query and subject, the best-scoring ungapped HSP (the first
-    # group to reach it), listed where the subject first passed.  Stage
-    # 4 (gapped, expensive) then runs once per subject around that HSP's
-    # diagonal — the classic BLAST strategy of gapping only the best
-    # seed.
-    q_lo = (np.cumsum(q_len) - q_len)[query[seed]]
-    s_lo = db.residues.starts[s_idx[seed]]
-    score, _, _ = _xdrop_extend(
-        np.concatenate(encoded), db.residues.buf,
-        q_lo + q_pos[seed], s_lo + s_pos[seed],
-        (q_lo, q_lo + q_len[query[seed]]),
-        (s_lo, s_lo + db.residues.lengths[s_idx[seed]]),
-        params.word_size, params.xdrop_ungapped,
-    )
-    kept = score >= params.min_ungapped_score
-    rank, seed, score = rank[kept], seed[kept], score[kept]
-    by = np.lexsort((rank, -score, s_idx[seed], query[seed]))
-    heads = np.flatnonzero(_firsts(query[seed[by]], s_idx[seed[by]]))
-    listed = np.minimum.reduceat(rank[by], heads)
-    chosen = seed[by[heads]]
-    chosen = chosen[np.lexsort((listed, query[chosen]))]
-    jobs: list[list[tuple[int, int]]] = [[] for _ in encoded]
-    for n, subject, diag in zip(
-        *(v[chosen].tolist() for v in (query, s_idx, diagonal))
-    ):
-        jobs[n].append((subject, diag))
-    return jobs
+    return [(s_idx, diag) for s_idx, (_, diag) in best_ungapped.items()]
 
 
 def _search_batch(
@@ -623,11 +559,10 @@ def _search_batch(
 ) -> list[list[BlastHit]]:
     """Full pipeline for a batch of queries, each query's hits in order.
 
-    Stages 1-3 run batched across the queries, and every gapped
-    alignment of the batch runs in one :func:`_batched_sw`.
+    Every gapped alignment of the batch runs in one :func:`_batched_sw`.
     """
     encoded = [_encode(query.seq) for query in queries]
-    jobs = _gapped_jobs(encoded, db, params)
+    jobs = [_gapped_jobs(enc, db, params) for enc in encoded]
     aligned = iter(_batched_sw(
         [(enc, db.encoded[s_idx], diagonal)
          for enc, query_jobs in zip(encoded, jobs)

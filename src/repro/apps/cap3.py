@@ -214,56 +214,17 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
-def _firsts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal key tuples, in
-    arrays sorted by those keys."""
-    first = np.zeros(len(keys[0]), dtype=bool)
-    first[:1] = True
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
-
-
 class _ReadSet:
     """Encoded reads laid end to end in one buffer, with the key of
-    every k-mer window from one ``seed_keys`` pass over the buffer
+    every k-mer window from one :func:`_seed_keys` pass over the buffer
     (windows straddling two reads are computed and never looked at)."""
 
-    def __init__(
-        self, arrays: list[np.ndarray], k: int, seed_keys=_seed_keys
-    ):
+    def __init__(self, arrays: list[np.ndarray], k: int):
         self.lengths = np.array([len(a) for a in arrays], dtype=np.int64)
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.windows = np.maximum(self.lengths - k + 1, 0)
         self.buf = np.concatenate([np.zeros(0, dtype=np.uint8)] + arrays)
-        self.keys = seed_keys(self.buf, k)
-
-
-class _PostingTable:
-    """The k-mer windows of the first ``n_indexed`` reads of a
-    :class:`_ReadSet`, keys in one stable sort so that equal keys keep
-    (read, position) order.  Cap3 seeds from it, and BLAST's word index
-    is one."""
-
-    def __init__(self, reads: _ReadSet, n_indexed: int):
-        read, pos = _ragged(reads.windows[:n_indexed])
-        keys = reads.keys[reads.starts[read] + pos]
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.read, self.pos = keys[order], read[order], pos[order]
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def lookup(
-        self, probes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every posting of each probe key as ``(probe number, read,
-        position)``, in the order a probe, posting loop meets them."""
-        lo = np.searchsorted(self.keys, probes, side="left")
-        hi = np.searchsorted(self.keys, probes, side="right")
-        probe, nth = _ragged(hi - lo)
-        posting = lo[probe] + nth
-        return probe, self.read[posting], self.pos[posting]
+        self.keys = _seed_keys(self.buf, k)
 
 
 def _placements(
@@ -271,26 +232,38 @@ def _placements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded placements of each probe read against the first
     ``n_indexed`` reads: a seed at b[s] matching a[a_pos] places b at
-    ``a_start = a_pos - s``.  Hits on the probe's own read are skipped
-    (read ``r + n_indexed`` is read ``r``), and each ``(a, a_start)``
-    counts once per probe.  Returns ``(probe number, a, a_start)`` in
-    the order a probe, seed, posting loop meets them.
+    ``a_start = a_pos - s``.  The table is those reads' k-mers in a
+    stable sort, so equal keys keep (read, position) order.  Hits on the
+    probe's own read are skipped (read ``r + n_indexed`` is read ``r``),
+    and each ``(a, a_start)`` counts once per probe.  Returns
+    ``(probe number, a, a_start)`` in the order a probe, seed, posting
+    loop meets them.
     """
+    post_read, post_pos = _ragged(reads.windows[:n_indexed])
+    table = reads.keys[reads.starts[post_read] + post_pos]
+    order = np.argsort(table, kind="stable")
+    table, post_read, post_pos = (v[order] for v in (table, post_read, post_pos))
+
     probes = np.asarray(probes, dtype=np.int64)
     stride = params.seed_stride
     per_probe = np.minimum(reads.windows[probes], params.max_seed_span)
     seed_probe, seed_no = _ragged(-(-per_probe // stride))
     seed_pos = stride * seed_no
     seeds = reads.keys[reads.starts[probes[seed_probe]] + seed_pos]
-    hit_seed, a, a_pos = _PostingTable(reads, n_indexed).lookup(seeds)
+    lo = np.searchsorted(table, seeds, side="left")
+    hit_seed, nth = _ragged(np.searchsorted(table, seeds, side="right") - lo)
+    posting = lo[hit_seed] + nth
     probe = seed_probe[hit_seed]
-    a_start = a_pos - seed_pos[hit_seed]
+    a = post_read[posting]
+    a_start = post_pos[posting] - seed_pos[hit_seed]
     other = a != probes[probe] % n_indexed
     placed = np.stack((probe[other], a[other], a_start[other]))
     # Keep the first of each (probe, a, a_start): a stable sort groups
     # repeats behind it.
     order = np.lexsort(placed[::-1])
-    first = _firsts(*placed[:, order])
+    ranked = placed[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
     probe, a, a_start = placed[:, np.sort(order[first])]
     return probe, a, a_start
 

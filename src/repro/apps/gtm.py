@@ -26,8 +26,8 @@ import numpy as np
 
 __all__ = ["GtmModel", "gtm_interpolate", "gtm_responsibilities", "train_gtm"]
 
-# Rows per interpolation block: a (block x K) float64 temporary stays
-# in cache for the paper's K = 100 latent cells.
+# Rows per block of interpolation's elementwise chain: a (block x K)
+# float64 slice stays in cache for the paper's K = 100 latent cells.
 _BLOCK_ROWS = 512
 
 
@@ -226,14 +226,14 @@ def gtm_interpolate(
     point (Bishop's posterior mode), which preserves hard cluster
     boundaries at the cost of grid quantization.
 
-    Points stream through in blocks of ``min(batch_size, _BLOCK_ROWS)``
-    rows, the last block taking the remainder, so the two reused
-    (block x K) buffers stay cache-sized whatever N is (under twice the
-    block length) and no block is shorter than that unless it is the
-    whole input.  Each block runs the arithmetic of :func:`_sqdist` and
-    of :func:`gtm_responsibilities`' softmax in the same order.  See
-    docs/PERFORMANCE.md, "App kernel fast paths", for why short blocks
-    are avoided.
+    Points go through in batches of ``batch_size`` rows, so memory
+    stays proportional to ``batch_size * K`` regardless of N.  Each
+    batch makes one BLAS product against the projections and, for the
+    mean, one against the latent grid, each over the whole batch: a
+    BLAS may give a row other bits in a shorter product.  Between them,
+    :func:`_sqdist`'s and the softmax's elementwise arithmetic runs in
+    place, in the same order, on blocks of ``_BLOCK_ROWS`` rows (the
+    last taking the remainder), so those passes stay in cache.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -252,26 +252,31 @@ def gtm_interpolate(
     projections = model.projections()
     proj_norms = np.sum(projections * projections, axis=1)[None, :]
     scale = -0.5 * model.beta
-    block = min(batch_size, _BLOCK_ROWS)
-    edges = [*range(0, max(n_points - block, 0) + 1, block), n_points]
-    cross_buf = np.empty((n_points - edges[-2], len(projections)))
-    sq_buf = np.empty_like(cross_buf)
-    for lo, hi in zip(edges, edges[1:]):
-        chunk = points[lo:hi]
-        cross = cross_buf[: hi - lo]
-        sq = sq_buf[: hi - lo]
-        np.matmul(chunk, projections.T, out=cross)
-        cross *= 2.0
-        np.add(np.sum(chunk * chunk, axis=1)[:, None], proj_norms, out=sq)
-        sq -= cross
-        np.maximum(sq, 0.0, out=sq)
+    norms_buf = np.empty(
+        (min(n_points, batch_size, 2 * _BLOCK_ROWS), len(projections))
+    )
+    for lo in range(0, n_points, batch_size):
+        chunk = points[lo : lo + batch_size]
+        dist = chunk @ projections.T  # made sq, then p, block by block
+        norms = np.sum(chunk * chunk, axis=1)[:, None]
+        n = len(chunk)
+        edges = [*range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS), n]
+        for b_lo, b_hi in zip(edges, edges[1:]):
+            sq = dist[b_lo:b_hi]
+            sq *= 2.0
+            base = norms_buf[: b_hi - b_lo]
+            np.add(norms[b_lo:b_hi], proj_norms, out=base)
+            np.subtract(base, sq, out=sq)
+            np.maximum(sq, 0.0, out=sq)
+            if projection == "mode":
+                continue
+            sq *= scale  # now log p
+            sq -= sq.max(axis=1, keepdims=True)
+            np.exp(sq, out=sq)
+            sq /= sq.sum(axis=1, keepdims=True)
         if projection == "mode":
-            winners = sq.argmin(axis=1)  # max responsibility = min dist
-            out[lo:hi] = model.latent_points[winners]
-            continue
-        sq *= scale  # now log p
-        sq -= sq.max(axis=1, keepdims=True)
-        np.exp(sq, out=sq)
-        sq /= sq.sum(axis=1, keepdims=True)
-        out[lo:hi] = sq @ model.latent_points
+            # Max responsibility = min distance.
+            out[lo : lo + n] = model.latent_points[dist.argmin(axis=1)]
+        else:
+            out[lo : lo + n] = dist @ model.latent_points
     return out

@@ -217,9 +217,11 @@ class TestInterpolation:
 class TestBlockedExactness:
     """Cache-sized blocks must give the bits of one whole-input pass.
 
-    Like ``tests/test_gtm_pinned.py``, this assumes the BLAS build: on
-    the OpenBLAS it was written against, blocks of 64 rows or more
-    match the whole input bit for bit, and 1- or 7-row blocks do not.
+    Both BLAS products run per batch, as in the old code, so this holds
+    whatever OpenBLAS core or thread count computes them.  Blocking the
+    products themselves did not: on OpenBLAS's Haswell kernels with two
+    threads, rows near the threads' split of a 2500-row product differ
+    in the last bit from the same rows in a 512-row product.
     """
 
     @pytest.fixture(scope="class")
@@ -245,6 +247,21 @@ class TestBlockedExactness:
         assert np.array_equal(blocked, _gtm_interpolate_reference(
             model, points, batch_size=10**9, projection=projection
         ))
+
+    @pytest.mark.parametrize("batch_size", [7, 1100])
+    @pytest.mark.parametrize("projection", ["mean", "mode"])
+    def test_any_batch_size_equals_old_code(
+        self, pubchem_like, batch_size, projection
+    ):
+        model, points = pubchem_like
+        assert np.array_equal(
+            gtm_interpolate(
+                model, points, batch_size=batch_size, projection=projection
+            ),
+            _gtm_interpolate_reference(
+                model, points, batch_size=batch_size, projection=projection
+            ),
+        )
 
 
 class TestModelHelpers:

@@ -14,17 +14,14 @@ import pytest
 from repro.apps import blast as blast_mod
 from repro.apps.blast import (
     AMINO_ACIDS,
-    BlastDatabase,
     BlastParams,
     LowComplexityFilter,
     _BLOSUM62,
     _banded_sw,
     _batched_sw,
     _encode,
-    _gapped_jobs,
     _query_words,
     _ungapped_extend,
-    _word_keys,
     blast_search,
     mask_low_complexity,
 )
@@ -44,26 +41,6 @@ from repro.apps.fasta import FastaRecord
 
 
 # -- scalar references (pre-vectorization code, verbatim) -----------------
-
-
-def _probe_list(probes):
-    """``_query_words``' (positions, words) as the scalar loop's list of
-    (position, word bytes) probes."""
-    positions, words = probes
-    return [
-        (pos, bytes(word))
-        for pos, word in zip(positions.tolist(), words.astype(np.uint8))
-    ]
-
-
-def _probe_arrays(probes, k):
-    """The scalar loop's probe list as ``_query_words``' arrays."""
-    return (
-        np.array([pos for pos, _ in probes], dtype=np.int64),
-        np.array([list(word) for _, word in probes], dtype=np.int64).reshape(
-            -1, k
-        ),
-    )
 
 
 def _query_words_reference(enc, params):
@@ -335,68 +312,6 @@ def _batched_sw_reference(
     ))
 
 
-def _blast_index_reference(encoded, k):
-    """The dict word index ``BlastDatabase`` built before its posting
-    table, verbatim: word bytes -> [(sequence, position)]."""
-    index = {}
-    for seq_idx, enc in enumerate(encoded):
-        as_bytes = enc.astype(np.uint8).tobytes()
-        for pos in range(0, len(as_bytes) - k + 1):
-            word = as_bytes[pos : pos + k]
-            index.setdefault(word, []).append((seq_idx, pos))
-    return index
-
-
-def _index_as_dict(db):
-    """``db``'s posting table in the dict index's shape."""
-    index = {}
-    for seq_idx, pos in zip(db.index.read.tolist(), db.index.pos.tolist()):
-        word = db.encoded[seq_idx][pos : pos + db.word_size]
-        index.setdefault(word.astype(np.uint8).tobytes(), []).append(
-            (seq_idx, pos)
-        )
-    return index
-
-
-def _gapped_jobs_reference(enc, db, params):
-    """Stages 1-3 for one query as the per-query dict walk ran them."""
-    k = params.word_size
-    if len(enc) < k:
-        return []
-    index = _blast_index_reference(db.encoded, k)
-    probes = _query_words_reference(enc, params)
-    by_diag = {}
-    for q_pos, word in probes:
-        for s_idx, s_pos in index.get(word, ()):
-            by_diag.setdefault((s_idx, q_pos - s_pos), []).append(
-                (q_pos, s_pos)
-            )
-    best_ungapped = {}
-    for (s_idx, diagonal), seeds in by_diag.items():
-        seeds.sort()
-        trigger = None
-        if len(seeds) == 1:
-            if len(enc) <= 2 * params.two_hit_window:
-                trigger = seeds[0]
-        else:
-            for (q1, s1), (q2, s2) in zip(seeds, seeds[1:]):
-                if 0 < q2 - q1 <= params.two_hit_window:
-                    trigger = (q1, s1)
-                    break
-        if trigger is None:
-            continue
-        q_pos, s_pos = trigger
-        ung = _ungapped_extend_reference(
-            enc, db.encoded[s_idx], q_pos, s_pos, k, params.xdrop_ungapped
-        )
-        if ung[4] < params.min_ungapped_score:
-            continue
-        current = best_ungapped.get(s_idx)
-        if current is None or ung[4] > current[0]:
-            best_ungapped[s_idx] = (ung[4], diagonal)
-    return [(s_idx, diag) for s_idx, (_, diag) in best_ungapped.items()]
-
-
 def _random_protein(rng, length):
     return "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=length))
 
@@ -408,8 +323,8 @@ class TestQueryWordsParity:
         params = BlastParams(neighborhood_threshold=threshold)
         for length in (2, 3, 5, 40, 120):
             enc = _encode(_random_protein(rng, length))
-            assert _probe_list(_query_words(enc, params)) == (
-                _query_words_reference(enc, params)
+            assert _query_words(enc, params) == _query_words_reference(
+                enc, params
             ), (threshold, length)
 
     def test_with_low_complexity_filter(self):
@@ -421,7 +336,7 @@ class TestQueryWordsParity:
         # Splice in a low-complexity homopolymer run to exercise masking.
         seq = _random_protein(rng, 30) + "A" * 20 + _random_protein(rng, 30)
         enc = _encode(seq)
-        probes = _probe_list(_query_words(enc, params))
+        probes = _query_words(enc, params)
         assert probes == _query_words_reference(enc, params)
         assert probes  # the unmasked flanks still seed
 
@@ -430,7 +345,7 @@ class TestQueryWordsParity:
             low_complexity_filter=LowComplexityFilter(window=6)
         )
         enc = _encode("A" * 24)
-        assert _probe_list(_query_words(enc, params)) == []
+        assert _query_words(enc, params) == []
 
 
 class TestUngappedExtendParity:
@@ -547,19 +462,34 @@ class TestBandedSwParity:
         two_letter = [q for q, *_ in draws if len(set(q.tolist())) <= 2]
         assert len(two_letter) >= 100
 
+    def test_integer_gap_matches_scalar_dp(self):
+        # An int gap must not take the narrow dtype of the lane numbers.
+        by_band = {}
+        for query, subject, diagonal, params in _dp_draws():
+            if params.gap_penalty == 11.0:
+                by_band.setdefault(params.band_width, []).append(
+                    (query, subject, diagonal)
+                )
+        for band, jobs in by_band.items():
+            params = BlastParams(band_width=band, gap_penalty=11)
+            assert _batched_sw(jobs, params) == [
+                _banded_sw_reference(q, s, d, params) for q, s, d in jobs
+            ], band
+
     def test_empty_batch(self):
         assert _batched_sw([], BlastParams()) == []
 
 
 def _fuzz_batches():
     """Seeded job batches for the scores-plus-traceback DP: band widths
-    1/3/16/40, gaps 0/2/10.5/11, alphabets of 2 to 20 letters (so scores
-    tie), and in every batch a job with no positive cell."""
+    1/3/16/40, gaps 0/2/10.5/11 and the int 11, alphabets of 2 to 20
+    letters (so scores tie), and in every batch a job with no positive
+    cell."""
     rng = np.random.default_rng(2026)
     batches = []
     for n in range(320):
         band = (1, 3, 16, 40)[n % 4]
-        gap = (0.0, 2.0, 10.5, 11.0)[n // 4 % 4]
+        gap = (0.0, 2.0, 10.5, 11.0, 11)[n // 4 % 5]
         letters = rng.choice(20, size=int(rng.integers(2, 21)), replace=False)
         jobs = []
         for _ in range(int(rng.integers(1, 9))):
@@ -601,87 +531,8 @@ class TestTracebackParity:
         ]
         assert len(gapped) >= 100
         assert {p.gap_penalty for _, p in batches} == {0.0, 2.0, 10.5, 11.0}
+        assert any(type(p.gap_penalty) is int for _, p in batches)
         assert {p.band_width for _, p in batches} == {1, 3, 16, 40}
-
-
-class TestWordIndexParity:
-    @pytest.mark.parametrize("word_size", [2, 3, 15])
-    def test_posting_table_matches_dict_index(self, word_size):
-        from repro.workloads.protein import generate_protein_database
-
-        base = generate_protein_database(12, seed=41)
-        records = [
-            FastaRecord(id=i, seq=seq) for i, seq in zip(base.ids, base.seqs)
-        ] + [FastaRecord(id="short", seq="AC")]
-        db = BlastDatabase(records, word_size=word_size)
-        reference = _blast_index_reference(db.encoded, word_size)
-        assert _index_as_dict(db) == reference
-        assert db.memory_bytes == db.total_residues + 64 * sum(
-            len(v) for v in reference.values()
-        )
-
-    def test_word_keys_injective(self):
-        rng = np.random.default_rng(43)
-        for k in (3, 15):
-            words = rng.integers(0, 3, size=(400, k))
-            keys = _word_keys(words)
-            for a in range(0, 400, 7):
-                same_word = (words == words[a]).all(axis=1)
-                assert ((keys == keys[a]) == same_word).all()
-
-
-class TestGappedJobsParity:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            BlastParams(),
-            BlastParams(
-                neighborhood_threshold=11,
-                low_complexity_filter=LowComplexityFilter(),
-            ),
-            BlastParams(two_hit_window=4, min_ungapped_score=15),
-            BlastParams(word_size=2, xdrop_ungapped=3.0),
-        ],
-        ids=["defaults", "neighbourhood", "narrow-window", "k2"],
-    )
-    def test_matches_per_query_dict_walk(self, params):
-        from repro.workloads.protein import (
-            generate_protein_database,
-            generate_query_records,
-        )
-
-        db = generate_protein_database(25, seed=51)
-        db = BlastDatabase(
-            [FastaRecord(id=i, seq=q) for i, q in zip(db.ids, db.seqs)],
-            word_size=params.word_size,
-        )
-        queries = generate_query_records(db, 12, seed=52)
-        rng = np.random.default_rng(53)
-        # Short queries take the single-hit fallback.
-        encoded = [_encode(q.seq) for q in queries] + [
-            _encode(q.seq[start : start + 30])
-            for q, start in zip(queries[:4], rng.integers(0, 40, size=4))
-        ] + [_encode("AC")]
-        jobs = _gapped_jobs(encoded, db, params)
-        assert jobs == [
-            _gapped_jobs_reference(enc, db, params) for enc in encoded
-        ]
-        assert sum(len(j) for j in jobs) >= 12
-
-    def test_ungapped_ties_go_to_the_first_diagonal_met(self):
-        rng = np.random.default_rng(54)
-        flank = _random_protein(rng, 10)
-        segment = _random_protein(rng, 30)
-        subject = flank + segment + flank + segment + flank
-        db = BlastDatabase([FastaRecord(id="s", seq=subject)])
-        enc = _encode(segment)
-        jobs = _gapped_jobs([enc], db, BlastParams())
-        assert jobs == [_gapped_jobs_reference(enc, db, BlastParams())]
-        assert jobs == [[(0, -10)]]
-
-    def test_empty_batch(self):
-        db = BlastDatabase([FastaRecord(id="s", seq="ACDEFGHIK")])
-        assert _gapped_jobs([], db, BlastParams()) == []
 
 
 class TestBlastSearchParity:
@@ -728,9 +579,7 @@ class TestBlastEndToEnd:
         # Pin against a probe-stream-faithful rerun through the
         # reference seeder (monkeypatched), hit for hit.
         original = blast_mod._query_words
-        blast_mod._query_words = lambda enc, p: _probe_arrays(
-            _query_words_reference(enc, p), p.word_size
-        )
+        blast_mod._query_words = _query_words_reference
         try:
             reference = blast_search(queries, db, params)
         finally:

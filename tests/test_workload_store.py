@@ -19,10 +19,6 @@ from repro.workloads.store import (
     default_artifact_store,
     resolve_store,
 )
-from tests.test_vectorized_parity import (
-    _blast_index_reference,
-    _index_as_dict,
-)
 
 
 def _file_bytes(directory):
@@ -194,13 +190,7 @@ class TestReturnedAuxiliaries:
         )
         assert warm_db.ids == cold_db.ids
         assert warm_db.seqs == cold_db.seqs
-        for table in ("keys", "read", "pos"):
-            assert np.array_equal(
-                getattr(warm_db.index, table), getattr(cold_db.index, table)
-            )
-        assert _index_as_dict(warm_db) == _blast_index_reference(
-            cold_db.encoded, cold_db.word_size
-        )
+        assert warm_db.index == cold_db.index
 
     def test_gtm_sample_identical_and_readonly(self, tmp_path):
         store = WorkloadArtifactStore(tmp_path / "store")
