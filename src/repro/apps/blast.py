@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.fasta import FastaRecord
+from repro.apps.postings import PostingTable, window_keys
 
 __all__ = [
     "AMINO_ACIDS",
@@ -45,7 +46,9 @@ __all__ = [
 ]
 
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
-_AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
+# Residue index per byte; -1 marks a byte that is no amino acid.
+_AA_CODE = np.full(256, -1, dtype=np.int64)
+_AA_CODE[list(AMINO_ACIDS.encode("ascii"))] = range(len(AMINO_ACIDS))
 
 # Standard BLOSUM62 substitution matrix, row/column order as AMINO_ACIDS.
 _BLOSUM62_ROWS = [
@@ -83,7 +86,7 @@ _BAND_SCORES = _BAND_SCORES.ravel()
 
 def blosum62(a: str, b: str) -> int:
     """BLOSUM62 score for one residue pair."""
-    return int(_BLOSUM62[_AA_INDEX[a], _AA_INDEX[b]])
+    return int(_BLOSUM62[tuple(_encode(a + b))])
 
 
 # Gapped Karlin-Altschul parameters for BLOSUM62 / gap open 11 extend 1.
@@ -175,10 +178,11 @@ class BlastHit:
 
 def _encode(seq: str) -> np.ndarray:
     """Protein string to residue-index array; raises on unknown residues."""
-    try:
-        return np.array([_AA_INDEX[c] for c in seq], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"unknown amino acid {exc.args[0]!r}") from None
+    # One byte per character: anything past latin-1 becomes "?".
+    enc = _AA_CODE[np.frombuffer(seq.encode("latin-1", "replace"), np.uint8)]
+    if (enc < 0).any():
+        raise ValueError(f"unknown amino acid {seq[np.argmax(enc < 0)]!r}")
+    return enc
 
 
 class BlastDatabase:
@@ -197,30 +201,25 @@ class BlastDatabase:
         self.seqs = [r.seq for r in records]
         self.encoded = [_encode(r.seq) for r in records]
         self.total_residues = sum(len(s) for s in self.seqs)
-        self.index: dict[bytes, list[tuple[int, int]]] = {}
-        for seq_idx, enc in enumerate(self.encoded):
-            as_bytes = enc.astype(np.uint8).tobytes()
-            for pos in range(0, len(as_bytes) - word_size + 1):
-                word = as_bytes[pos : pos + word_size]
-                self.index.setdefault(word, []).append((seq_idx, pos))
+        keys = window_keys(np.concatenate(self.encoded), word_size, 20)
+        self.postings = PostingTable(keys, list(map(len, self.seqs)), word_size)
 
     def __len__(self) -> int:
         return len(self.seqs)
 
     @property
     def memory_bytes(self) -> int:
-        """Approximate resident footprint of sequences plus index."""
-        seq_bytes = self.total_residues
-        # Each posting is a (seq_idx, pos) tuple: dominated by list/tuple
-        # overhead; 64 bytes is a fair CPython estimate.
-        postings = sum(len(v) for v in self.index.values())
-        return seq_bytes + 64 * postings
+        """Modelled resident footprint for Figure 9, not this object's
+        arrays: a byte per residue plus 64 bytes per indexed word
+        position, the cost of a pointer-based posting list."""
+        return self.total_residues + 64 * len(self.postings.keys)
 
 
 def _query_words(
     enc: np.ndarray, params: BlastParams
-) -> list[tuple[int, bytes]]:
-    """(position, word) probes for a query, optionally with neighbourhood.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, word keys) of a query's probes, optionally with
+    neighbourhood: each window's own word, then its variants.
 
     Positions inside low-complexity regions are skipped when filtering
     is enabled — they would otherwise seed floods of spurious hits.
@@ -232,10 +231,9 @@ def _query_words(
     bucketing sees an identical stream.
     """
     k = params.word_size
-    n = len(enc)
-    if n < k:
-        return []
-    base = enc.astype(np.uint8).tobytes()
+    keys = window_keys(enc, k, 20)
+    if len(enc) < k:
+        return np.zeros(0, dtype=np.int64), keys
     windows = np.lib.stride_tricks.sliding_window_view(enc, k)
     if params.low_complexity_filter is not None:
         masked = mask_low_complexity(enc, params.low_complexity_filter)
@@ -246,7 +244,7 @@ def _query_words(
     else:
         positions = np.arange(len(windows))
     if params.neighborhood_threshold is None:
-        return [(pos, base[pos : pos + k]) for pos in positions.tolist()]
+        return positions, keys[positions]
 
     # Neighbourhood: single-substitution variants scoring >= T against
     # the query word (true BLASTP admits any word >= T; one substitution
@@ -265,14 +263,12 @@ def _query_words(
     q_idx, i_idx, r_idx = np.nonzero(admit)
     variants = kept[q_idx].astype(np.uint8)
     variants[np.arange(len(q_idx)), i_idx] = r_idx
-    variant_bytes = variants.tobytes()
-    bounds = np.searchsorted(q_idx, np.arange(len(kept) + 1))
-    probes: list[tuple[int, bytes]] = []
-    for q, pos in enumerate(positions.tolist()):
-        probes.append((pos, base[pos : pos + k]))
-        for v in range(bounds[q], bounds[q + 1]):
-            probes.append((pos, variant_bytes[v * k : (v + 1) * k]))
-    return probes
+    # Own word, then variants; every k-th window of the variants is one.
+    window = np.concatenate((np.arange(len(kept)), q_idx))
+    order = np.argsort(window, kind="stable")
+    variant_keys = window_keys(variants.ravel(), k, 20)[::k]
+    words = np.concatenate((keys[positions], variant_keys))
+    return positions[window[order]], words[order]
 
 
 def _ungapped_extend(
@@ -512,14 +508,15 @@ def _gapped_jobs(
     """Stages 1-3 for one encoded query: the ``(subject, diagonal)``
     pairs that stage 4 aligns with gaps."""
     k = params.word_size
-    if len(enc) < k:
-        return []
+    if k != db.word_size:
+        return []  # no word of the query can match the index's words
     # Stage 1+2: word hits grouped per (subject, diagonal); two-hit check.
-    probes = _query_words(enc, params)
+    positions, words = _query_words(enc, params)
+    probe, posting = db.postings.lookup(words)
+    hits = (positions[probe], db.postings.seq[posting], db.postings.pos[posting])
     by_diag: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for q_pos, word in probes:
-        for s_idx, s_pos in db.index.get(word, ()):
-            by_diag.setdefault((s_idx, q_pos - s_pos), []).append((q_pos, s_pos))
+    for q, s_idx, s_pos in zip(*(col.tolist() for col in hits)):
+        by_diag.setdefault((s_idx, q - s_pos), []).append((q, s_pos))
 
     # Stage 3: ungapped X-drop extension of triggered diagonals; keep,
     # per subject, the best-scoring ungapped HSP.  Stage 4 (gapped,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.fasta import FastaRecord
+from repro.apps.postings import PostingTable, ragged, window_keys
 
 __all__ = [
     "AssemblyResult",
@@ -183,40 +184,14 @@ def _encode(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
 
 
-# Base-5 digit per ACGTN byte, for packed k-mer codes.
+# Base-5 digit per ACGTN byte (trimmed reads hold no other), for k-mer keys.
 _KMER_DIGIT = np.zeros(256, dtype=np.int64)
-for _i, _b in enumerate(b"ACGTN"):
-    _KMER_DIGIT[_b] = _i
-
-
-def _seed_keys(arr: np.ndarray, k: int) -> np.ndarray:
-    """Key of every k-mer window of an encoded sequence, in window order:
-    base-5 int64 codes from one matmul (injective on the post-trim ACGTN
-    alphabet), or for k too large for an int64 the window's bytes as one
-    fixed-width value.  Keys are equal exactly when the windows are.
-    """
-    if len(arr) < k:
-        return np.zeros(0, dtype=np.int64 if k <= 27 else f"S{k}")
-    if k <= 27:  # 5**27 still fits in int64
-        powers = 5 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            _KMER_DIGIT[arr], k
-        )
-        return windows @ powers
-    windows = np.lib.stride_tricks.sliding_window_view(arr, k)
-    return np.ascontiguousarray(windows).view(f"S{k}")[:, 0]
-
-
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of ``counts`` elements laid end to end: each element's
-    run number and its offset within the run."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+_KMER_DIGIT[list(b"ACGTN")] = range(5)
 
 
 class _ReadSet:
     """Encoded reads laid end to end in one buffer, with the key of
-    every k-mer window from one :func:`_seed_keys` pass over the buffer
+    every k-mer window from one :func:`window_keys` pass over the buffer
     (windows straddling two reads are computed and never looked at)."""
 
     def __init__(self, arrays: list[np.ndarray], k: int):
@@ -224,7 +199,7 @@ class _ReadSet:
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.windows = np.maximum(self.lengths - k + 1, 0)
         self.buf = np.concatenate([np.zeros(0, dtype=np.uint8)] + arrays)
-        self.keys = _seed_keys(self.buf, k)
+        self.keys = window_keys(_KMER_DIGIT[self.buf], k, 5)
 
 
 def _placements(
@@ -232,30 +207,24 @@ def _placements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded placements of each probe read against the first
     ``n_indexed`` reads: a seed at b[s] matching a[a_pos] places b at
-    ``a_start = a_pos - s``.  The table is those reads' k-mers in a
-    stable sort, so equal keys keep (read, position) order.  Hits on the
-    probe's own read are skipped (read ``r + n_indexed`` is read ``r``),
-    and each ``(a, a_start)`` counts once per probe.  Returns
-    ``(probe number, a, a_start)`` in the order a probe, seed, posting
-    loop meets them.
+    ``a_start = a_pos - s``, from a :class:`PostingTable` of those
+    reads' k-mers.  Hits on the probe's own read are skipped (read
+    ``r + n_indexed`` is read ``r``), and each ``(a, a_start)`` counts
+    once per probe.  Returns ``(probe number, a, a_start)`` in the order
+    a probe, seed, posting loop meets them.
     """
-    post_read, post_pos = _ragged(reads.windows[:n_indexed])
-    table = reads.keys[reads.starts[post_read] + post_pos]
-    order = np.argsort(table, kind="stable")
-    table, post_read, post_pos = (v[order] for v in (table, post_read, post_pos))
+    table = PostingTable(reads.keys, reads.lengths[:n_indexed], params.kmer_size)
 
     probes = np.asarray(probes, dtype=np.int64)
     stride = params.seed_stride
     per_probe = np.minimum(reads.windows[probes], params.max_seed_span)
-    seed_probe, seed_no = _ragged(-(-per_probe // stride))
+    seed_probe, seed_no = ragged(-(-per_probe // stride))
     seed_pos = stride * seed_no
     seeds = reads.keys[reads.starts[probes[seed_probe]] + seed_pos]
-    lo = np.searchsorted(table, seeds, side="left")
-    hit_seed, nth = _ragged(np.searchsorted(table, seeds, side="right") - lo)
-    posting = lo[hit_seed] + nth
+    hit_seed, posting = table.lookup(seeds)
     probe = seed_probe[hit_seed]
-    a = post_read[posting]
-    a_start = post_pos[posting] - seed_pos[hit_seed]
+    a = table.seq[posting]
+    a_start = table.pos[posting] - seed_pos[hit_seed]
     other = a != probes[probe] % n_indexed
     placed = np.stack((probe[other], a[other], a_start[other]))
     # Keep the first of each (probe, a, a_start): a stable sort groups
@@ -279,7 +248,7 @@ def _verify_placements(
     overlap length and identity thresholds.
     """
     length = np.minimum(reads.lengths[x] - offset, reads.lengths[y])
-    placement, t = _ragged(length)
+    placement, t = ragged(length)
     x_base = (reads.starts[x] + offset)[placement]
     y_base = reads.starts[y][placement]
     same = reads.buf[x_base + t] == reads.buf[y_base + t]

@@ -55,13 +55,19 @@ class TestBlosum62:
 
 class TestDatabase:
     def test_index_covers_all_words(self, database):
-        # Every 3-mer actually present must be indexed.
-        for idx, seq in enumerate(database.seqs):
-            word = seq[10:13].encode("ascii")
-            encoded = bytes(
-                database.encoded[idx][10:13].astype(np.uint8).tolist()
-            )
-            assert encoded in database.index
+        # Every 3-mer window is indexed once, under its base-20 code,
+        # sorted by code and then by (subject, position).
+        rows = sorted(
+            (sum(int(d) * 20 ** (2 - i) for i, d in enumerate(enc[p : p + 3])),
+             s, p)
+            for s, enc in enumerate(database.encoded)
+            for p in range(len(enc) - 2)
+        )
+        keys, seqs, positions = (np.array(col) for col in zip(*rows))
+        postings = database.postings
+        assert np.array_equal(postings.keys, keys)
+        assert np.array_equal(postings.seq, seqs)
+        assert np.array_equal(postings.pos, positions)
 
     def test_memory_footprint_scales_with_size(self):
         small = BlastDatabase(

@@ -3,11 +3,15 @@
 The split generator and ``train_gtm`` may be made faster, never
 different: these digests were recorded before the splits were stored
 instead of deflated and before EM stopped recomputing distances, and
-they must still hold.  Like ``perfbench/digests.json``, the model
-digests assume the numpy/BLAS build they were recorded on.
+they must still hold.  The model digests depend on the OpenBLAS kernels
+that train them, so they are recorded per run-time core; a core with no
+record fails, naming the core.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 import zipfile
 
 import numpy as np
@@ -32,26 +36,61 @@ SPLIT_DIGESTS = {
     ],
 }
 
-# (data seed, tol) -> (SHA-256 of weights, beta and log-likelihoods,
-# EM steps taken).  None is the default tol, which stops early.
+# OpenBLAS run-time core -> (data seed, tol) -> (SHA-256 of weights,
+# beta and log-likelihoods, EM steps taken).  None is the default tol,
+# which stops early.  Haswell's were recorded with OPENBLAS_CORETYPE.
 MODEL_DIGESTS = {
-    (5, 0.0): (
-        "1866d5f796eabe4c51699727b3ecc86bb261cf08185dbe02a2b4b91b7db51cf1",
-        30,
-    ),
-    (5, None): (
-        "1d3f02c12eaca22b994e2ba6f3269b95294b10aa66fe6f87574d588dd25a4d42",
-        15,
-    ),
-    (23, 0.0): (
-        "c3f5aafe2be06df39a3ec9cce1a20f18ff8378852bf76cd9bcb591037fb7df80",
-        30,
-    ),
-    (23, None): (
-        "61777366f8f0ce994a7f2737b1dda8ecf035c9027514368519ce391316eafc28",
-        27,
-    ),
+    "SkylakeX": {
+        (5, 0.0): (
+            "1866d5f796eabe4c51699727b3ecc86bb261cf08185dbe02a2b4b91b7db51cf1",
+            30,
+        ),
+        (5, None): (
+            "1d3f02c12eaca22b994e2ba6f3269b95294b10aa66fe6f87574d588dd25a4d42",
+            15,
+        ),
+        (23, 0.0): (
+            "c3f5aafe2be06df39a3ec9cce1a20f18ff8378852bf76cd9bcb591037fb7df80",
+            30,
+        ),
+        (23, None): (
+            "61777366f8f0ce994a7f2737b1dda8ecf035c9027514368519ce391316eafc28",
+            27,
+        ),
+    },
+    "Haswell": {
+        (5, 0.0): (
+            "c343f15b0b1b1f7b6344b5e11f5ee74b8e2e076b6263167f200ba28d34f57820",
+            30,
+        ),
+        (5, None): (
+            "ab8d53ff6eced82cf15105ebc2c7a11f27af9893541bb56551bfafbea271acf5",
+            15,
+        ),
+        (23, 0.0): (
+            "a61f8e333293851d983de09aa7a4aa1e610545876791bde55b25ae2e7db4e802",
+            30,
+        ),
+        (23, None): (
+            "3c9c4045e360c57b1ca7feed5bc2379b3f1597081ceeaf4e68010216bb709d12",
+            27,
+        ),
+    },
 }
+
+
+def _openblas_core() -> str:
+    """The core OpenBLAS picked at run time, read as CI's BLAS step
+    reads it ("unknown" when numpy bundles no OpenBLAS)."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        corename = getattr(
+            ctypes.CDLL(path), "scipy_openblas_get_corename64_", None
+        )
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def _sha(data: bytes) -> str:
@@ -84,8 +123,19 @@ def test_splits_are_stored_not_deflated(tmp_path):
             assert member.compress_type == zipfile.ZIP_STORED
 
 
-@pytest.mark.parametrize("seed, tol", sorted(MODEL_DIGESTS, key=str))
+def test_every_core_pins_the_same_runs():
+    runs = [sorted(pins, key=str) for pins in MODEL_DIGESTS.values()]
+    assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize(
+    "seed, tol", sorted(MODEL_DIGESTS["SkylakeX"], key=str)
+)
 def test_trained_model_is_pinned(seed, tol):
+    core = _openblas_core()
+    assert core in MODEL_DIGESTS, (
+        f"no trained-model digests recorded for OpenBLAS core {core!r}"
+    )
     data = generate_pubchem_points(300, 16, seed=seed)
     model = train_gtm(data, **({} if tol is None else {"tol": tol}))
     digest = hashlib.sha256()
@@ -93,6 +143,6 @@ def test_trained_model_is_pinned(seed, tol):
     digest.update(np.float64(model.beta).tobytes())
     digest.update(np.asarray(model.log_likelihoods).tobytes())
     assert (digest.hexdigest(), len(model.log_likelihoods)) == (
-        MODEL_DIGESTS[seed, tol]
+        MODEL_DIGESTS[core][seed, tol]
     )
 

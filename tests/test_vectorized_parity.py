@@ -23,56 +23,26 @@ from repro.apps.blast import (
     _query_words,
     _ungapped_extend,
     blast_search,
-    mask_low_complexity,
 )
 from repro.apps.cap3 import (
     _BASE_INDEX,
     _BASES,
+    _KMER_DIGIT,
     Cap3Params,
     Overlap,
     _consensus,
     _find_overlaps,
     _orientation_edges,
     _rc_array,
-    _seed_keys,
     assemble,
 )
 from repro.apps.fasta import FastaRecord
+from repro.apps.postings import window_keys
+from tests.blast_oracle import key_words, use_dict_index
+from tests.blast_oracle import query_words as _query_words_reference
 
 
 # -- scalar references (pre-vectorization code, verbatim) -----------------
-
-
-def _query_words_reference(enc, params):
-    k = params.word_size
-    base = enc.astype(np.uint8).tobytes()
-    masked = None
-    if params.low_complexity_filter is not None:
-        masked = mask_low_complexity(enc, params.low_complexity_filter)
-    probes = []
-    for pos in range(0, len(base) - k + 1):
-        if masked is not None and masked[pos : pos + k].any():
-            continue
-        word = base[pos : pos + k]
-        probes.append((pos, word))
-        if params.neighborhood_threshold is None:
-            continue
-        exact = sum(int(_BLOSUM62[word[i], word[i]]) for i in range(k))
-        for i in range(k):
-            original = word[i]
-            for replacement in range(len(AMINO_ACIDS)):
-                if replacement == original:
-                    continue
-                score = (
-                    exact
-                    - int(_BLOSUM62[original, original])
-                    + int(_BLOSUM62[original, replacement])
-                )
-                if score >= params.neighborhood_threshold:
-                    variant = bytearray(word)
-                    variant[i] = replacement
-                    probes.append((pos, bytes(variant)))
-    return probes
 
 
 def _ungapped_extend_reference(query, subject, q_pos, s_pos, word_size, xdrop):
@@ -316,6 +286,13 @@ def _random_protein(rng, length):
     return "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=length))
 
 
+def _probe_list(enc, params):
+    """``_query_words``' arrays as the reference's (position, word) list."""
+    positions, keys = _query_words(enc, params)
+    assert len(positions) == len(keys)
+    return list(zip(positions.tolist(), key_words(keys, params.word_size)))
+
+
 class TestQueryWordsParity:
     @pytest.mark.parametrize("threshold", [None, 11, 13])
     def test_random_queries(self, threshold):
@@ -323,7 +300,7 @@ class TestQueryWordsParity:
         params = BlastParams(neighborhood_threshold=threshold)
         for length in (2, 3, 5, 40, 120):
             enc = _encode(_random_protein(rng, length))
-            assert _query_words(enc, params) == _query_words_reference(
+            assert _probe_list(enc, params) == _query_words_reference(
                 enc, params
             ), (threshold, length)
 
@@ -336,7 +313,7 @@ class TestQueryWordsParity:
         # Splice in a low-complexity homopolymer run to exercise masking.
         seq = _random_protein(rng, 30) + "A" * 20 + _random_protein(rng, 30)
         enc = _encode(seq)
-        probes = _query_words(enc, params)
+        probes = _probe_list(enc, params)
         assert probes == _query_words_reference(enc, params)
         assert probes  # the unmasked flanks still seed
 
@@ -345,7 +322,7 @@ class TestQueryWordsParity:
             low_complexity_filter=LowComplexityFilter(window=6)
         )
         enc = _encode("A" * 24)
-        assert _query_words(enc, params) == []
+        assert _probe_list(enc, params) == []
 
 
 class TestUngappedExtendParity:
@@ -556,13 +533,16 @@ class TestBlastSearchParity:
             "_batched_sw",
             lambda jobs, p: [_banded_sw_reference(q, s, d, p) for q, s, d in jobs],
         )
+        use_dict_index(monkeypatch, db, params)
         reference = blast_search(queries, db, params)
         assert results == reference
         assert sum(len(hits) for hits in reference.values()) >= 20
 
 
 class TestBlastEndToEnd:
-    def test_neighborhood_search_matches_scalar_probe_stream(self):
+    def test_neighborhood_search_matches_scalar_probe_stream(
+        self, monkeypatch
+    ):
         """End to end: same hits with neighbourhood words + filtering."""
         from repro.workloads.protein import (
             generate_protein_database,
@@ -577,13 +557,10 @@ class TestBlastEndToEnd:
         )
         results = blast_search(queries, db, params)
         # Pin against a probe-stream-faithful rerun through the
-        # reference seeder (monkeypatched), hit for hit.
-        original = blast_mod._query_words
-        blast_mod._query_words = _query_words_reference
-        try:
-            reference = blast_search(queries, db, params)
-        finally:
-            blast_mod._query_words = original
+        # reference seeder and the dict index (monkeypatched), hit for
+        # hit.
+        use_dict_index(monkeypatch, db, params)
+        reference = blast_search(queries, db, params)
         assert results == reference
 
 
@@ -734,7 +711,7 @@ class TestCap3SeedParity:
         seq = "".join("ACGTN"[i] for i in rng.integers(0, 5, size=200))
         arr = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
         k = 12
-        keys = _seed_keys(arr, k)
+        keys = window_keys(_KMER_DIGIT[arr], k, 5)
         byte_windows = [
             seq.encode("ascii")[i : i + k] for i in range(len(seq) - k + 1)
         ]
@@ -746,8 +723,9 @@ class TestCap3SeedParity:
 
     def test_large_k_fallback(self):
         arr = np.frombuffer(b"ACGT" * 20, dtype=np.uint8)
-        keys = _seed_keys(arr, 30)
-        assert keys[0] == b"ACGT" * 7 + b"AC"
+        keys = window_keys(_KMER_DIGIT[arr], 30, 5)
+        # The window's base-5 digits as one bytes value.
+        assert keys[0] == bytes([0, 1, 2, 3] * 7 + [0, 1])
         assert len(keys) == 80 - 30 + 1
 
     def test_overlap_discovery_unchanged(self):

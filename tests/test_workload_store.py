@@ -190,7 +190,10 @@ class TestReturnedAuxiliaries:
         )
         assert warm_db.ids == cold_db.ids
         assert warm_db.seqs == cold_db.seqs
-        assert warm_db.index == cold_db.index
+        for column in ("keys", "seq", "pos"):
+            warm, cold = (getattr(db.postings, column) for db in (warm_db, cold_db))
+            assert warm.dtype == cold.dtype
+            assert np.array_equal(warm, cold)
 
     def test_gtm_sample_identical_and_readonly(self, tmp_path):
         store = WorkloadArtifactStore(tmp_path / "store")
