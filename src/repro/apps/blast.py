@@ -508,8 +508,6 @@ def _gapped_jobs(
     """Stages 1-3 for one encoded query: the ``(subject, diagonal)``
     pairs that stage 4 aligns with gaps."""
     k = params.word_size
-    if k != db.word_size:
-        return []  # no word of the query can match the index's words
     # Stage 1+2: word hits grouped per (subject, diagonal); two-hit check.
     positions, words = _query_words(enc, params)
     probe, posting = db.postings.lookup(words)
@@ -607,11 +605,17 @@ def blast_search(
     Returns ``{query id: hits}`` preserving per-query hit order.  With
     ``num_threads > 1`` the queries are split into ``num_threads``
     contiguous shares, each searched as one batch on a thread pool —
-    the in-process analogue of ``blastp -num_threads``.
+    the in-process analogue of ``blastp -num_threads``.  ``params``
+    must use the word size ``db`` was indexed with.
     """
     params = params or BlastParams()
     if num_threads < 1:
         raise ValueError("num_threads must be >= 1")
+    if params.word_size != db.word_size:
+        raise ValueError(
+            f"word_size {params.word_size} does not match the database's "
+            f"{db.word_size}"
+        )
     if num_threads == 1 or len(queries) <= 1:
         results = _search_batch(queries, db, params)
     else:

@@ -145,14 +145,6 @@ class LocalQueue:
             return len(self._bodies)
 
 
-@dataclass
-class _CrashPlan:
-    """Crash worker ``worker_index`` on its Nth receive (before work)."""
-
-    worker_index: int
-    on_receive: int
-
-
 class LocalClassicCloud:
     """Run real executables over real files with Classic Cloud semantics."""
 

@@ -11,7 +11,8 @@ Commands:
 * ``bench`` — the microbenchmark suite (kernel ops + per-app sweeps),
   written to ``BENCH_3.json`` (:mod:`repro.sweep.bench`);
 * ``cache`` — inspect (``stats``) or empty (``clear``) the
-  content-addressed sweep result cache under ``.repro-cache/``;
+  content-addressed store under ``.repro-cache/``: sweep results and
+  workload artifacts;
 * ``sweep`` — run the instance-type sweep through the worker pool;
   with ``--trace`` exports one **merged multi-process** Chrome trace
   covering the parent and every pool worker;
@@ -715,15 +716,13 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
-    from repro.sweep.cache import DEFAULT_CACHE_DIRNAME, ResultCache
+    from repro.sweep.cache import ResultCache, cache_root
 
-    root = args.dir or os.environ.get(
-        "REPRO_CACHE_DIR"
-    ) or DEFAULT_CACHE_DIRNAME
+    root = cache_root(args.dir or None, always=True)
     cache = ResultCache(root)
     if args.action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cached results from {root}", file=out)
+        print(f"removed {removed} cache entries from {root}", file=out)
         return 0
     stats = cache.stats()
     print(f"cache at {root}", file=out)

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["FaultPlan", "WorkerCrash"]
+__all__ = ["FaultPlan", "WorkerCrash", "check_bounds"]
+
+
+def check_bounds(rows) -> None:
+    """Raise ``ValueError("<name> must be <bound>")`` for the first
+    ``(name, ok, bound)`` row that is not ``ok``: the one range check of
+    every fault setting."""
+    for name, ok, bound in rows:
+        if not ok:
+            raise ValueError(f"{name} must be {bound}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         # At a receive-miss or read-error rate of 1, every attempt fails
         # forever, so those two stop short of 1.
-        for name, ok, bound in [
+        check_bounds([
             ("message_duplicate_probability",
              0 <= self.message_duplicate_probability <= 1, "in [0, 1]"),
             ("straggler_probability", 0 <= self.straggler_probability <= 1,
@@ -71,9 +80,7 @@ class FaultPlan:
                 c.restart_after is None or c.restart_after >= 0
                 for c in self.worker_crashes
             ), ">= 0"),
-        ]:
-            if not ok:
-                raise ValueError(f"{name} must be {bound}")
+        ])
 
     def crashes_for(self, worker_index: int) -> list[WorkerCrash]:
         """Crashes scheduled against one worker, in time order."""

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.cloud.failures import check_bounds
 from repro.core.task import TaskRecord, TaskSpec
 
 __all__ = [
@@ -45,7 +46,7 @@ def check_faults(config, failure: str, threshold: str | None = None) -> None:
     ``straggler_slowdown`` and ``max_attempts`` on ``config``, and its
     fields named ``failure`` (a probability) and ``threshold`` (a
     speculation progress threshold)."""
-    for name, ok, bound in [
+    check_bounds([
         (failure, 0 <= getattr(config, failure) < 1, "in [0, 1)"),
         ("straggler_probability", 0 <= config.straggler_probability <= 1,
          "in [0, 1]"),
@@ -53,9 +54,7 @@ def check_faults(config, failure: str, threshold: str | None = None) -> None:
         ("max_attempts", config.max_attempts >= 1, ">= 1"),
         (threshold, threshold is None or 0 < getattr(config, threshold) <= 1,
          "in (0, 1]"),
-    ]:
-        if not ok:
-            raise ValueError(f"{name} must be {bound}")
+    ])
 
 
 def add_phases(tracer, track, bounds, compute=None, **args) -> None:

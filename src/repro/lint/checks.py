@@ -10,7 +10,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules import ParsedModule, Rule, Violation, register
+from repro.lint.rules import (
+    NP_RANDOM_ALLOWED,
+    WALL_CLOCK_CALLS,
+    ParsedModule,
+    Rule,
+    Violation,
+    register,
+)
 
 __all__ = [
     "FloatTimeEqualityRule",
@@ -37,37 +44,6 @@ SIM_SCOPE = (
     "autoscale",
 )
 
-_WALL_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-#: numpy.random attributes that are part of the sanctioned seeded-stream
-#: pattern (``sim/rng.py``); everything else on the module is the
-#: legacy *global* RNG.
-_NP_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-
 @register
 class WallClockRule(Rule):
     code = "RPR001"
@@ -83,7 +59,7 @@ class WallClockRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             path = module.resolve(node.func)
-            if path in _WALL_CLOCK_CALLS:
+            if path in WALL_CLOCK_CALLS:
                 yield self.violation(
                     module,
                     node,
@@ -126,7 +102,7 @@ class GlobalRngRule(Rule):
                     )
             elif path.startswith("numpy.random."):
                 tail = path.split(".", 2)[2]
-                if tail.split(".")[0] not in _NP_RANDOM_ALLOWED:
+                if tail.split(".")[0] not in NP_RANDOM_ALLOWED:
                     yield self.violation(
                         module,
                         node,
@@ -307,7 +283,7 @@ class SpanWallClockRule(Rule):
                     if not isinstance(inner, ast.Call):
                         continue
                     path = module.resolve(inner.func)
-                    if path in _WALL_CLOCK_CALLS:
+                    if path in WALL_CLOCK_CALLS:
                         yield self.violation(
                             module,
                             inner,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint.rules import ParsedModule
+from repro.lint.rules import NP_RANDOM_ALLOWED, WALL_CLOCK_CALLS, ParsedModule
 
 __all__ = [
     "CallSite",
@@ -45,34 +45,7 @@ __all__ = [
 ]
 
 #: Wall-clock reads plus real-time sleeps: host-dependent in sim code.
-WALL_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "time.sleep",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-#: numpy.random attributes sanctioned by the seeded-stream pattern.
-_NP_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "BitGenerator",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
+WALL_CALLS = WALL_CLOCK_CALLS | {"time.sleep"}
 
 #: Dotted-prefix matches that count as I/O for the sim-purity rule.
 IO_PREFIXES = (
@@ -693,7 +666,7 @@ class _FunctionAnalyzer:
                 self.fn.impure_calls.append(ImpureCall("rng", dotted, node))
         elif dotted.startswith("numpy.random."):
             tail = dotted.split(".", 2)[2].split(".")[0]
-            if tail not in _NP_RANDOM_ALLOWED:
+            if tail not in NP_RANDOM_ALLOWED:
                 self.fn.impure_calls.append(ImpureCall("rng", dotted, node))
         elif any(dotted.startswith(prefix) for prefix in IO_PREFIXES):
             self.fn.impure_calls.append(ImpureCall("io", dotted, node))

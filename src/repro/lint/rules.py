@@ -41,6 +41,37 @@ __all__ = [
 #: deliberately not suppressible.
 SYNTAX_ERROR_CODE = "RPR000"
 
+#: Wall-clock reads: host-dependent in simulation code.
+WALL_CLOCK_CALLS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+})
+
+#: numpy.random attributes that are part of the sanctioned seeded-stream
+#: pattern (``sim/rng.py``); everything else on the module is the
+#: legacy *global* RNG.
+NP_RANDOM_ALLOWED = frozenset({
+    "default_rng",
+    "Generator",
+    "BitGenerator",
+    "SeedSequence",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
+})
+
 
 @dataclass(frozen=True, order=True)
 class Violation:

@@ -15,9 +15,10 @@ the reproduction harness exploit that itself:
   lazily-started worker pool those chunks (and serve fleet points)
   execute on, reused across ``run_points`` calls, studies, and the
   bench suite;
-* :mod:`repro.sweep.cache` — a content-addressed result cache under
-  ``.repro-cache/`` keyed by app + perf-model + backend config + task
-  digest + version salt (``REPRO_NO_CACHE`` escape hatch);
+* :mod:`repro.sweep.cache` — the one content-addressed store under
+  ``.repro-cache/``; its result face keys each point by app +
+  perf-model + backend config + task digest + version salt, and the
+  workload artifact store shares it (``REPRO_NO_CACHE`` escape hatch);
 * :mod:`repro.sweep.bench` — ``python -m repro bench``: kernel
   microbenchmarks and per-app sweep timings, written to ``BENCH_*.json``.
 """

@@ -1,34 +1,182 @@
-"""Content-addressed result cache for sweep points.
+"""One content-addressed store under ``.repro-cache/``.
 
-Results live as small JSON files under ``.repro-cache/<kk>/<key>.json``
-(``kk`` = first two hex chars of the key, to keep directories shallow).
-Each file stores both the full fingerprint and the result; reads verify
-the stored fingerprint against the requested one so a (vanishingly
-unlikely) hash collision or a corrupted file degrades to a miss, never
-to a wrong answer.  Writes go through a temp file + ``os.replace`` so a
-crash mid-write cannot leave a truncated entry behind.
+Every cached thing is an *entry*: the directory ``<root>/<kk>/<key>/``
+(``key`` = SHA-256 of the entry's canonical JSON fingerprint, ``kk`` =
+its first two hex chars) holding its payload files and a
+``MANIFEST.json`` with the fingerprint, the file names and an ``extra``
+dict.  Reads verify the fingerprint and the files, so a hash collision
+or a corrupted or partly deleted entry degrades to a miss, never to a
+wrong answer; writes publish a finished temp directory with one rename.
 
-Escape hatches: ``REPRO_NO_CACHE=1`` disables caching wherever
-:func:`default_cache` is consulted, and ``REPRO_CACHE_DIR`` relocates
-the store.  ``python -m repro cache {stats,clear}`` inspects and empties
-it.
+:class:`ResultCache` keeps each sweep point's :class:`PointResult` as an
+entry with no files (the result is the ``extra``);
+:class:`repro.workloads.store.WorkloadArtifactStore` keeps generated
+datasets under ``<root>/workloads/``.  ``stats`` and ``clear`` cover
+every entry beneath a root, so ``python -m repro cache {stats,clear}``
+manages both.  :func:`cache_root` is the one root policy
+(``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``, ``./.repro-cache``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.context import current as _current_obs
 from repro.sweep.fingerprint import cache_key, point_fingerprint
 from repro.sweep.points import PointResult, PointSpec
 
-__all__ = ["CacheStats", "ResultCache", "default_cache"]
+__all__ = [
+    "CacheStats",
+    "ContentStore",
+    "Entry",
+    "ResultCache",
+    "cache_root",
+    "default_cache",
+]
 
 DEFAULT_CACHE_DIRNAME = ".repro-cache"
+MANIFEST = "MANIFEST.json"
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def cache_root(
+    root: "str | Path | None" = None, *, always: bool = False
+) -> "Path | None":
+    """The one cache-root policy: ``None`` (caching off) when
+    ``REPRO_NO_CACHE`` is set, unless ``always``; else ``root``,
+    ``REPRO_CACHE_DIR`` or ``./.repro-cache``, in that order."""
+    if os.environ.get("REPRO_NO_CACHE") and not always:
+        return None
+    if root is None:
+        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIRNAME
+    return Path(root)
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One published entry: its directory, payload file names (in
+    manifest order), and the extra metadata its writer recorded."""
+
+    path: Path
+    files: "tuple[str, ...]"
+    extra: dict = field(default_factory=dict)
+
+    def file_path(self, name: str) -> Path:
+        return self.path / name
+
+
+class ContentStore:
+    """A directory of content-addressed entries."""
+
+    def __init__(self, root: "str | Path"):
+        self.root = Path(root)
+
+    def entry_dir(self, fingerprint) -> Path:
+        key = cache_key(fingerprint)
+        return self.root / key[:2] / key
+
+    def load(self, fingerprint) -> "Entry | None":
+        """The verified entry for ``fingerprint``, or ``None``."""
+        target = self.entry_dir(fingerprint)
+        try:
+            manifest = json.loads(
+                (target / MANIFEST).read_text(encoding="utf-8")
+            )
+            stored, files = manifest["fingerprint"], manifest["files"]
+            extra = manifest["extra"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        if stored != fingerprint:
+            return None
+        if not isinstance(files, list) or not isinstance(extra, dict):
+            return None
+        if any(not (target / name).is_file() for name in files):
+            return None  # partly deleted entry: rebuild
+        return Entry(path=target, files=tuple(files), extra=extra)
+
+    def publish(self, fingerprint, build) -> "tuple[Entry, bool]":
+        """Publish what ``build(directory)`` writes (it may return a
+        JSON-serializable ``extra`` dict) as the entry for ``fingerprint``.
+        Returns the entry and ``False`` if a concurrent writer's valid
+        entry was adopted instead."""
+        target = self.entry_dir(fingerprint)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(
+            tempfile.mkdtemp(dir=target.parent, prefix=f"{target.name}.tmp")
+        )
+        try:
+            extra = build(tmp) or {}
+            files = sorted(p.name for p in tmp.iterdir())
+            (tmp / MANIFEST).write_text(
+                json.dumps(
+                    {"fingerprint": fingerprint, "files": files, "extra": extra},
+                    sort_keys=True,
+                    indent=2,
+                ),
+                encoding="utf-8",
+            )
+            try:
+                os.rename(tmp, target)
+            except OSError:
+                # Lost the race to a concurrent writer (or a stale
+                # corrupt entry occupies the slot): adopt theirs if
+                # valid, else replace it.
+                entry = self.load(fingerprint)
+                if entry is not None:
+                    shutil.rmtree(tmp, ignore_errors=True)
+                    return entry, False
+                shutil.rmtree(target, ignore_errors=True)
+                os.rename(tmp, target)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        return Entry(path=target, files=tuple(files), extra=extra), True
+
+    # -- maintenance ------------------------------------------------------
+    def _entry_dirs(self) -> "list[Path]":
+        """Every entry beneath the root, whichever face wrote it.  Only
+        entry-shaped directories count, so ``clear`` on a mistaken root
+        never removes unrelated files."""
+        if not self.root.is_dir():
+            return []
+        return sorted(
+            manifest.parent
+            for manifest in self.root.rglob(MANIFEST)
+            if _KEY.fullmatch(manifest.parent.name)
+            and manifest.parent.parent.name == manifest.parent.name[:2]
+        )
+
+    def usage(self) -> "tuple[int, int]":
+        """``(entries, bytes)`` on disk beneath the root."""
+        entries = self._entry_dirs()
+        size = 0
+        for entry in entries:
+            for path in entry.iterdir():
+                try:
+                    size += path.stat().st_size
+                except OSError:
+                    pass
+        return len(entries), size
+
+    def clear(self) -> int:
+        """Remove every entry beneath the root; returns how many."""
+        entries = self._entry_dirs()
+        for entry in entries:
+            shutil.rmtree(entry, ignore_errors=True)
+            parent = entry.parent
+            while parent != self.root:
+                try:
+                    parent.rmdir()
+                except OSError:
+                    break  # not empty yet / already gone
+                parent = parent.parent
+        return len(entries)
 
 
 @dataclass
@@ -52,11 +200,11 @@ class CacheStats:
         )
 
 
-class ResultCache:
-    """A directory of content-addressed :class:`PointResult` files."""
+class ResultCache(ContentStore):
+    """Content-addressed :class:`PointResult` entries, one per point."""
 
     def __init__(self, root: "str | Path"):
-        self.root = Path(root)
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -65,112 +213,43 @@ class ResultCache:
         self._m_hits = obs.metrics.counter("sweep.cache.hits")
         self._m_misses = obs.metrics.counter("sweep.cache.misses")
 
-    # -- keying -----------------------------------------------------------
-    def _path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    # -- lookup / store ---------------------------------------------------
     def get(self, spec: PointSpec) -> "PointResult | None":
         with self._tracer.span("cache.lookup", label=spec.label):
             result = self._get(spec)
         if result is None:
+            self.misses += 1
             self._m_misses.inc()
         else:
+            self.hits += 1
             self._m_hits.inc()
         return result
 
     def _get(self, spec: PointSpec) -> "PointResult | None":
-        fingerprint = point_fingerprint(spec)
-        path = self._path_for(cache_key(fingerprint))
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if payload.get("fingerprint") != fingerprint:
-            # Key collision or corrupted entry: treat as a miss and let
-            # the fresh result overwrite it.
-            self.misses += 1
+        entry = self.load(point_fingerprint(spec))
+        if entry is None:
             return None
         try:
-            result = PointResult.from_dict(payload["result"])
+            return PointResult.from_dict(entry.extra)
         except (KeyError, TypeError):
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def put(self, spec: PointSpec, result: PointResult) -> None:
-        fingerprint = point_fingerprint(spec)
-        path = self._path_for(cache_key(fingerprint))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"fingerprint": fingerprint, "result": result.to_dict()},
-            sort_keys=True,
-            indent=2,
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self.publish(point_fingerprint(spec), lambda _: result.to_dict())
         self.stores += 1
 
-    # -- maintenance ------------------------------------------------------
-    def _entry_paths(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Remove every cached entry; returns how many were removed."""
-        removed = 0
-        for path in self._entry_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-            try:
-                path.parent.rmdir()
-            except OSError:
-                pass  # not empty yet / already gone
-        return removed
-
     def stats(self) -> CacheStats:
-        paths = self._entry_paths()
-        size = 0
-        for path in paths:
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
+        entries, size = self.usage()
         return CacheStats(
             hits=self.hits,
             misses=self.misses,
             stores=self.stores,
-            entries=len(paths),
+            entries=entries,
             bytes=size,
         )
 
 
 def default_cache(root: "str | Path | None" = None) -> "ResultCache | None":
-    """The process-wide cache policy.
-
-    Returns ``None`` (caching off) when ``REPRO_NO_CACHE`` is set to a
-    non-empty value, else a cache rooted at ``root``, ``REPRO_CACHE_DIR``,
-    or ``./.repro-cache`` in that order.
-    """
-    if os.environ.get("REPRO_NO_CACHE"):
-        return None
-    if root is None:
-        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIRNAME
-    return ResultCache(root)
+    """A :class:`ResultCache` at :func:`cache_root`, or ``None`` when
+    caching is off."""
+    root = cache_root(root)
+    return None if root is None else ResultCache(root)

@@ -14,10 +14,11 @@ generators produce the closest synthetic equivalents at any scale:
 
 Every generator can emit *real files* (for the local backend) and always
 emits :class:`~repro.core.task.TaskSpec` lists (for the simulator).
-File emission goes through :mod:`repro.workloads.store`, a
-content-addressed artifact store under ``.repro-cache/workloads/`` that
-materializes each dataset exactly once and hard-links it into place so
-every consumer shares one read-only copy (``REPRO_NO_CACHE`` opts out).
+File emission goes through :mod:`repro.workloads.store`, the workload
+face of the content-addressed store under ``.repro-cache/``: each
+dataset is materialized once under ``workloads/`` and hard-linked into
+place so every consumer shares one read-only copy (``REPRO_NO_CACHE``
+opts out).
 :func:`study_task_specs` is the fixed per-app task list the autoscale
 and chaos studies sweep.
 """

@@ -178,49 +178,28 @@ def write_cap3_workload(
     paper's homogeneous scaling setup); otherwise each file gets a fresh
     genome and its own read count spread.
 
-    ``store`` routes generation through the content-addressed workload
-    artifact store (:mod:`repro.workloads.store`): the dataset is
-    materialized once under ``.repro-cache/workloads/`` and hard-linked
-    into ``directory/in`` — treat the attached inputs as read-only.
-    ``"auto"`` follows the ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``
-    policy; ``None`` generates in place.
+    ``store`` says where the input files come from, as in
+    :func:`repro.workloads.store.write_inputs`.
 
     Returns specs whose ``input_key``/``output_key`` are file paths and
     whose sizes reflect the bytes actually written.
     """
-    from repro.workloads.store import resolve_store
+    from repro.workloads.store import write_inputs
 
     if n_files < 1 or reads_per_file < 1:
         raise ValueError("n_files and reads_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)
-    params = {
-        "n_files": n_files,
-        "reads_per_file": reads_per_file,
-        "read_length": read_length,
-        "replicated": replicated,
-        "seed": seed,
-    }
-    artifact_store = resolve_store(store)
-    if artifact_store is None:
-        in_dir.mkdir(parents=True, exist_ok=True)
-        work_units = _write_cap3_inputs(
-            in_dir, n_files, reads_per_file, read_length, replicated, seed
-        )
-    else:
-        artifact = artifact_store.materialize(
-            "cap3",
-            params,
-            lambda tmp: {
-                "work_units": _write_cap3_inputs(
-                    tmp, n_files, reads_per_file, read_length, replicated,
-                    seed,
-                )
-            },
-        )
-        artifact_store.attach(artifact, in_dir)
-        work_units = artifact.extra["work_units"]
+    params = dict(n_files=n_files, reads_per_file=reads_per_file,
+                  read_length=read_length, replicated=replicated, seed=seed)
+
+    def build(target: Path):
+        work_units = _write_cap3_inputs(target, **params)
+        return work_units, {"work_units": work_units}
+
+    work_units = write_inputs(store, "cap3", params, in_dir, build,
+                              lambda _, extra: extra["work_units"])
     specs = []
     for i, count in enumerate(work_units):
         input_path = in_dir / f"{i:05d}.fa"

@@ -181,50 +181,29 @@ def write_blast_workload(
 
     The shared NR-like database is written alongside the queries as
     ``in/database.fa`` — the paper's "shared working set" that every
-    worker attaches rather than owning a private copy.  ``store``
-    routes generation through the content-addressed workload artifact
-    store (:mod:`repro.workloads.store`): the whole bundle is
-    materialized once and hard-linked into ``directory/in`` — treat the
-    attached inputs as read-only.  ``"auto"`` follows the
-    ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR`` policy; ``None`` generates
-    in place.
+    worker attaches rather than owning a private copy.
+
+    ``store`` says where the input files come from, as in
+    :func:`repro.workloads.store.write_inputs`.
     """
     from repro.apps.fasta import read_fasta
-    from repro.workloads.store import resolve_store
+    from repro.workloads.store import write_inputs
 
     if n_files < 1 or queries_per_file < 1:
         raise ValueError("n_files and queries_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)
-    params = {
-        "n_files": n_files,
-        "queries_per_file": queries_per_file,
-        "db_sequences": db_sequences,
-        "seed": seed,
-    }
-    artifact_store = resolve_store(store)
-    db: "BlastDatabase | None" = None
-    if artifact_store is None:
-        in_dir.mkdir(parents=True, exist_ok=True)
-        db = _write_blast_inputs(
-            in_dir, n_files, queries_per_file, db_sequences, seed
-        )
-    else:
-
-        def build(tmp: Path) -> dict:
-            nonlocal db
-            db = _write_blast_inputs(
-                tmp, n_files, queries_per_file, db_sequences, seed
-            )
-            return {}
-
-        artifact = artifact_store.materialize("blast", params, build)
-        artifact_store.attach(artifact, in_dir)
-        if db is None:
-            # Cache hit: the builder never ran — reindex the shared
-            # database file instead of regenerating every sequence.
-            db = records_to_db(read_fasta(in_dir / _DB_FILE))
+    params = dict(n_files=n_files, queries_per_file=queries_per_file,
+                  db_sequences=db_sequences, seed=seed)
+    db = write_inputs(
+        store, "blast", params, in_dir,
+        lambda target: (_write_blast_inputs(target, **params), {}),
+        # On a hit the builder never ran: reindex the shared database
+        # file instead of regenerating every sequence.
+        lambda built, _: built if built is not None
+        else records_to_db(read_fasta(in_dir / _DB_FILE)),
+    )
     specs = []
     for i in range(n_files):
         input_path = in_dir / f"{i:05d}.fa"

@@ -132,48 +132,28 @@ def write_gtm_workload(
     Returns (specs, sample) where ``sample`` is the in-sample training
     set the caller fits a GTM on before constructing the executable;
     the sample is also written alongside the splits as
-    ``in/sample.npy``.  ``store`` routes generation through the
-    content-addressed workload artifact store (:mod:`repro.workloads.
-    store`): the dataset is materialized once and hard-linked into
-    ``directory/in`` — treat the attached inputs as read-only.
-    ``"auto"`` follows the ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``
-    policy; ``None`` generates in place.
+    ``in/sample.npy``; from a store it comes back as a read-only mmap.
+
+    ``store`` says where the input files come from, as in
+    :func:`repro.workloads.store.write_inputs`.
     """
-    from repro.workloads.store import resolve_store
+    from repro.workloads.store import write_inputs
 
     if n_files < 1 or points_per_file < 1:
         raise ValueError("n_files and points_per_file must be >= 1")
     directory = Path(directory)
     in_dir = directory / "in"
     (directory / "out").mkdir(parents=True, exist_ok=True)
-    params = {
-        "n_files": n_files,
-        "points_per_file": points_per_file,
-        "dimensions": dimensions,
-        "sample_points": sample_points,
-        "seed": seed,
-    }
-    artifact_store = resolve_store(store)
-    if artifact_store is None:
-        in_dir.mkdir(parents=True, exist_ok=True)
-        sample = _write_gtm_inputs(
-            in_dir, n_files, points_per_file, dimensions, sample_points,
-            seed,
-        )
-    else:
-
-        def build(tmp: Path) -> dict:
-            _write_gtm_inputs(
-                tmp, n_files, points_per_file, dimensions, sample_points,
-                seed,
-            )
-            return {}
-
-        artifact = artifact_store.materialize("gtm", params, build)
-        artifact_store.attach(artifact, in_dir)
+    params = dict(n_files=n_files, points_per_file=points_per_file,
+                  dimensions=dimensions, sample_points=sample_points,
+                  seed=seed)
+    sample = write_inputs(
+        store, "gtm", params, in_dir,
+        lambda target: (_write_gtm_inputs(target, **params), {}),
         # mmap the shared sample: consumers read the store's page-cache
         # copy instead of materializing a private array per process.
-        sample = np.load(in_dir / _SAMPLE_FILE, mmap_mode="r")
+        lambda *_: np.load(in_dir / _SAMPLE_FILE, mmap_mode="r"),
+    )
     specs = []
     for i in range(n_files):
         input_path = in_dir / f"{i:05d}.npz"

@@ -2,75 +2,49 @@
 
 Synthetic datasets (Cap3 FASTA reads, BLAST NR-like databases + query
 bundles, PubChem-like GTM splits) are deterministic functions of their
-generator parameters and seed — there is no reason to regenerate the
-same bytes for every sweep point, worker, or test that asks for them.
-This store materializes each dataset **exactly once** under
-``.repro-cache/workloads/<kk>/<key>/`` (a sibling of the sweep result
-cache; ``kk`` = first two hex chars of the key) and lets later callers
-*attach* the files read-only: payloads are hard-linked into the
-destination when the filesystem allows it, so every consumer shares one
-inode — and therefore one page-cache copy — instead of private
-duplicates.  Copying is the cross-device fallback.
-
-Keying follows :mod:`repro.sweep.cache`: the key is a SHA-256 digest of
-generator name + parameters + a version salt, the full fingerprint is
-stored in the artifact's ``MANIFEST.json`` and verified on read so a
-collision or corrupted entry degrades to a rebuild, never a wrong
-dataset.  Builds are crash-safe: the builder writes into a temp
-directory that is renamed into place only when complete; losing a
-rename race to a concurrent builder just means adopting the winner's
-(identical) artifact.
-
-``REPRO_NO_CACHE=1`` disables the store wherever
-:func:`default_artifact_store` is consulted (generation then happens
-in place, exactly as before this store existed) and
-``REPRO_CACHE_DIR`` relocates it together with the result cache.
+generator parameters and seed, so each is materialized **exactly once**
+as an entry of the store in :mod:`repro.sweep.cache`, under
+``.repro-cache/workloads/<kk>/<key>/``, keyed by generator name +
+parameters + a version salt.  Later callers *attach* it read-only: the
+payloads are hard-linked into the destination when the filesystem
+allows it, so every consumer shares one inode — and one page-cache copy
+— instead of a private duplicate; copying is the cross-device fallback.
+:func:`write_inputs` is the one store-or-in-place path of the
+``write_*_workload`` writers; with ``REPRO_NO_CACHE=1`` they generate in
+place, exactly as before this store existed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import shutil
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.context import current as _current_obs
-from repro.sweep.cache import DEFAULT_CACHE_DIRNAME
+from repro.sweep.cache import ContentStore, Entry, cache_root
+from repro.sweep.fingerprint import canonicalize
 
 __all__ = [
     "WorkloadArtifact",
     "WorkloadArtifactStore",
     "default_artifact_store",
     "resolve_store",
+    "write_inputs",
 ]
 
 # Bump when generator output changes so stale artifacts self-invalidate.
 ARTIFACT_SALT = "workload-store-v2"
 
-_MANIFEST = "MANIFEST.json"
+#: One materialized dataset: its directory, payload file names, and
+#: whatever extra metadata the builder recorded.
+WorkloadArtifact = Entry
 
 
-@dataclass(frozen=True)
-class WorkloadArtifact:
-    """One materialized dataset: its directory, payload file names (in
-    manifest order), and whatever extra metadata the builder recorded."""
-
-    path: Path
-    files: "tuple[str, ...]"
-    extra: dict = field(default_factory=dict)
-
-    def file_path(self, name: str) -> Path:
-        return self.path / name
-
-
-class WorkloadArtifactStore:
-    """A directory of content-addressed workload datasets."""
+class WorkloadArtifactStore(ContentStore):
+    """Content-addressed workload datasets, one entry per dataset."""
 
     def __init__(self, root: "str | Path"):
-        self.root = Path(root)
+        super().__init__(root)
         self.hits = 0
         self.builds = 0
         obs = _current_obs()
@@ -78,19 +52,12 @@ class WorkloadArtifactStore:
         self._m_hits = obs.metrics.counter("workload.store.hits")
         self._m_builds = obs.metrics.counter("workload.store.builds")
 
-    # -- keying -----------------------------------------------------------
     @staticmethod
-    def fingerprint(kind: str, params: dict) -> str:
-        return json.dumps(
-            {"kind": kind, "params": params, "salt": ARTIFACT_SALT},
-            sort_keys=True,
-            separators=(",", ":"),
+    def fingerprint(kind: str, params: dict) -> dict:
+        return canonicalize(
+            {"kind": kind, "params": params, "salt": ARTIFACT_SALT}
         )
 
-    def _dir_for(self, key: str) -> Path:
-        return self.root / key[:2] / key
-
-    # -- materialize ------------------------------------------------------
     def materialize(self, kind: str, params: dict, builder) -> WorkloadArtifact:
         """Return the artifact for ``(kind, params)``, building at most once.
 
@@ -100,79 +67,18 @@ class WorkloadArtifactStore:
         is stored in the manifest and handed back on every later hit.
         """
         fingerprint = self.fingerprint(kind, params)
-        key = hashlib.sha256(fingerprint.encode("ascii")).hexdigest()
-        target = self._dir_for(key)
-        artifact = self._load(target, fingerprint)
-        if artifact is not None:
-            self.hits += 1
-            self._m_hits.inc()
-            return artifact
+        artifact = self.load(fingerprint)
+        if artifact is None:
+            with self._tracer.span("workload.build", label=kind):
+                artifact, built = self.publish(fingerprint, builder)
+            if built:
+                self.builds += 1
+                self._m_builds.inc()
+                return artifact
+        self.hits += 1
+        self._m_hits.inc()
+        return artifact
 
-        with self._tracer.span("workload.build", label=kind):
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = Path(
-                tempfile.mkdtemp(dir=target.parent, prefix=f"{key}.tmp")
-            )
-            try:
-                extra = builder(tmp) or {}
-                files = sorted(
-                    p.name for p in tmp.iterdir() if p.name != _MANIFEST
-                )
-                manifest = {
-                    "fingerprint": fingerprint,
-                    "files": files,
-                    "extra": extra,
-                }
-                (tmp / _MANIFEST).write_text(
-                    json.dumps(manifest, sort_keys=True, indent=2),
-                    encoding="utf-8",
-                )
-                try:
-                    os.rename(tmp, target)
-                except OSError:
-                    # Lost the race to a concurrent builder (or a stale
-                    # corrupt artifact occupies the slot): adopt theirs
-                    # if valid, else replace it.
-                    artifact = self._load(target, fingerprint)
-                    if artifact is not None:
-                        shutil.rmtree(tmp, ignore_errors=True)
-                        self.hits += 1
-                        self._m_hits.inc()
-                        return artifact
-                    shutil.rmtree(target, ignore_errors=True)
-                    os.rename(tmp, target)
-            except BaseException:
-                shutil.rmtree(tmp, ignore_errors=True)
-                raise
-        self.builds += 1
-        self._m_builds.inc()
-        return WorkloadArtifact(
-            path=target, files=tuple(files), extra=extra
-        )
-
-    def _load(
-        self, target: Path, fingerprint: str
-    ) -> "WorkloadArtifact | None":
-        try:
-            manifest = json.loads(
-                (target / _MANIFEST).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        if manifest.get("fingerprint") != fingerprint:
-            return None
-        files = manifest.get("files")
-        if not isinstance(files, list):
-            return None
-        if any(not (target / name).is_file() for name in files):
-            return None  # partially deleted artifact: rebuild
-        return WorkloadArtifact(
-            path=target,
-            files=tuple(files),
-            extra=manifest.get("extra", {}),
-        )
-
-    # -- attach -----------------------------------------------------------
     def attach(self, artifact: WorkloadArtifact, dest: "str | Path") -> None:
         """Expose the artifact's payload files under ``dest``.
 
@@ -200,18 +106,8 @@ class WorkloadArtifactStore:
                     pass
                 raise
 
-    # -- maintenance ------------------------------------------------------
     def stats(self) -> "dict[str, int]":
-        entries = 0
-        size = 0
-        if self.root.is_dir():
-            for manifest in self.root.glob(f"*/*/{_MANIFEST}"):
-                entries += 1
-                for path in manifest.parent.iterdir():
-                    try:
-                        size += path.stat().st_size
-                    except OSError:
-                        pass
+        entries, size = self.usage()
         return {
             "hits": self.hits,
             "builds": self.builds,
@@ -219,37 +115,15 @@ class WorkloadArtifactStore:
             "bytes": size,
         }
 
-    def clear(self) -> int:
-        """Remove every artifact; returns how many were removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for manifest in sorted(self.root.glob(f"*/*/{_MANIFEST}")):
-            shutil.rmtree(manifest.parent, ignore_errors=True)
-            removed += 1
-            try:
-                manifest.parent.parent.rmdir()
-            except OSError:
-                pass  # not empty yet / already gone
-        return removed
-
 
 def default_artifact_store(
     root: "str | Path | None" = None,
 ) -> "WorkloadArtifactStore | None":
-    """The process-wide artifact-store policy.
-
-    Returns ``None`` (store off — generate in place) when
-    ``REPRO_NO_CACHE`` is set, else a store under ``<cache-root>/
-    workloads`` where the cache root is ``root``, ``REPRO_CACHE_DIR``,
-    or ``./.repro-cache`` in that order — always a sibling of the sweep
-    result cache.
-    """
-    if os.environ.get("REPRO_NO_CACHE"):
-        return None
-    if root is None:
-        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIRNAME
-    return WorkloadArtifactStore(Path(root) / "workloads")
+    """A :class:`WorkloadArtifactStore` under ``<cache-root>/workloads``
+    (:func:`repro.sweep.cache.cache_root`), or ``None`` when caching is
+    off — the writers then generate in place."""
+    root = cache_root(root)
+    return None if root is None else WorkloadArtifactStore(root / "workloads")
 
 
 def resolve_store(
@@ -257,8 +131,35 @@ def resolve_store(
 ) -> "WorkloadArtifactStore | None":
     """Normalize a ``store=`` argument: ``"auto"`` consults the default
     policy, ``None`` disables the store, anything else is used as-is."""
-    if store == "auto":
-        return default_artifact_store()
+    return default_artifact_store() if store == "auto" else store
+
+
+def write_inputs(store, kind: str, params: dict, in_dir: Path, build, attached):
+    """Write one dataset's input files into ``in_dir``; return its value.
+
+    ``build(directory)`` writes the payload files into ``directory`` and
+    returns ``(value, extra)``: the in-memory dataset handed back to the
+    caller and a JSON-serializable dict for the artifact's manifest.
+    ``store`` is a writer's ``store=`` argument: ``"auto"`` (the
+    :func:`default_artifact_store` policy), a store, or ``None``
+    (:func:`resolve_store`).  With no store, ``build`` runs in
+    ``in_dir`` and its value is returned.  Otherwise the dataset is
+    materialized once under ``(kind, params)`` and attached to
+    ``in_dir`` as hard links into the store (treat them as read-only),
+    and the value is ``attached(value, extra)`` — ``value`` is ``None``
+    when the store already held the dataset and the builder did not run.
+    """
+    store = resolve_store(store)
     if store is None:
-        return None
-    return store
+        in_dir.mkdir(parents=True, exist_ok=True)
+        return build(in_dir)[0]
+    built = []
+
+    def builder(directory: Path) -> dict:
+        value, extra = build(directory)
+        built.append(value)
+        return extra
+
+    artifact = store.materialize(kind, params, builder)
+    store.attach(artifact, in_dir)
+    return attached(built[0] if built else None, artifact.extra)

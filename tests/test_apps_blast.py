@@ -209,6 +209,12 @@ class TestParams:
         with pytest.raises(ValueError):
             BlastParams(word_size=1)
 
+    def test_word_size_must_match_the_database(self, database):
+        # A mismatched word size used to return no hits at all.
+        query = FastaRecord(id="hom", seq=database.seqs[3][10:150])
+        with pytest.raises(ValueError, match="word_size 4 does not match"):
+            blast_search([query], database, BlastParams(word_size=4))
+
     def test_band_width_validation(self):
         with pytest.raises(ValueError):
             BlastParams(band_width=0)

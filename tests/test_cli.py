@@ -334,6 +334,43 @@ class TestGendata:
         assert len(files) == 2
 
 
+class TestCache:
+    """``repro cache`` manages every entry under the cache root: sweep
+    results and workload artifacts alike."""
+
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch):
+        """A cache root holding one workload artifact and one result."""
+        from repro.core.application import get_application
+        from repro.core.backends import make_backend
+        from repro.sweep.cache import default_cache
+        from repro.sweep.points import point_for, run_point
+        from repro.workloads.genome import cap3_task_specs, write_cap3_workload
+
+        root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        write_cap3_workload(tmp_path / "w", 1, reads_per_file=4)
+        spec = point_for(
+            get_application("cap3"),
+            make_backend("ec2", instance_type="HCXL", n_instances=1),
+            cap3_task_specs(2, reads_per_file=50),
+        )
+        default_cache().put(spec, run_point(spec))
+        return root
+
+    def test_stats_counts_both_kinds(self, root):
+        code, text = run_cli("cache", "stats")
+        assert code == 0
+        assert "entries: 2\n" in text
+
+    def test_clear_removes_both_kinds(self, root):
+        code, text = run_cli("cache", "clear")
+        assert code == 0
+        assert text.startswith("removed 2 ")
+        assert not list(root.rglob("MANIFEST.json"))
+
+
 class TestBadInputExits2:
     """Bad input ends in one ``error: ...`` line and exit code 2, never a
     traceback or a silent fallback."""

@@ -15,8 +15,8 @@ import pytest
 from repro.cloud.failures import FaultPlan
 from repro.core.application import get_application
 from repro.core.backends import make_backend
-from repro.sweep.cache import ResultCache, default_cache
-from repro.sweep.fingerprint import cache_key, point_fingerprint, task_digest
+from repro.sweep.cache import MANIFEST, ContentStore, ResultCache, default_cache
+from repro.sweep.fingerprint import point_fingerprint, task_digest
 from repro.sweep.points import point_for, run_point
 from repro.workloads.genome import cap3_task_specs
 
@@ -144,7 +144,7 @@ class TestCacheStore:
     def test_corrupted_entry_degrades_to_miss(self, cache):
         spec = _spec()
         cache.put(spec, run_point(spec))
-        path = cache._path_for(cache_key(point_fingerprint(spec)))
+        path = cache.entry_dir(point_fingerprint(spec)) / MANIFEST
         path.write_text("{not json", encoding="utf-8")
         assert cache.get(spec) is None
 
@@ -153,7 +153,7 @@ class TestCacheStore:
         result: the stored fingerprint is verified on read."""
         spec = _spec()
         cache.put(spec, run_point(spec))
-        path = cache._path_for(cache_key(point_fingerprint(spec)))
+        path = cache.entry_dir(point_fingerprint(spec)) / MANIFEST
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["fingerprint"]["salt"] = "tampered"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -165,6 +165,48 @@ class TestCacheStore:
         assert cache.clear() == 1
         assert cache.stats().entries == 0
         assert cache.get(spec) is None
+
+
+class TestContentStore:
+    """The one entry mechanism both faces share."""
+
+    @staticmethod
+    def _build(text):
+        def build(directory):
+            (directory / "data.txt").write_text(text)
+            return {"text": text}
+
+        return build
+
+    def test_publish_adopts_a_valid_entry_and_replaces_a_corrupt_one(
+        self, tmp_path
+    ):
+        store = ContentStore(tmp_path)
+        first, built = store.publish({"x": 1}, self._build("one"))
+        assert built and first.extra == {"text": "one"}
+        # A concurrent writer that loses the rename adopts the winner.
+        again, built = store.publish({"x": 1}, self._build("two"))
+        assert not built and again.extra == {"text": "one"}
+        assert again.file_path("data.txt").read_text() == "one"
+        (first.path / MANIFEST).write_text("{not json", encoding="utf-8")
+        assert store.load({"x": 1}) is None
+        fresh, built = store.publish({"x": 1}, self._build("three"))
+        assert built and store.load({"x": 1}).extra == {"text": "three"}
+        # No temp directory is left behind.
+        assert list(first.path.parent.iterdir()) == [first.path]
+
+    def test_clear_leaves_files_that_are_not_entries(self, tmp_path):
+        store = ContentStore(tmp_path)
+        store.publish({"x": 1}, self._build("one"))
+        (tmp_path / "notes").mkdir()
+        (tmp_path / "notes" / MANIFEST).write_text("{}")
+        (tmp_path / "ab").mkdir()
+        (tmp_path / "ab" / "cd.json").write_text("{}")
+        assert store.usage()[0] == 1
+        assert store.clear() == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab", "notes"]
+        assert (tmp_path / "notes" / MANIFEST).is_file()
+        assert (tmp_path / "ab" / "cd.json").is_file()
 
 
 class TestDefaultCachePolicy:

@@ -162,7 +162,7 @@ class TestRunPoints:
             assert (stats.misses, stats.stores, stats.hits) == (1, 1, 1)
             entries[mode] = {
                 path.relative_to(cache.root): path.read_bytes()
-                for path in cache.root.glob("*/*.json")
+                for path in cache.root.glob("*/*/MANIFEST.json")
             }
         assert len(entries["plain"]) == 1
         assert entries["sanitized"] == entries["plain"]
