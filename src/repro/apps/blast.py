@@ -199,7 +199,9 @@ class BlastDatabase:
         self.word_size = word_size
         self.ids = [r.id for r in records]
         self.seqs = [r.seq for r in records]
-        self.encoded = [_encode(r.seq) for r in records]
+        # One byte per residue (codes are below 20); numpy upcasts where
+        # arithmetic needs it (word keys, the gapped stage's buffers).
+        self.encoded = [_encode(r.seq).astype(np.uint8) for r in records]
         self.total_residues = sum(len(s) for s in self.seqs)
         keys = window_keys(np.concatenate(self.encoded), word_size, 20)
         self.postings = PostingTable(keys, list(map(len, self.seqs)), word_size)

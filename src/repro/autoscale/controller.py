@@ -38,7 +38,12 @@ from repro.cloud.spot import SpotPriceTrace
 from repro.obs.context import current as _current_obs
 from repro.sim.engine import Environment
 
-__all__ = ["AutoscaleController"]
+__all__ = ["AutoscaleController", "active_in"]
+
+
+def active_in(pool: "list[VmInstance]") -> "list[VmInstance]":
+    """Running, non-draining members of ``pool`` (launch order)."""
+    return [i for i in pool if i.is_running and not i.draining]
 
 
 class AutoscaleController:
@@ -112,7 +117,7 @@ class AutoscaleController:
     # -- pool accounting -------------------------------------------------------
     def active_instances(self) -> list[VmInstance]:
         """Running, non-draining members of the pool (launch order)."""
-        return [i for i in self.pool if i.is_running and not i.draining]
+        return active_in(self.pool)
 
     def _update_gauges(self) -> None:
         active = self.active_instances()

@@ -15,9 +15,10 @@ cost but not for time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
-from repro.autoscale.controller import AutoscaleController
+from repro.autoscale.controller import AutoscaleController, active_in
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
@@ -217,13 +218,17 @@ class _SimRun:
         self.rng = RngRegistry(config.seed)
         prices = AWS_PRICES if config.provider == "aws" else AZURE_PRICES
         self.meter = CostMeter(prices)
-        self.cloud = CloudProvider(
+        # The callbacks handed to the services below close over locals
+        # (other services, the completion set), never over this run: the
+        # run holds the services, so a callback holding the run would
+        # form a cycle only the cyclic garbage collector can free.
+        self.cloud = cloud = CloudProvider(
             self.env,
             config.provider,
             self.rng.stream("provision"),
             meter=self.meter,
             perf_jitter=config.perf_jitter,
-            on_host_change=lambda: self.task_queue.recheck(),
+            on_host_change=lambda: task_queue.recheck(),
         )
         self.storage = BlobStore(
             self.env,
@@ -243,7 +248,7 @@ class _SimRun:
                 meter=self.meter,
                 miss_probability=0.0,
             )
-        self.task_queue = MessageQueue(
+        self.task_queue = task_queue = MessageQueue(
             self.env,
             "tasks",
             self.rng.stream("queue"),
@@ -263,24 +268,25 @@ class _SimRun:
             miss_probability=0.0,
         )
         self.completed: set[str] = set()
+        completed, n_tasks = self.completed, len(tasks)
+        dead_letters = self.dead_letter_queue
         self.measure_start = 0.0
         self.preload_seconds = 0.0
-        self.workers = WorkerFleet(
+        self.workers = workers = WorkerFleet(
             env=self.env,
             rng=self.rng,
             obs=self.obs,
             task_queue=self.task_queue,
             storage=self.storage,
             perf_model=lambda task: app.perf_model,
-            keep_polling=lambda: len(self.completed) < len(tasks),
+            keep_polling=lambda: len(completed) < n_tasks,
             on_complete=self.monitor_queue.send,
             workers_per_instance=config.workers_per_instance,
             threads=config.threads_per_worker,
             poll_backoff_s=config.poll_backoff_s,
             fault_plan=config.fault_plan,
             retry_policy=config.retry_policy,
-            slots=self._slots,
-            respawn_poisoned=self._respawn_after_poison,
+            slots=lambda: config.total_workers,
         )
         self.records = self.workers.records
         # Speculation bookkeeping.
@@ -293,15 +299,11 @@ class _SimRun:
                 config.chaos,
                 queue=self.task_queue,
                 storage=self.storage,
-                instances=lambda: [
-                    i for i in self.cloud.instances if i.is_running
-                ],
-                workers=lambda: [
-                    p for p in self.workers.processes if p.is_alive
-                ],
+                instances=lambda: [i for i in cloud.instances if i.is_running],
+                workers=lambda: [p for p in workers.processes if p.is_alive],
                 crash_worker=lambda p: p.interrupt("chaos-crash"),
-                restart_worker=self._restart_worker_like,
-                preempt_instance=self._chaos_preempt,
+                restart_worker=workers.respawn_like,
+                preempt_instance=partial(_preempt, workers, cloud),
             )
         self.controller: AutoscaleController | None = None
         if config.autoscale is not None:
@@ -313,9 +315,13 @@ class _SimRun:
                 config.workers_per_instance,
                 self.task_queue,
                 self.rng.stream("spot-market"),
-                spawn_workers=self.workers.spawn_instance,
-                is_done=lambda: self._accounted_tasks() >= len(self.tasks),
+                spawn_workers=workers.spawn_instance,
+                is_done=lambda: _accounted(completed, dead_letters) >= n_tasks,
             )
+            # The fleet reads the pool, not the controller that holds
+            # the fleet's spawn_instance.
+            pool, per_instance = self.controller.pool, config.workers_per_instance
+            workers.slots = lambda: len(active_in(pool)) * per_instance
 
     def _visibility_timeout(self) -> float:
         if self.config.visibility_timeout_s is not None:
@@ -518,22 +524,6 @@ class _SimRun:
         yield completion
         return self.env.now - self.measure_start
 
-    def _slots(self) -> int:
-        """Currently provisioned worker slots (utilization denominator)."""
-        if self.controller is not None:
-            return (
-                len(self.controller.active_instances())
-                * self.config.workers_per_instance
-            )
-        return self.config.total_workers
-
-    def _respawn_after_poison(self, host, *link):
-        """Replace a poisoned worker on its host, with the same link
-        (concurrent workers, WAN bandwidth and latency)."""
-        yield self.env.timeout(self.config.fault_plan.poison_restart_s)
-        if host.is_running:
-            self.workers.spawn(host, *link)
-
     def _crasher(self, worker_process, crash):
         delay = self.measure_start + crash.at_time - self.env.now
         yield self.env.timeout(max(0.0, delay))
@@ -541,22 +531,7 @@ class _SimRun:
             worker_process.interrupt("fault-injected crash")
         if crash.restart_after is not None:
             yield self.env.timeout(crash.restart_after)
-            self._restart_worker_like(worker_process)
-
-    # -- chaos hooks -----------------------------------------------------------
-    def _restart_worker_like(self, victim) -> None:
-        """Replacement worker on the crash victim's instance, if alive."""
-        host = self.workers.host_of(victim)
-        if host is not None and host.is_running:
-            self.workers.spawn(host)
-
-    def _chaos_preempt(self, instance) -> None:
-        """Provider-initiated reclaim of one instance and its workers."""
-        for process in self.workers.processes:
-            if process.is_alive and self.workers.host_of(process) is instance:
-                process.interrupt("chaos-preempted")
-        if instance.is_running:
-            self.cloud.terminate(instance, preempted=True)
+            self.workers.respawn_like(worker_process)
 
     def _speculator(self):
         """Launch backup copies of slowest-percentile in-flight tasks.
@@ -569,7 +544,8 @@ class _SimRun:
         reconciled idempotently by the completion watcher.
         """
         policy = self.config.speculation
-        while self._accounted_tasks() < len(self.tasks):
+        n_tasks = len(self.tasks)
+        while _accounted(self.completed, self.dead_letter_queue) < n_tasks:
             yield self.env.timeout(policy.poll_s)
             durations = sorted(r.elapsed for r in self.records)
             if len(durations) < policy.min_completed:
@@ -614,28 +590,16 @@ class _SimRun:
             batch = self.tasks[start : start + 10]
             yield from self.task_queue.send_batch(batch)
 
-    def _accounted_tasks(self) -> int:
-        """Distinct tasks that completed or were dead-lettered.
-
-        A union, not a sum: a slow task can complete *and* (with a tight
-        visibility timeout) exceed the receive limit — it must not count
-        twice.
-        """
-        if self.dead_letter_queue is None:
-            # Hot path: the completion watcher polls this every loop turn.
-            return len(self.completed)
-        accounted = set(self.completed)
-        accounted.update(
-            task.task_id for task in self.dead_letter_queue.peek_bodies()
-        )
-        return len(accounted)
-
     def _completion_watcher(self):
         deadline = self.config.max_sim_seconds
         n_tasks = len(self.tasks)
+        completed, dead_letters = self.completed, self.dead_letter_queue
 
         def keep_going() -> bool:
-            return self._accounted_tasks() < n_tasks and self.env.now <= deadline
+            return (
+                _accounted(completed, dead_letters) < n_tasks
+                and self.env.now <= deadline
+            )
 
         poll_backoff_s = self.config.poll_backoff_s
         # keep_going reads the deadline and the completions (added only
@@ -659,9 +623,33 @@ class _SimRun:
                 pass
         # poll() returned None: every task is accounted for, or the
         # watchdog deadline passed first.
-        if self._accounted_tasks() < n_tasks:
+        if _accounted(completed, dead_letters) < n_tasks:
             missing = n_tasks - len(self.completed)
             raise RuntimeError(
                 f"run exceeded max_sim_seconds={deadline} with "
                 f"{missing} tasks incomplete (all workers dead?)"
             )
+
+
+def _accounted(completed: set, dead_letters: "MessageQueue | None") -> int:
+    """Distinct tasks that completed or were dead-lettered.
+
+    A union, not a sum: a slow task can complete *and* (with a tight
+    visibility timeout) exceed the receive limit — it must not count
+    twice.
+    """
+    if dead_letters is None:
+        # Hot path: the completion watcher polls this every loop turn.
+        return len(completed)
+    accounted = set(completed)
+    accounted.update(task.task_id for task in dead_letters.peek_bodies())
+    return len(accounted)
+
+
+def _preempt(workers: WorkerFleet, cloud: CloudProvider, instance) -> None:
+    """Provider-initiated reclaim of one instance and its workers."""
+    for process in workers.processes:
+        if process.is_alive and workers.host_of(process) is instance:
+            process.interrupt("chaos-preempted")
+    if instance.is_running:
+        cloud.terminate(instance, preempted=True)

@@ -47,9 +47,9 @@ class WorkerFleet:
     may return a process generator (a monitor-queue send) that the
     worker drives to completion.  ``slots()``, when given, adds a
     ``workers.utilization`` series next to ``workers.busy``.  A worker
-    that picks up one of ``fault_plan.poison_task_ids`` starts
-    ``respawn_poisoned(host, concurrent_workers, wan_bandwidth_bps,
-    wan_latency_s)`` as a process and dies.
+    that picks up one of ``fault_plan.poison_task_ids`` dies, and a
+    replacement with the same link starts on its host
+    ``fault_plan.poison_restart_s`` later if the host still runs.
 
     Worker names count up per fleet; each worker draws from the RNG
     streams ``{name}-jitter``, ``{name}-straggle`` and — with a
@@ -70,7 +70,6 @@ class WorkerFleet:
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     retry_policy: RetryPolicy | None = None
     slots: Callable[[], int] | None = None
-    respawn_poisoned: Callable[..., Generator] | None = None
     #: One record per finished execution, in completion order.
     records: list[TaskRecord] = field(default_factory=list, init=False)
     #: Latest pick-up time per task id (the speculator's input).
@@ -116,6 +115,19 @@ class WorkerFleet:
     def host_of(self, process: Process):
         """The host a worker process was spawned on (None if unknown)."""
         return self._hosts.get(id(process))
+
+    def respawn_like(self, victim: Process) -> None:
+        """Replacement worker on a crashed worker's host, if it runs."""
+        host = self.host_of(victim)
+        if host is not None and host.is_running:
+            self.spawn(host)
+
+    def _respawn_poisoned(self, host, *link):
+        """Replace a poisoned worker on its host, with the same link
+        (concurrent workers, WAN bandwidth and latency)."""
+        yield self.env.timeout(self.fault_plan.poison_restart_s)
+        if host.is_running:
+            self.spawn(host, *link)
 
     # -- the loop ----------------------------------------------------------
     def _sample_busy(self, delta: int) -> None:
@@ -196,7 +208,7 @@ class WorkerFleet:
                 # — with a redrive policy — eventually dead-letters.
                 if task.task_id in plan.poison_task_ids:
                     env.process(
-                        self.respawn_poisoned(
+                        self._respawn_poisoned(
                             host,
                             concurrent_workers,
                             wan_bandwidth_bps,

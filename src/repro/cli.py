@@ -716,17 +716,17 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
-    from repro.sweep.cache import ResultCache, cache_root
+    from repro.sweep.cache import ContentStore, cache_root
 
     root = cache_root(args.dir or None, always=True)
-    cache = ResultCache(root)
+    store = ContentStore(root)
     if args.action == "clear":
-        removed = cache.clear()
+        removed = store.clear()
         print(f"removed {removed} cache entries from {root}", file=out)
         return 0
-    stats = cache.stats()
+    entries, size = store.usage()
     print(f"cache at {root}", file=out)
-    print(stats.summary(), file=out)
+    print(f"entries: {entries}\nsize: {size} bytes", file=out)
     return 0
 
 

@@ -171,8 +171,10 @@ class MessageQueue:
         # The one live wake-up for the parked pollers: at the earlier of
         # the pending head and _bound_min (a lower bound on the parked
         # pollers' stable_until) or, while a message is in view, at the
-        # next parked wake.
-        self._sentinel: _Sentinel | None = None
+        # next parked wake.  Wake-ups are numbered; only the latest one
+        # armed is live (a number, not the event, so the queue and its
+        # wake-up form no reference cycle).
+        self._sentinels = 0
         self._sentinel_at = math.inf
         self._bound_min = math.inf
         env._run_hooks.append(self._settle)
@@ -360,13 +362,12 @@ class MessageQueue:
             # A stale _bound_min can lie in the past.
             at = max(at, self.env._now)
             self._sentinel_at = at
-            self._sentinel = sentinel = _Sentinel(self)
-            self.env._enqueue_at(sentinel, at)
+            self._sentinels += 1
+            self.env._enqueue_at(_Sentinel(self, self._sentinels), at)
 
     def _on_sentinel(self, sentinel: "_Sentinel") -> None:
-        if sentinel is not self._sentinel:
+        if sentinel._number != self._sentinels:
             return  # superseded by an earlier wake-up
-        self._sentinel = None
         self._sentinel_at = math.inf
         if not self._parked:
             return
@@ -688,12 +689,14 @@ _CHECK, _WAN, _WAKE = range(3)
 
 class _PollWaiter(IdleWait):
     """The event a poller waits on; an interrupt hands its entry back to
-    the queue (:meth:`MessageQueue._abandon`)."""
+    the queue (:meth:`MessageQueue._abandon`).  The waiter points at its
+    entry only while the poll is outstanding: resuming or abandoning it
+    unlinks the two, so no poll leaves a reference cycle behind."""
 
     __slots__ = ("_entry",)
 
     def _abandoned(self) -> None:
-        entry = self._entry
+        entry, self._entry = self._entry, None
         entry._queue._abandon(entry)
 
 
@@ -702,18 +705,19 @@ class _Sentinel(Event):
     head and their time bound and, while a message is in view, at each
     parked wake (:meth:`MessageQueue._on_sentinel`)."""
 
-    __slots__ = ("_queue",)
+    __slots__ = ("_queue", "_number")
 
     #: Label in the sanitizer's event trace.
     name = "queue.wake"
 
-    def __init__(self, queue: MessageQueue):
+    def __init__(self, queue: MessageQueue, number: int):
         self.env = queue.env
         self.callbacks = None
         self._ok = True
         self._value = None
         self._processed = False
         self._queue = queue
+        self._number = number
 
     def _run_callbacks(self) -> None:
         self._processed = True
@@ -806,6 +810,7 @@ class _PollEntry(Event):
 
     def _resume_poller(self, message: Message | None) -> None:
         waiter = self._waiter
+        waiter._entry = None
         waiter._value = message
         waiter._ok = True
         waiter._run_callbacks()

@@ -36,7 +36,6 @@ from repro.sim.engine import (
     Environment,
     Event,
     IdleWait,
-    Process,
     SimulationError,
 )
 
@@ -118,18 +117,12 @@ class SanitizedEnvironment(Environment):
         self._double_triggers: list[str] = []
         # Events waiting in the heap: one slot per event at a time.
         self._armed: set[Event] = set()
-        self._processes: list[Process] = []
         self._queues: list = []
 
     # -- hooks ------------------------------------------------------------
     def register_queue(self, queue) -> None:
         """Called by MessageQueue.__init__ to enrol in leak detection."""
         self._queues.append(queue)
-
-    def process(self, generator, name: str | None = None) -> Process:
-        proc = super().process(generator, name=name)
-        self._processes.append(proc)
-        return proc
 
     def _enqueue(self, event: Event, delay: float) -> None:
         self._check_arm(event)
@@ -173,6 +166,11 @@ class SanitizedEnvironment(Environment):
         if self._heap and self._heap[0][0] == time:
             self.same_time_ties += 1
 
+    def close(self) -> None:
+        super().close()
+        self._armed.clear()
+        self._queues.clear()
+
     def _flag(self, message: str) -> None:
         self._double_triggers.append(message)
         if self.strict:
@@ -206,7 +204,7 @@ class SanitizedEnvironment(Environment):
             same_time_ties=self.same_time_ties,
             double_triggers=list(self._double_triggers),
         )
-        alive = [proc for proc in self._processes if proc.is_alive]
+        alive = list(self._processes)
         idle = sum(isinstance(p._waiting_on, IdleWait) for p in alive)
         stuck = [p for p in alive if not isinstance(p._waiting_on, IdleWait)
                  and p._waiting_on is not None and not p._waiting_on.triggered]

@@ -154,7 +154,8 @@ class Event:
     def _abandoned(self) -> None:
         """Hook: a process waiting on this event is being interrupted.
 
-        Called by :meth:`Process.interrupt` before the waiter detaches.
+        Called by :meth:`Process.interrupt` before the waiter detaches,
+        and by :meth:`Environment.close` for every process still waiting.
         Plain events do nothing; an event standing for deferred work
         (an idle :meth:`~repro.cloud.queue.MessageQueue.poll`) settles
         that work up to now.
@@ -245,6 +246,7 @@ class Process(Event):
         self._waiting_on: Event | None = None
         self._epoch = 0
         self.name = name or getattr(generator, "__name__", "process")
+        env._processes[self] = None
         # Kick off on the next event-loop iteration at the current time.
         # No bootstrap Event is allocated: the lane (or a _Call on
         # instrumented environments) carries the first resume directly.
@@ -322,11 +324,13 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
+            del self.env._processes[self]
             self.env._enqueue(self, 0.0)
             return
         except BaseException as exc:  # propagate through the process event
             self._ok = False
             self._value = exc
+            del self.env._processes[self]
             self.env._enqueue(self, 0.0)
             if not self.callbacks:
                 # Nobody is waiting on this process: surface the crash.
@@ -438,7 +442,9 @@ class Environment:
         env.run(until=10.0)
     """
 
-    __slots__ = ("_now", "_heap", "_lane", "_sequence", "_run_hooks")
+    __slots__ = (
+        "_now", "_heap", "_lane", "_sequence", "_run_hooks", "_processes"
+    )
 
     #: Instrumented subclasses set this to False to route every
     #: scheduling action through ``_enqueue`` and the heap, where their
@@ -461,6 +467,8 @@ class Environment:
         #: step due before ``horizon`` so results read after a run are
         #: complete.
         self._run_hooks: list[Callable[[float], None]] = []
+        #: Unfinished processes, in creation order.
+        self._processes: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -646,6 +654,28 @@ class Environment:
                     horizon = math.nextafter(horizon, math.inf)
                 for hook in self._run_hooks:
                     hook(horizon)
+
+    def close(self) -> None:
+        """Release a finished run's object graph.
+
+        Every unfinished process abandons its wait, as an interrupt
+        would, and its generator is closed (its frame holds the
+        simulator that owns this environment); the pending heap and lane
+        entries and the run hooks are dropped.  What the run built then
+        forms no reference cycle through the event loop, so reference
+        counting frees it as soon as its owner lets go.  Take any
+        post-run report first; the environment cannot run again.
+        """
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            waiting = process._waiting_on
+            if waiting is not None:
+                process._waiting_on = None
+                waiting._abandoned()
+            process._generator.close()
+        self._heap.clear()
+        self._lane.clear()
+        self._run_hooks.clear()
 
     def _run(self, until: "float | Event | None") -> Any:
         plain = type(self) is Environment

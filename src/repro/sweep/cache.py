@@ -113,11 +113,12 @@ class ContentStore:
         try:
             extra = build(tmp) or {}
             files = sorted(p.name for p in tmp.iterdir())
+            # Compact: an indented dump takes json's pure-Python encoder.
             (tmp / MANIFEST).write_text(
                 json.dumps(
                     {"fingerprint": fingerprint, "files": files, "extra": extra},
                     sort_keys=True,
-                    indent=2,
+                    separators=(",", ":"),
                 ),
                 encoding="utf-8",
             )
@@ -139,25 +140,31 @@ class ContentStore:
         return Entry(path=target, files=tuple(files), extra=extra), True
 
     # -- maintenance ------------------------------------------------------
-    def _entry_dirs(self) -> "list[Path]":
-        """Every entry beneath the root, whichever face wrote it.  Only
-        entry-shaped directories count, so ``clear`` on a mistaken root
-        never removes unrelated files."""
+    def _entries(self) -> "list[Path]":
+        """Every entry beneath the root, whichever face wrote it, plus
+        the result files of the layout before entry directories
+        (``<kk>/<key>.json``), which nothing reads any more.  Only
+        entry-shaped paths count, so ``clear`` on a mistaken root never
+        removes unrelated files."""
         if not self.root.is_dir():
             return []
-        return sorted(
-            manifest.parent
-            for manifest in self.root.rglob(MANIFEST)
-            if _KEY.fullmatch(manifest.parent.name)
-            and manifest.parent.parent.name == manifest.parent.name[:2]
-        )
+        found = []
+        for path in self.root.rglob("*.json"):
+            if path.name == MANIFEST:
+                path = path.parent
+            elif not path.is_file():
+                continue
+            key = path.name.removesuffix(".json")
+            if _KEY.fullmatch(key) and path.parent.name == key[:2]:
+                found.append(path)
+        return sorted(found)
 
     def usage(self) -> "tuple[int, int]":
         """``(entries, bytes)`` on disk beneath the root."""
-        entries = self._entry_dirs()
+        entries = self._entries()
         size = 0
         for entry in entries:
-            for path in entry.iterdir():
+            for path in entry.iterdir() if entry.is_dir() else [entry]:
                 try:
                     size += path.stat().st_size
                 except OSError:
@@ -166,9 +173,12 @@ class ContentStore:
 
     def clear(self) -> int:
         """Remove every entry beneath the root; returns how many."""
-        entries = self._entry_dirs()
+        entries = self._entries()
         for entry in entries:
-            shutil.rmtree(entry, ignore_errors=True)
+            if entry.is_dir():
+                shutil.rmtree(entry, ignore_errors=True)
+            else:
+                entry.unlink(missing_ok=True)
             parent = entry.parent
             while parent != self.root:
                 try:
@@ -190,15 +200,6 @@ class CacheStats:
     entries: int = 0
     bytes: int = 0
 
-    def summary(self) -> str:
-        return (
-            f"entries: {self.entries}\n"
-            f"size: {self.bytes} bytes\n"
-            f"hits: {self.hits}\n"
-            f"misses: {self.misses}\n"
-            f"stores: {self.stores}"
-        )
-
 
 class ResultCache(ContentStore):
     """Content-addressed :class:`PointResult` entries, one per point."""
@@ -213,9 +214,16 @@ class ResultCache(ContentStore):
         self._m_hits = obs.metrics.counter("sweep.cache.hits")
         self._m_misses = obs.metrics.counter("sweep.cache.misses")
 
-    def get(self, spec: PointSpec) -> "PointResult | None":
+    def get(
+        self, spec: PointSpec, fingerprint: "dict | None" = None
+    ) -> "PointResult | None":
+        """The cached result of ``spec``; ``fingerprint``, when given, is
+        its :func:`point_fingerprint`, so a caller that also puts the
+        result computes it once."""
+        if fingerprint is None:
+            fingerprint = point_fingerprint(spec)
         with self._tracer.span("cache.lookup", label=spec.label):
-            result = self._get(spec)
+            result = self._get(fingerprint)
         if result is None:
             self.misses += 1
             self._m_misses.inc()
@@ -224,8 +232,8 @@ class ResultCache(ContentStore):
             self._m_hits.inc()
         return result
 
-    def _get(self, spec: PointSpec) -> "PointResult | None":
-        entry = self.load(point_fingerprint(spec))
+    def _get(self, fingerprint: dict) -> "PointResult | None":
+        entry = self.load(fingerprint)
         if entry is None:
             return None
         try:
@@ -233,8 +241,15 @@ class ResultCache(ContentStore):
         except (KeyError, TypeError):
             return None
 
-    def put(self, spec: PointSpec, result: PointResult) -> None:
-        self.publish(point_fingerprint(spec), lambda _: result.to_dict())
+    def put(
+        self,
+        spec: PointSpec,
+        result: PointResult,
+        fingerprint: "dict | None" = None,
+    ) -> None:
+        if fingerprint is None:
+            fingerprint = point_fingerprint(spec)
+        self.publish(fingerprint, lambda _: result.to_dict())
         self.stores += 1
 
     def stats(self) -> CacheStats:

@@ -200,10 +200,17 @@ def _measure(backend, app: Application, tasks: list[TaskSpec], label: str):
 
 
 def run_point(spec: PointSpec) -> PointResult:
-    """Execute one spec'd point (this is what worker processes run)."""
-    return _measure(
-        spec.build_backend(), spec.app, list(spec.tasks), spec.label
-    )
+    """Execute one spec'd point (this is what worker processes run).
+
+    The backend is built here and nothing else can reach it, so once the
+    plain result exists its run is released (:meth:`Environment.close
+    <repro.sim.engine.Environment.close>`) and reference counting frees
+    the whole simulation at once.
+    """
+    backend = spec.build_backend()
+    result = _measure(backend, spec.app, list(spec.tasks), spec.label)
+    backend.last_environment.close()
+    return result
 
 
 def run_inline(point: InlinePoint) -> PointResult:

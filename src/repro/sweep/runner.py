@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.obs.context import current as _current_obs
 from repro.sweep.cache import ResultCache
+from repro.sweep.fingerprint import point_fingerprint
 from repro.sweep.points import (
     InlinePoint,
     PointResult,
@@ -145,10 +146,13 @@ def run_points(
 
     results: "list[PointResult | None]" = [None] * len(points)
     pending: "list[tuple[int, PointSpec]]" = []
+    # Each spec's fingerprint, computed once for its get and its put.
+    fingerprints: "dict[int, dict]" = {}
     for index, point in enumerate(points):
         if isinstance(point, PointSpec):
             if use_cache:
-                hit = cache.get(point)
+                fingerprints[index] = point_fingerprint(point)
+                hit = cache.get(point, fingerprints[index])
                 if hit is not None:
                     results[index] = hit
                     # Annotate the hit on the parent's own track: the
@@ -176,7 +180,7 @@ def run_points(
             results[index] = run_point(spec)
             m_points.inc()
             if use_cache:
-                cache.put(spec, results[index])
+                cache.put(spec, results[index], fingerprints[index])
             notify(index, spec.label, "done")
         return results  # type: ignore[return-value]
 
@@ -214,6 +218,6 @@ def run_points(
             results[index] = result
             m_points.inc()
             if use_cache:
-                cache.put(spec, result)
+                cache.put(spec, result, fingerprints[index])
             notify(index, spec.label, "done")
     return results  # type: ignore[return-value]

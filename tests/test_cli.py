@@ -370,6 +370,30 @@ class TestCache:
         assert text.startswith("removed 2 ")
         assert not list(root.rglob("MANIFEST.json"))
 
+    def test_stats_prints_only_what_is_on_disk(self, root):
+        # A freshly built cache has no lifetime counters worth printing.
+        size = sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
+        code, text = run_cli("cache", "stats")
+        assert code == 0
+        assert text.splitlines()[1:] == ["entries: 2", f"size: {size} bytes"]
+
+    def test_legacy_result_files_are_counted_and_cleared(self, root):
+        key = "ab" + "0" * 62
+        legacy = root / "ab" / f"{key}.json"
+        legacy.parent.mkdir(parents=True, exist_ok=True)
+        legacy.write_text("{}", encoding="utf-8")
+        # Not of the legacy shape: kept by clear, like any unrelated file.
+        strays = [root / "ab" / "notes.json", root / "cd" / f"{key}.json"]
+        for stray in strays:
+            stray.parent.mkdir(parents=True, exist_ok=True)
+            stray.write_text("{}", encoding="utf-8")
+        code, text = run_cli("cache", "stats")
+        assert "entries: 3\n" in text
+        code, text = run_cli("cache", "clear")
+        assert text.startswith("removed 3 ")
+        assert not legacy.exists()
+        assert all(stray.exists() for stray in strays)
+
 
 class TestBadInputExits2:
     """Bad input ends in one ``error: ...`` line and exit code 2, never a
