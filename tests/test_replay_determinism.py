@@ -11,12 +11,16 @@ import json
 
 import pytest
 
+from repro.autoscale.plan import AutoscalePlan
+from repro.autoscale.policies import default_policy
+from repro.autoscale.study import STUDY_MARKET
 from repro.classiccloud import (
     ClassicCloudConfig,
     ClassicCloudFramework,
     LocalAugmentation,
 )
 from repro.cloud.failures import FaultPlan, WorkerCrash
+from repro.cloud.spot import BidStrategy
 from repro.cluster import get_cluster
 from repro.core.application import get_application
 from repro.dryad import DryadLinqConfig, DryadLinqSimulator
@@ -24,6 +28,7 @@ from repro.hadoop import HadoopJobConfig, HadoopSimulator
 from repro.lint.sanitizer import SanitizedEnvironment
 from repro.obs.context import observe
 from repro.twister.simulator import TwisterAzureSimulator, TwisterSimConfig
+from repro.workloads import study_task_specs
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -348,3 +353,70 @@ class TestGoldenAttempts:
         with observe(label=mode) as obs:
             sim.run(mode)
         assert trace_stream_digest(obs) == TWISTER_SPANS_DIGESTS[mode]
+
+
+# -- autoscaled Classic Cloud digests -------------------------------------
+#
+# An elastic run provisions its first fleet through the autoscale
+# controller, not the provider; a mixed bid on the study's spot market
+# launches half of it as spot, and the policy drains one instance once
+# the backlog falls.  These pin what the run records:
+# the span and instant stream, and every timeline series (pool size,
+# backlog, busy workers, utilization, queue depth).
+
+
+def play_classic_autoscaled(n_files: int = 16):
+    plan = AutoscalePlan(
+        policy=default_policy("target-tracking"),
+        min_instances=1,
+        max_instances=4,
+        bid=BidStrategy.mixed(0.5),
+        spot_market=STUDY_MARKET,
+    )
+    config = ClassicCloudConfig(
+        provider="aws",
+        instance_type="HCXL",
+        n_instances=2,
+        workers_per_instance=8,
+        seed=17,
+        autoscale=plan,
+    )
+    tasks = study_task_specs("cap3", n_files)
+    return ClassicCloudFramework(config).run(get_application("cap3"), tasks)
+
+
+def timeline_digest(obs) -> str:
+    """SHA-256 over every timeline series the run sampled."""
+    return hashlib.sha256(obs.timeline.to_csv().encode("utf-8")).hexdigest()
+
+
+CLASSIC_AUTOSCALED_SPANS_DIGEST = (
+    "cde4f1fef1aff5e6fdb3a7f529b5731d5d85cce56e6f3668d602cb417fc0a146"
+)
+CLASSIC_AUTOSCALED_TIMELINE_DIGEST = (
+    "f57d83d53cd70aef75e66f82310356dd51367a9c67c9754cc21b1018c4152d9b"
+)
+
+
+class TestGoldenAutoscaled:
+    @pytest.fixture(scope="class")
+    def autoscaled(self):
+        with observe(label="autoscaled") as obs:
+            result = play_classic_autoscaled()
+        return obs, result
+
+    def test_the_controller_provisioned_the_fleet(self, autoscaled):
+        obs, result = autoscaled
+        assert result.extras["autoscale_peak_instances"] == 2
+        assert result.extras["autoscale_spot_seconds"] > 0
+        assert result.extras["autoscale_instances_removed"] == 1
+        assert obs.timeline.series("autoscale.pool_instances")
+        assert obs.timeline.series("workers.utilization")
+
+    def test_spans_digest(self, autoscaled):
+        obs, _ = autoscaled
+        assert trace_stream_digest(obs) == CLASSIC_AUTOSCALED_SPANS_DIGEST
+
+    def test_timeline_digest(self, autoscaled):
+        obs, _ = autoscaled
+        assert timeline_digest(obs) == CLASSIC_AUTOSCALED_TIMELINE_DIGEST

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -298,6 +299,47 @@ class TestDeterminism:
             fleet_sizes=(1, 2), duration_s=120.0, seed=42, jobs=2
         )
         assert serialize_rows(serial) == serialize_rows(fanned)
+
+
+def normalized_trace_digest(path) -> str:
+    """SHA-256 of a written Chrome trace with the OS pid taken out.
+
+    The pid is the only thing two runs of one seed write differently,
+    and it appears only in a pool worker's process name and its
+    ``os_pid`` entry."""
+    text = path.read_text(encoding="utf-8")
+    text = re.sub(r'"os_pid":\d+', '"os_pid":0', text)
+    text = re.sub(
+        r"worker \d+ \(simulated time\)", "worker 0 (simulated time)", text
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGoldenTrace:
+    """Digests of the exported Chrome traces: every span, instant,
+    counter sample and metric the service records.  A sanitized loop
+    adds its kernel events to the same tracer, so these run on the
+    plain loop."""
+
+    @pytest.fixture(autouse=True)
+    def plain_loop(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def test_frontier_trace_digest(self, tmp_path):
+        path = tmp_path / "trace.json"
+        traced_frontier(path)
+        assert normalized_trace_digest(path) == (
+            "113fad9028cff28219f82f918c932374cfa106ed193e6df41d0e618bf4971654"
+        )
+
+    def test_preemption_trace_digest(self, tmp_path):
+        with observe(label="preemption") as obs:
+            run_serve(preemption_config())
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, obs)
+        assert normalized_trace_digest(path) == (
+            "f0d8c78d968a018c0480ce9f36f2a83d339e59fca7ec291d3fff96111bcf68c0"
+        )
 
 
 class TestTraceDeterminism:
