@@ -33,7 +33,6 @@ import numpy as np
 from repro.autoscale.plan import AutoscalePlan
 from repro.cloud.compute import CloudProvider, VmInstance
 from repro.cloud.instance_types import InstanceType
-from repro.cloud.queue import MessageQueue
 from repro.cloud.spot import SpotPriceTrace
 from repro.obs.context import current as _current_obs
 from repro.sim.engine import Environment
@@ -52,6 +51,9 @@ class AutoscaleController:
     The framework hands the controller callbacks instead of itself, so
     the controller stays ignorant of worker internals:
 
+    * ``backlog()`` — the work the pool chases: the scheduling queue's
+      approximate size for a batch run, the jobs in the system for the
+      job service (whose scheduler holds jobs back from the queue);
     * ``spawn_workers(instance)`` — start the configured workers on a
       freshly booted instance, returning their processes;
     * ``is_done()`` — True once every task is accounted for (the
@@ -65,7 +67,7 @@ class AutoscaleController:
         provider: CloudProvider,
         instance_type: InstanceType,
         workers_per_instance: int,
-        task_queue: MessageQueue,
+        backlog: Callable[[], int],
         spot_rng: np.random.Generator,
         spawn_workers: Callable[[VmInstance], list],
         is_done: Callable[[], bool],
@@ -75,7 +77,7 @@ class AutoscaleController:
         self.provider = provider
         self.instance_type = instance_type
         self.workers_per_instance = workers_per_instance
-        self.task_queue = task_queue
+        self.backlog = backlog
         self.spawn_workers = spawn_workers
         self.is_done = is_done
 
@@ -215,7 +217,7 @@ class AutoscaleController:
             yield self.env.timeout(plan.evaluation_interval_s)
             if self.is_done():
                 return
-            backlog = self.task_queue.approximate_size()
+            backlog = self.backlog()
             self._g_backlog.set(float(backlog))
             self._timeline.sample("autoscale.backlog", self.env.now, backlog)
             active = self.active_instances()

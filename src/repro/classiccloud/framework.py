@@ -18,14 +18,13 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from repro.apps.perfmodels import sequential_seconds, task_runtime_seconds
-from repro.autoscale.controller import AutoscaleController, active_in
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.speculation import BackupCopy, SpeculationPolicy
+from repro.classiccloud.deployment import Deployment
 from repro.classiccloud.worker import WorkerFleet
-from repro.cloud.billing import CostMeter
 from repro.cloud.compute import CloudProvider
 from repro.cloud.failures import FaultPlan
 from repro.cloud.instance_types import (
@@ -33,14 +32,10 @@ from repro.cloud.instance_types import (
     MachineModel,
     get_instance_type,
 )
-from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
 from repro.cloud.queue import MessageQueue, StaleReceiptError
-from repro.cloud.storage import BlobStore
 from repro.core.application import Application
 from repro.core.task import RunResult, TaskSpec
-from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, make_environment
-from repro.sim.rng import RngRegistry
+from repro.sim.engine import Environment
 
 __all__ = ["ClassicCloudConfig", "ClassicCloudFramework", "LocalAugmentation"]
 
@@ -108,10 +103,6 @@ class ClassicCloudConfig:
     # without completion are quarantined instead of redelivered forever.
     # None disables the policy (the paper's unbounded behaviour).
     max_task_attempts: int | None = None
-    # Run on an instrumented event loop (repro.lint.sanitizer) that
-    # records an event trace and checks kernel invariants.  False still
-    # honours the REPRO_SANITIZE environment variable.
-    sanitize: bool = False
     # Elastic pool: when set, n_instances is only the *initial* fleet
     # and an AutoscaleController grows/shrinks it mid-run (with optional
     # spot-market bidding and preemption).  None keeps the paper's
@@ -202,7 +193,7 @@ class ClassicCloudFramework:
 
 
 class _SimRun:
-    """One execution: wires the substrate together and plays it out."""
+    """One execution: the batch job on one Classic Cloud deployment."""
 
     def __init__(
         self, config: ClassicCloudConfig, app: Application, tasks: list[TaskSpec]
@@ -210,94 +201,74 @@ class _SimRun:
         self.config = config
         self.app = app
         self.tasks = tasks
-        # Observability bundle captured once on the driving thread; the
-        # cloud services below pick up the same ambient context.
-        self.obs = _current_obs()
-        self.tracer = self.obs.tracer
-        self.env = make_environment(sanitize=True if config.sanitize else None)
-        self.rng = RngRegistry(config.seed)
-        prices = AWS_PRICES if config.provider == "aws" else AZURE_PRICES
-        self.meter = CostMeter(prices)
-        # The callbacks handed to the services below close over locals
-        # (other services, the completion set), never over this run: the
-        # run holds the services, so a callback holding the run would
-        # form a cycle only the cyclic garbage collector can free.
-        self.cloud = cloud = CloudProvider(
-            self.env,
-            config.provider,
-            self.rng.stream("provision"),
-            meter=self.meter,
-            perf_jitter=config.perf_jitter,
-            on_host_change=lambda: task_queue.recheck(),
-        )
-        self.storage = BlobStore(
-            self.env,
-            "storage",
-            self.rng.stream("storage"),
-            meter=self.meter,
-            consistency_window_s=config.consistency_window_s,
-            error_rate=config.fault_plan.storage_error_rate,
+        self.deployment = deployment = Deployment(
+            config,
+            storage_error_rate=config.fault_plan.storage_error_rate,
             retry_policy=config.retry_policy,
         )
+        self.obs = deployment.obs
+        self.tracer = self.obs.tracer
+        self.env = deployment.env
+        self.storage = deployment.storage
         self.dead_letter_queue: MessageQueue | None = None
         if config.max_task_attempts is not None:
-            self.dead_letter_queue = MessageQueue(
-                self.env,
-                "tasks-dlq",
-                self.rng.stream("dlq"),
-                meter=self.meter,
-                miss_probability=0.0,
+            self.dead_letter_queue = deployment.queue(
+                "tasks-dlq", "dlq", miss_probability=0.0
             )
-        self.task_queue = task_queue = MessageQueue(
-            self.env,
+        machine = config.resolve_instance_type().machine
+        self.task_queue = task_queue = deployment.queue(
             "tasks",
-            self.rng.stream("queue"),
-            meter=self.meter,
-            visibility_timeout_s=self._visibility_timeout(),
+            "queue",
+            visibility_timeout_s=deployment.visibility_timeout(
+                task_runtime_seconds(
+                    app.perf_model,
+                    t.work_units,
+                    machine,
+                    concurrent_workers=config.workers_per_instance,
+                    threads=config.threads_per_worker,
+                )
+                for t in tasks
+            ),
             miss_probability=config.fault_plan.queue_miss_probability,
             duplicate_probability=config.fault_plan.message_duplicate_probability,
             max_receive_count=config.max_task_attempts,
             dead_letter_queue=self.dead_letter_queue,
         )
-        self.monitor_queue = MessageQueue(
-            self.env,
-            "monitor",
-            self.rng.stream("monitor"),
-            meter=self.meter,
-            visibility_timeout_s=60.0,
+        self.monitor_queue = deployment.queue(
+            "monitor", "monitor", visibility_timeout_s=60.0,
             miss_probability=0.0,
         )
+        # The callbacks close over locals (the completion set, the
+        # queues, the fleet, the cloud), never over this run.
         self.completed: set[str] = set()
         completed, n_tasks = self.completed, len(tasks)
         dead_letters = self.dead_letter_queue
         self.measure_start = 0.0
         self.preload_seconds = 0.0
-        self.workers = workers = WorkerFleet(
-            env=self.env,
-            rng=self.rng,
-            obs=self.obs,
-            task_queue=self.task_queue,
-            storage=self.storage,
+        deployment.add_fleet(
+            task_queue,
             perf_model=lambda task: app.perf_model,
             keep_polling=lambda: len(completed) < n_tasks,
             on_complete=self.monitor_queue.send,
-            workers_per_instance=config.workers_per_instance,
+            is_done=lambda: _accounted(completed, dead_letters) >= n_tasks,
+            backlog=task_queue.approximate_size,
+            utilization=True,
             threads=config.threads_per_worker,
-            poll_backoff_s=config.poll_backoff_s,
             fault_plan=config.fault_plan,
             retry_policy=config.retry_policy,
-            slots=lambda: config.total_workers,
         )
-        self.records = self.workers.records
+        self.workers = workers = deployment.workers
+        self.records = workers.records
         # Speculation bookkeeping.
         self._backup_sent: set[str] = set()
         self.speculative_launched = 0
         self.chaos: ChaosController | None = None
         if config.chaos is not None:
+            cloud = deployment.cloud
             self.chaos = ChaosController(
                 self.env,
                 config.chaos,
-                queue=self.task_queue,
+                queue=task_queue,
                 storage=self.storage,
                 instances=lambda: [i for i in cloud.instances if i.is_running],
                 workers=lambda: [p for p in workers.processes if p.is_alive],
@@ -305,60 +276,17 @@ class _SimRun:
                 restart_worker=workers.respawn_like,
                 preempt_instance=partial(_preempt, workers, cloud),
             )
-        self.controller: AutoscaleController | None = None
-        if config.autoscale is not None:
-            self.controller = AutoscaleController(
-                self.env,
-                config.autoscale,
-                self.cloud,
-                config.resolve_instance_type(),
-                config.workers_per_instance,
-                self.task_queue,
-                self.rng.stream("spot-market"),
-                spawn_workers=workers.spawn_instance,
-                is_done=lambda: _accounted(completed, dead_letters) >= n_tasks,
-            )
-            # The fleet reads the pool, not the controller that holds
-            # the fleet's spawn_instance.
-            pool, per_instance = self.controller.pool, config.workers_per_instance
-            workers.slots = lambda: len(active_in(pool)) * per_instance
-
-    def _visibility_timeout(self) -> float:
-        if self.config.visibility_timeout_s is not None:
-            return self.config.visibility_timeout_s
-        machine = self.config.resolve_instance_type().machine
-        worst = max(
-            task_runtime_seconds(
-                self.app.perf_model,
-                t.work_units,
-                machine,
-                concurrent_workers=self.config.workers_per_instance,
-                threads=self.config.threads_per_worker,
-            )
-            for t in self.tasks
-        )
-        # Headroom for download/upload and stragglers.
-        return max(60.0, 3.0 * worst)
 
     # -- orchestration -------------------------------------------------------
     def execute(self) -> RunResult:
         driver = self.env.process(self._driver(), name="driver")
         makespan = self.env.run(until=driver)
-        self.cloud.terminate_all()
-        report = self.meter.report()
-        self._publish_run_metrics(makespan)
-        autoscale_extras = (
-            self.controller.summary() if self.controller is not None else {}
-        )
-        failed = (
-            {
-                task.task_id
-                for task in self.dead_letter_queue.peek_bodies()
-            }
-            - self.completed
-            if self.dead_letter_queue is not None
-            else set()
-        )
+        report, extras = self.deployment.finish(detailed=True)
+        self._publish_busy_fractions(makespan)
+        failed: set[str] = set()
+        if self.dead_letter_queue is not None:
+            dead = self.dead_letter_queue.peek_bodies()
+            failed = {task.task_id for task in dead} - self.completed
         return RunResult(
             backend=f"classiccloud-{self.config.provider}",
             app_name=self.app.name,
@@ -368,16 +296,7 @@ class _SimRun:
             billing=report,
             extras={
                 "preload_seconds": self.preload_seconds,
-                "empty_receives": float(self.task_queue.stats.empty_receives),
-                "reappearances": float(self.task_queue.stats.reappearances),
-                "duplicate_deliveries": float(
-                    self.task_queue.stats.duplicate_deliveries
-                ),
-                "stale_deletes": float(self.task_queue.stats.stale_deletes),
-                "stale_reads": float(self.storage.stats.stale_reads),
-                "visibility_timeout_s": self.task_queue.visibility_timeout_s,
-                "dead_lettered": float(self.task_queue.stats.dead_lettered),
-                **autoscale_extras,
+                **extras,
                 **self._resilience_extras(len(failed)),
             },
             completed=set(self.completed),
@@ -433,10 +352,9 @@ class _SimRun:
             extras.update(self.chaos.summary())
         return extras
 
-    def _publish_run_metrics(self, makespan: float) -> None:
-        """Per-worker busy fractions + kernel event throughput."""
+    def _publish_busy_fractions(self, makespan: float) -> None:
+        """Per-worker busy fractions of the measured window."""
         metrics = self.obs.metrics
-        metrics.counter("sim.events").inc(self.env.events_scheduled)
         if makespan <= 0:
             return
         busy: dict[str, float] = {}
@@ -450,20 +368,14 @@ class _SimRun:
     def _driver(self):
         config = self.config
         itype = config.resolve_instance_type()
-        if self.controller is not None:
-            instances = yield self.env.process(
-                self.controller.launch_initial(config.n_instances)
-            )
-        else:
-            instances = yield self.env.process(
-                self.cloud.provision(itype, config.n_instances)
-            )
+        yield from self.deployment.provision()
         # Stage inputs: metered (storage + ingress) but, per the paper's
         # methodology, outside the measured window and free of simulated
         # time (data "already present in the preferred storage").
+        meter = self.deployment.meter
         for task in self.tasks:
             self.storage.stage(task.input_key, task.input_size)
-            self.meter.record_transfer(bytes_in=task.input_size)
+            meter.record_transfer(bytes_in=task.input_size)
 
         # Preload phase (e.g. BLAST database distribution): per instance,
         # excluded from reported compute time.
@@ -477,20 +389,9 @@ class _SimRun:
             self.preload_seconds = self.env.now - preload_start
 
         self.measure_start = self.env.now
-        # Bill from the measured window: the paper excludes environment
-        # preparation (provisioning, software install, database preload)
-        # from the computation's hourly charges.
-        for instance in instances:
-            instance.launched_at = self.measure_start
-
         # Client populates the scheduling queue while workers consume.
         self.env.process(self._client(), name="client")
-        for instance in instances:
-            procs = self.workers.spawn_instance(instance)
-            if self.controller is not None:
-                self.controller.track(instance, procs)
-        if self.controller is not None:
-            self.controller.start()
+        self.deployment.start(at=self.measure_start)
         # On-premise augmentation workers share the queue, but reach
         # storage over the WAN.
         if config.local_augmentation is not None:

@@ -43,7 +43,7 @@ class FairShareScheduler:
         dispatch_window_factor: float = 2.0,
         dispatch_poll_s: float = 0.5,
         capacity_slots: Callable[[], int] = lambda: 0,
-        in_flight: Callable[[], int] = lambda: 0,
+        finished: Callable[[], int] = lambda: 0,
     ):
         if quantum <= 0:
             raise ValueError("quantum must be positive")
@@ -59,7 +59,7 @@ class FairShareScheduler:
         self.dispatch_window_factor = dispatch_window_factor
         self.dispatch_poll_s = dispatch_poll_s
         self.capacity_slots = capacity_slots
-        self.in_flight = in_flight
+        self.finished = finished
         self.queues: dict[str, deque] = {name: deque() for name in self.order}
         self.deficits: dict[str, float] = {name: 0.0 for name in self.order}
         self.dispatched: dict[str, int] = {name: 0 for name in self.order}
@@ -76,6 +76,10 @@ class FairShareScheduler:
 
     def dispatched_total(self) -> int:
         return sum(self.dispatched.values())
+
+    def in_flight(self) -> int:
+        """Jobs past the scheduler that have not finished yet."""
+        return self.dispatched_total() - self.finished()
 
     # -- the dispatch loop -------------------------------------------------
     def _window(self) -> int:

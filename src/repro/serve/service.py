@@ -6,9 +6,10 @@ BLAST / GTM jobs, the :class:`~repro.serve.admission.AdmissionController`
 sheds what the quotas and the global backlog cap refuse, the
 :class:`~repro.serve.scheduler.FairShareScheduler` dispatches admitted
 jobs into the same at-least-once message queue the ClassicCloud
-framework uses, and the ClassicCloud polling workers themselves — one
-:class:`~repro.classiccloud.worker.WorkerFleet`, static or autoscaled,
-spot preemption included — execute them exactly as in a batch run.
+framework uses, and the ClassicCloud polling workers themselves — the
+fleet of one :class:`~repro.classiccloud.deployment.Deployment`, static
+or autoscaled, spot preemption included, built as for a batch run —
+execute them exactly as in a batch run.
 
 Fault tolerance is inherited, not reimplemented: a worker preempted
 mid-job simply dies with its message in flight, the message reappears
@@ -26,23 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.apps.perfmodels import task_runtime_seconds
-from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.plan import AutoscalePlan
-from repro.classiccloud.worker import WorkerFleet
-from repro.cloud.billing import CostMeter
-from repro.cloud.compute import CloudProvider
+from repro.classiccloud.deployment import Deployment
 from repro.cloud.instance_types import InstanceType, get_instance_type
-from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
-from repro.cloud.queue import MessageQueue
-from repro.cloud.storage import BlobStore
 from repro.core.application import Application, get_application
 from repro.core.task import TaskRecord
-from repro.obs.context import current as _current_obs
 from repro.obs.metrics import Counter
-from repro.sim.engine import Environment, make_environment
-from repro.sim.rng import RngRegistry
 from repro.serve.admission import AdmissionController, AdmissionOutcome
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.tenants import TenantSpec, peak_rate, rate_at
@@ -83,7 +76,6 @@ class ServeConfig:
     consistency_window_s: float = 1.0
     max_sim_seconds: float = 10_000_000.0
     perf_jitter: float | None = None
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -263,161 +255,86 @@ class _JobMeta:
     submitted_at: float
 
 
-class _BacklogView:
-    """Duck-typed backlog signal for the autoscale controller.
-
-    The controller only calls ``approximate_size()`` on its queue; the
-    raw cloud queue under-reports service pressure because the fair
-    scheduler deliberately holds jobs back (the dispatch window).  This
-    view reports *total jobs in the system* instead, which is the
-    quantity an elastic service must chase.
-    """
-
-    def __init__(self, admission: AdmissionController):
-        self._admission = admission
-
-    def approximate_size(self) -> int:
-        return self._admission.total_in_system()
-
-
 class JobService:
     """One sustained-traffic run of the multi-tenant service."""
 
     def __init__(self, config: ServeConfig):
         self.config = config
         self.tenants = config.tenants
-        self.obs = _current_obs()
+        self.deployment = deployment = Deployment(config)
+        self.obs = deployment.obs
         self.tracer = self.obs.tracer
+        self.env = env = deployment.env
+        self.rng = deployment.rng
         # Per-job counters, fetched from the registry on first use: one
         # created up front would export as a zero-valued metric.
-        self._counters: dict[str, Counter] = {}
-        self.env: Environment = make_environment(
-            sanitize=True if config.sanitize else None
-        )
-        self.rng = RngRegistry(config.seed)
-        prices = AWS_PRICES if config.provider == "aws" else AZURE_PRICES
-        self.meter = CostMeter(prices)
-        self.cloud = CloudProvider(
-            self.env,
-            config.provider,
-            self.rng.stream("provision"),
-            meter=self.meter,
-            perf_jitter=config.perf_jitter,
-            on_host_change=lambda: self.task_queue.recheck(),
-        )
-        self.storage = BlobStore(
-            self.env,
-            "storage",
-            self.rng.stream("storage"),
-            meter=self.meter,
-            consistency_window_s=config.consistency_window_s,
-        )
-        self._apps: dict[str, Application] = {
+        self._count = count = partial(_count, {}, self.obs.metrics)
+        self._apps = apps = {
             spec.app: get_application(spec.app) for spec in self.tenants
         }
-        self.task_queue = MessageQueue(
-            self.env,
+        machine = config.resolve_instance_type().machine
+        # The visibility envelope: three mean work units cover the
+        # lognormal tail at the configured coefficients of variation.
+        self.task_queue = task_queue = deployment.queue(
             "serve-tasks",
-            self.rng.stream("queue"),
-            meter=self.meter,
-            visibility_timeout_s=self._visibility_timeout(),
+            "queue",
+            visibility_timeout_s=deployment.visibility_timeout(
+                task_runtime_seconds(
+                    apps[spec.app].perf_model,
+                    3.0 * spec.job_work_units,
+                    machine,
+                    concurrent_workers=config.workers_per_instance,
+                )
+                for spec in self.tenants
+            ),
         )
-        self.admission = AdmissionController(
+        self.admission = admission = AdmissionController(
             self.tenants, config.max_backlog
         )
-        self.scheduler = FairShareScheduler(
-            self.env,
+        # The callbacks below close over locals, never over the service.
+        self._jobs = jobs = {}
+        completed: set[str] = set()
+        self.measure_start = 0.0
+
+        def record_completion(task_id: str) -> None:
+            """Count each job once, however many times it executed."""
+            meta = jobs[task_id]
+            if task_id in completed:
+                admission.duplicate(meta.tenant)
+                count("serve.duplicates")
+                return
+            completed.add(task_id)
+            admission.complete(meta.tenant, env.now - meta.submitted_at)
+            count("serve.completed")
+
+        # No utilization series: serve reports fleet slots from its own
+        # monitor.
+        deployment.add_fleet(
+            task_queue,
+            perf_model=lambda task: jobs[task.task_id].app.perf_model,
+            keep_polling=lambda: not scheduler.stopping,
+            on_complete=record_completion,
+            is_done=lambda: scheduler.stopping,
+            backlog=admission.total_in_system,
+        )
+        self.scheduler = scheduler = FairShareScheduler(
+            env,
             self.tenants,
-            self.task_queue,
+            task_queue,
             quantum=config.quantum,
             dispatch_window_factor=config.dispatch_window_factor,
             dispatch_poll_s=config.dispatch_poll_s,
-            capacity_slots=self._capacity_slots,
-            in_flight=self._in_flight,
+            capacity_slots=deployment.capacity_slots,
+            finished=lambda: len(completed),
         )
-        self._jobs: dict[str, _JobMeta] = {}
-        self._completed: set[str] = set()
-        self.measure_start = 0.0
-        self._instances: list = []
-        self._stopping = False
-        # The Classic Cloud polling worker, shared with the batch
-        # framework.  No utilization series: serve reports fleet slots
-        # from its own monitor.
-        self.workers = WorkerFleet(
-            env=self.env,
-            rng=self.rng,
-            obs=self.obs,
-            task_queue=self.task_queue,
-            storage=self.storage,
-            perf_model=lambda task: self._jobs[task.task_id].app.perf_model,
-            keep_polling=lambda: not self._stopping,
-            on_complete=self._record_completion,
-            workers_per_instance=config.workers_per_instance,
-            poll_backoff_s=config.poll_backoff_s,
-        )
-        self.controller: AutoscaleController | None = None
-        if config.autoscale is not None:
-            self.controller = AutoscaleController(
-                self.env,
-                config.autoscale,
-                self.cloud,
-                config.resolve_instance_type(),
-                config.workers_per_instance,
-                _BacklogView(self.admission),
-                self.rng.stream("spot-market"),
-                spawn_workers=self.workers.spawn_instance,
-                is_done=lambda: self._stopping,
-            )
-
-    # -- derived knobs -----------------------------------------------------
-    def _visibility_timeout(self) -> float:
-        if self.config.visibility_timeout_s is not None:
-            return self.config.visibility_timeout_s
-        machine = self.config.resolve_instance_type().machine
-        # Envelope: three mean work units covers the lognormal tail at
-        # the configured coefficients of variation.
-        worst = max(
-            task_runtime_seconds(
-                self._apps[spec.app].perf_model,
-                3.0 * spec.job_work_units,
-                machine,
-                concurrent_workers=self.config.workers_per_instance,
-            )
-            for spec in self.tenants
-        )
-        return max(60.0, 3.0 * worst)
-
-    def _capacity_slots(self) -> int:
-        if self.controller is not None:
-            return (
-                len(self.controller.active_instances())
-                * self.config.workers_per_instance
-            )
-        alive = sum(
-            1 for i in self._instances if i.is_running and not i.draining
-        )
-        return alive * self.config.workers_per_instance
-
-    def _in_flight(self) -> int:
-        """Jobs past the scheduler but not yet completed."""
-        return self.scheduler.dispatched_total() - len(self._completed)
 
     # -- public API --------------------------------------------------------
     def run(self) -> ServeResult:
         driver = self.env.process(self._driver(), name="driver")
         makespan = self.env.run(until=driver)
-        self.cloud.terminate_all()
-        report = self.meter.report()
+        report, extras = self.deployment.finish()
         self.admission.check()
-        self._publish_run_metrics(makespan)
-        extras: dict[str, float] = {
-            "empty_receives": float(self.task_queue.stats.empty_receives),
-            "reappearances": float(self.task_queue.stats.reappearances),
-            "stale_deletes": float(self.task_queue.stats.stale_deletes),
-            "visibility_timeout_s": self.task_queue.visibility_timeout_s,
-        }
-        if self.controller is not None:
-            extras.update(self.controller.summary())
+        self._publish_latencies()
         tenant_stats = tuple(
             self._tenant_stats(spec) for spec in self.tenants
         )
@@ -426,14 +343,14 @@ class JobService:
             provider=self.config.provider,
             n_instances=self.config.n_instances,
             workers_per_instance=self.config.workers_per_instance,
-            autoscaled=self.controller is not None,
+            autoscaled=self.config.autoscale is not None,
             duration_s=self.config.duration_s,
             makespan_s=makespan,
             tenants=tenant_stats,
             total_cost=report.total_cost,
             amortized_cost=report.total_amortized_cost,
             extras=extras,
-            records=self.workers.records,
+            records=self.deployment.workers.records,
         )
 
     def _tenant_stats(self, spec: TenantSpec) -> TenantStats:
@@ -463,9 +380,8 @@ class JobService:
             slo_ok=(None if p95 is None else p95 <= spec.slo_p95_s),
         )
 
-    def _publish_run_metrics(self, makespan: float) -> None:
+    def _publish_latencies(self) -> None:
         metrics = self.obs.metrics
-        metrics.counter("sim.events").inc(self.env.events_scheduled)
         for spec in self.tenants:
             account = self.admission.accounts[spec.name]
             hist = metrics.histogram(f"serve.latency.{spec.name}")
@@ -475,32 +391,14 @@ class JobService:
     # -- driver ------------------------------------------------------------
     def _driver(self):
         config = self.config
-        itype = config.resolve_instance_type()
-        instances = []
-        if self.controller is not None:
-            instances = yield self.env.process(
-                self.controller.launch_initial(config.n_instances)
-            )
-        elif config.n_instances > 0:
-            instances = yield self.env.process(
-                self.cloud.provision(itype, config.n_instances)
-            )
+        yield from self.deployment.provision()
         self.measure_start = self.env.now
-        for instance in instances:
-            instance.launched_at = self.measure_start
-        self._instances = list(instances)
-
         for spec in self.tenants:
             self.env.process(
                 self._arrivals(spec), name=f"arrivals-{spec.name}"
             )
         self.env.process(self.scheduler.run(), name="scheduler")
-        for instance in instances:
-            procs = self.workers.spawn_instance(instance)
-            if self.controller is not None:
-                self.controller.track(instance, procs)
-        if self.controller is not None:
-            self.controller.start()
+        self.deployment.start(at=self.measure_start)
         if self.obs.enabled:
             self.env.process(self._monitor(), name="serve-monitor")
 
@@ -526,7 +424,6 @@ class JobService:
                 count=abandoned,
             )
         self.scheduler.stop()
-        self._stopping = True
         self.task_queue.recheck()  # the workers' keep_polling() flipped
         return self.env.now - self.measure_start
 
@@ -564,8 +461,8 @@ class JobService:
                 )
             return
         task = spec.make_task(index, rng)
-        self.storage.stage(task.input_key, task.input_size)
-        self.meter.record_transfer(bytes_in=task.input_size)
+        self.deployment.storage.stage(task.input_key, task.input_size)
+        self.deployment.meter.record_transfer(bytes_in=task.input_size)
         self._jobs[task.task_id] = _JobMeta(
             tenant=spec.name, app=self._apps[spec.app], submitted_at=now
         )
@@ -575,7 +472,7 @@ class JobService:
     def _monitor(self):
         """Timeline sampling: backlog / sheds / fleet, every 5 sim-s."""
         timeline = self.obs.timeline
-        while not self._stopping:
+        while not self.scheduler.stopping:
             now = self.env.now
             shed = sum(a.shed for a in self.admission.accounts.values())
             done = sum(
@@ -588,30 +485,28 @@ class JobService:
             timeline.sample("serve.shed_total", now, shed)
             timeline.sample("serve.completed_total", now, done)
             timeline.sample(
-                "serve.fleet_slots", now, self._capacity_slots()
+                "serve.fleet_slots", now, self.deployment.capacity_slots()
             )
             yield self.env.timeout(5.0)
 
-    # -- completions -------------------------------------------------------
-    def _record_completion(self, task_id: str) -> None:
-        """Count each job once, however many times it executed."""
-        meta = self._jobs[task_id]
-        if task_id in self._completed:
-            self.admission.duplicate(meta.tenant)
-            self._count("serve.duplicates")
-            return
-        self._completed.add(task_id)
-        latency = self.env.now - meta.submitted_at
-        self.admission.complete(meta.tenant, latency)
-        self._count("serve.completed")
 
-    def _count(self, name: str) -> None:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.obs.metrics.counter(name)
-        counter.inc()
+def _count(counters: "dict[str, Counter]", metrics, name: str) -> None:
+    counter = counters.get(name)
+    if counter is None:
+        counter = counters[name] = metrics.counter(name)
+    counter.inc()
 
 
 def run_serve(config: ServeConfig) -> ServeResult:
-    """Convenience wrapper: one seeded service run."""
-    return JobService(config).run()
+    """One seeded service run.
+
+    The service is built here and nothing else can reach it, so once the
+    result exists its event loop is closed (:meth:`Environment.close
+    <repro.sim.engine.Environment.close>`) and reference counting frees
+    the whole simulation at once.  Build a :class:`JobService` directly
+    to keep the live loop.
+    """
+    service = JobService(config)
+    result = service.run()
+    service.env.close()
+    return result

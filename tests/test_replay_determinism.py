@@ -41,12 +41,13 @@ def play_cap3(seed: int):
         seed=seed,
         fault_plan=FaultPlan.none(),
         consistency_window_s=0.0,
-        sanitize=True,
     )
     framework = ClassicCloudFramework(config)
     app = get_application("cap3")
     tasks = cap3_task_specs(24, seed=seed)
-    result = framework.run(app, tasks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SANITIZE", "1")
+        result = framework.run(app, tasks)
     env = framework.last_environment
     return result, env
 
@@ -123,10 +124,11 @@ def play_poison_crash_augmentation():
         max_task_attempts=3,
         visibility_timeout_s=60.0,
         local_augmentation=LocalAugmentation(n_workers=2),
-        sanitize=True,
     )
     framework = ClassicCloudFramework(config)
-    result = framework.run(get_application("cap3"), tasks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SANITIZE", "1")
+        result = framework.run(get_application("cap3"), tasks)
     assert result.failed == {tasks[3].task_id}
     return result, framework.last_environment
 

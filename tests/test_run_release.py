@@ -3,9 +3,11 @@
 :func:`repro.sweep.points.run_point` owns the backend it builds and
 closes that run's event loop once the plain result exists, so nothing
 the simulation built is left in a reference cycle for the cyclic
-garbage collector.  Each check runs one seeded point with the collector
-off, then collects: no ``repro`` object may be found, and the cyclic
-garbage that is found must not grow with the number of files.
+garbage collector; :func:`repro.serve.run_serve` does the same for a
+service run.  Each check runs one seeded point with the collector off,
+then collects: no ``repro`` object may be found, and the cyclic garbage
+that is found must not grow with the number of files (for the service,
+with the length of the arrival window).
 """
 
 import gc
@@ -22,6 +24,7 @@ from repro.cloud.spot import BidStrategy
 from repro.cluster import get_cluster
 from repro.core.application import get_application
 from repro.core.backends import make_backend
+from repro.serve import ServeConfig, default_tenants, run_serve
 from repro.sim.engine import Environment, Interrupt
 from repro.sim.rng import RngRegistry
 from repro.sweep import point_for
@@ -86,24 +89,41 @@ def _autoscale(n_files):
     )
 
 
-POINTS = {
-    "ec2": _ec2,
-    "azure": _azure,
-    "hadoop": _hadoop,
-    "dryadlinq": _dryadlinq,
-    "chaos": _chaos,
-    "autoscale": _autoscale,
+def _serve(n):
+    """A two-instance service run with an arrival window of ``10 n`` s."""
+    return run_serve(
+        ServeConfig(
+            tenants=default_tenants(),
+            n_instances=2,
+            duration_s=10.0 * n,
+            seed=1,
+        )
+    )
+
+
+def _spec(point):
+    return lambda n: run_point(point(n))
+
+
+RUNS = {
+    "ec2": _spec(_ec2),
+    "azure": _spec(_azure),
+    "hadoop": _spec(_hadoop),
+    "dryadlinq": _spec(_dryadlinq),
+    "chaos": _spec(_chaos),
+    "autoscale": _spec(_autoscale),
+    "serve": _serve,
 }
 
 
-def _cyclic_garbage(spec) -> "tuple[int, list[str]]":
-    """Run ``spec`` with the collector off; return how many unreachable
-    objects one collection then finds, and the ``repro`` types among
-    them."""
+def _cyclic_garbage(run, n) -> "tuple[int, list[str]]":
+    """Call ``run(n)`` with the collector off; return how many
+    unreachable objects one collection then finds, and the ``repro``
+    types among them."""
     gc.collect()
     gc.disable()
     try:
-        run_point(spec)
+        run(n)
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             unreachable = gc.collect()
@@ -122,11 +142,11 @@ def _cyclic_garbage(spec) -> "tuple[int, list[str]]":
     return unreachable, types
 
 
-@pytest.mark.parametrize("kind", sorted(POINTS))
+@pytest.mark.parametrize("kind", sorted(RUNS))
 def test_finished_point_frees_its_simulation(kind):
-    small, types = _cyclic_garbage(POINTS[kind](16))
+    small, types = _cyclic_garbage(RUNS[kind], 16)
     assert types == []
-    large, types = _cyclic_garbage(POINTS[kind](64))
+    large, types = _cyclic_garbage(RUNS[kind], 64)
     assert types == []
     assert large <= small
 
