@@ -177,6 +177,60 @@ class TestGolden:
             "91616541a684c4e69b6931ae294a473dd7cfc839260ccf0a74ca7f1f87b95118"
         )
 
+    # Each window's length, the queue window's extra delivery delay, the
+    # crash restart delay and the speculation percentile keep their
+    # default values here, and each digest moves when one of them does.
+    # With 16 workers mostly idle, backups sent inside a queue window
+    # wait out its extra delay. With 8 workers busy past every window,
+    # the slow node's window ends mid-task and the percentile decides
+    # which stragglers are backed up.
+    @pytest.mark.parametrize(
+        "n_instances, workers, n_files, reads, horizon_s, queue_windows, "
+        "seed, digest",
+        [
+            pytest.param(
+                2, 8, 32, 100, 200.0, 2, 1,
+                "551b87c81438a15c9e0da2f61132392306bf942d930d0d767f868d6d411dfa14",
+                id="idle-workers",
+            ),
+            pytest.param(
+                2, 4, 32, 200, 400.0, 3, 0,
+                "b02b9e97c3ed65cca8c74e1ecb2fe87a4ff0f0e79b351b103dbfecd368c2ec95",
+                id="busy-workers",
+            ),
+        ],
+    )
+    def test_chaos_windows_digest(
+        self, cap3, n_instances, workers, n_files, reads, horizon_s,
+        queue_windows, seed, digest,
+    ):
+        config = chaos_config(
+            n_instances=n_instances,
+            workers_per_instance=workers,
+            fault_plan=FaultPlan(
+                straggler_probability=0.3, straggler_slowdown=8.0
+            ),
+            chaos=ChaosPlan(
+                seed=seed,
+                horizon_s=horizon_s,
+                worker_crashes=1,
+                queue_chaos_windows=queue_windows,
+                storage_chaos_windows=1,
+                slow_nodes=1,
+            ),
+            retry_policy=RetryPolicy(
+                attempts=6, base_delay_s=0.5, max_delay_s=15.0
+            ),
+            speculation=SpeculationPolicy(
+                poll_s=10.0, min_completed=3, threshold_multiplier=1.5
+            ),
+        )
+        tasks = cap3_task_specs(n_files, reads_per_file=reads)
+        result = ClassicCloudFramework(config).run(cap3, tasks)
+        assert result.extras["chaos_slow_nodes"] == 1
+        assert result.extras["speculative_launched"] > 0
+        assert run_digest(result) == digest
+
     def test_poison_crash_augmentation_digest(self, cap3):
         # Poison respawn, a crash with restart, the dead-letter queue and
         # WAN-attached local workers in one run.

@@ -422,3 +422,53 @@ class TestGoldenAutoscaled:
     def test_timeline_digest(self, autoscaled):
         obs, _ = autoscaled
         assert timeline_digest(obs) == CLASSIC_AUTOSCALED_TIMELINE_DIGEST
+
+
+# An on-demand pool grows from one instance to six and shrinks again.
+# Under the step policy the scale-up cooldown holds back a second
+# scale-out; under target tracking the scale-down cooldown spaces the
+# scale-ins. Both digests also move with the evaluation interval and
+# the drain poll.
+
+
+def play_classic_cooldowns(policy: str):
+    """240 heavy-tailed Cap3 files from one 4-worker instance, scaled
+    between one and six instances by ``policy``."""
+    config = ClassicCloudConfig(
+        provider="aws",
+        instance_type="HCXL",
+        n_instances=1,
+        workers_per_instance=4,
+        seed=1,
+        autoscale=AutoscalePlan(
+            policy=default_policy(policy), min_instances=1, max_instances=6
+        ),
+    )
+    tasks = cap3_task_specs(
+        240, reads_per_file=200, inhomogeneous=True, seed=1
+    )
+    return ClassicCloudFramework(config).run(get_application("cap3"), tasks)
+
+
+COOLDOWN_DIGESTS = {
+    "step": (
+        "14ed954db6f076c37ca2070a3473bea6624d969a65558b2f0300d02f6081b35a",
+        "45318ca2a1c3ee0171a0a758529aa6d18b85be704f746de4caef34ca3fb90855",
+    ),
+    "target-tracking": (
+        "fe45b2f697c52f74e6fa46c0105864a6aecc856d41d0e8c5ad279c30614b04cd",
+        "31643a56af9016398668962ed389cd4e86e8a2233d8215b547504c2617c7ad8f",
+    ),
+}
+
+
+class TestGoldenCooldowns:
+    @pytest.mark.parametrize("policy", sorted(COOLDOWN_DIGESTS))
+    def test_spans_and_timeline_digests(self, policy):
+        with observe(label=policy) as obs:
+            result = play_classic_cooldowns(policy)
+        assert result.extras["autoscale_instances_added"] == 5
+        assert result.extras["autoscale_scale_down_events"] >= 1
+        assert (
+            trace_stream_digest(obs), timeline_digest(obs)
+        ) == COOLDOWN_DIGESTS[policy]
