@@ -39,6 +39,15 @@ from repro.sim.engine import Environment
 
 __all__ = ["AutoscaleController", "active_in"]
 
+#: Seconds of simulated time between policy evaluations.
+_EVALUATION_INTERVAL_S = 30.0
+#: Minimum seconds between two scale-ups, and between two scale-downs.
+_SCALE_UP_COOLDOWN_S = 60.0
+_SCALE_DOWN_COOLDOWN_S = 120.0
+#: Seconds between liveness polls while draining a scaled-in instance
+#: (its workers finish their current task first).
+_DRAIN_POLL_S = 1.0
+
 
 def active_in(pool: "list[VmInstance]") -> "list[VmInstance]":
     """Running, non-draining members of ``pool`` (launch order)."""
@@ -214,7 +223,7 @@ class AutoscaleController:
     def _evaluate_loop(self):
         plan = self.plan
         while not self.is_done():
-            yield self.env.timeout(plan.evaluation_interval_s)
+            yield self.env.timeout(_EVALUATION_INTERVAL_S)
             if self.is_done():
                 return
             backlog = self.backlog()
@@ -231,11 +240,11 @@ class AutoscaleController:
             )
             now = self.env.now
             if desired > current:
-                if now - self._last_scale_up < plan.scale_up_cooldown_s:
+                if now - self._last_scale_up < _SCALE_UP_COOLDOWN_S:
                     continue
                 yield from self._scale_up(desired - current)
             elif desired < current:
-                if now - self._last_scale_down < plan.scale_down_cooldown_s:
+                if now - self._last_scale_down < _SCALE_DOWN_COOLDOWN_S:
                     continue
                 self._scale_down(current - desired)
 
@@ -310,7 +319,7 @@ class AutoscaleController:
         while any(
             w.is_alive for w in self._workers.get(instance.instance_id, [])
         ):
-            yield self.env.timeout(self.plan.drain_poll_s)
+            yield self.env.timeout(_DRAIN_POLL_S)
         if instance.is_running:
             self.provider.terminate(instance)
         self._update_gauges()

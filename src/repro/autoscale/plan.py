@@ -24,7 +24,9 @@ class AutoscalePlan:
     (clamped into ``[min_instances, max_instances]``); from then on the
     policy decides, the bid strategy says which market to buy from, and
     ``billing`` selects the accounting rule for every instance the
-    controller manages (initial fleet included).
+    controller manages (initial fleet included).  The controller
+    evaluates the policy every 30 s with a 60 s scale-up and a 120 s
+    scale-down cooldown, and polls a draining instance every second.
     """
 
     policy: "TargetTrackingPolicy | StepScalingPolicy" = field(
@@ -32,29 +34,17 @@ class AutoscalePlan:
     )
     min_instances: int = 1
     max_instances: int = 16
-    evaluation_interval_s: float = 30.0
-    scale_up_cooldown_s: float = 60.0
-    scale_down_cooldown_s: float = 120.0
     bid: BidStrategy = field(default_factory=BidStrategy.on_demand)
     spot_market: SpotMarketModel = field(default_factory=SpotMarketModel)
     billing: str = "hourly"  # "hourly" | "per-second"
-    #: Seconds between liveness polls while draining a scaled-in
-    #: instance (its workers finish their current task first).
-    drain_poll_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.min_instances < 1:
             raise ValueError("min_instances must be >= 1")
         if self.max_instances < self.min_instances:
             raise ValueError("max_instances must be >= min_instances")
-        if self.evaluation_interval_s <= 0:
-            raise ValueError("evaluation_interval_s must be positive")
-        if self.scale_up_cooldown_s < 0 or self.scale_down_cooldown_s < 0:
-            raise ValueError("cooldowns must be non-negative")
         if self.billing not in ("hourly", "per-second"):
             raise ValueError(f"unknown billing mode {self.billing!r}")
-        if self.drain_poll_s <= 0:
-            raise ValueError("drain_poll_s must be positive")
 
     def clamp(self, n: int) -> int:
         """Force an instance count into the plan's bounds."""

@@ -21,6 +21,11 @@ from repro.obs.context import current as _current_obs
 
 __all__ = ["ChaosController"]
 
+#: Seconds before a crashed worker's replacement starts.
+_CRASH_RESTART_S = 30.0
+#: Propagation delay a queue chaos window adds to every send.
+_QUEUE_EXTRA_DELAY_S = 0.5
+
 
 class ChaosController:
     """Schedules and applies a :class:`~repro.chaos.plan.ChaosPlan`."""
@@ -142,10 +147,9 @@ class ChaosController:
         self.crashes += 1
         self._record(event, worker=victim.name)
         self._crash_worker(victim)
-        if self.plan.crash_restart_s is not None:
-            yield self.env.timeout(self.plan.crash_restart_s)
-            if self._restart_worker is not None:
-                self._restart_worker(victim)
+        yield self.env.timeout(_CRASH_RESTART_S)
+        if self._restart_worker is not None:
+            self._restart_worker(victim)
 
     def _preemption_wave(self, event: ChaosEvent) -> None:
         if self._preempt_instance is None:
@@ -182,7 +186,7 @@ class ChaosController:
             )
             queue.propagation_delay_s = (
                 self._queue_baseline["propagation_delay_s"]
-                + plan.queue_extra_delay_s
+                + _QUEUE_EXTRA_DELAY_S
             )
             yield self.env.timeout(event.duration_s)
             for name, value in self._queue_baseline.items():

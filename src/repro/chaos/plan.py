@@ -10,18 +10,18 @@ tests pin.
 
 Fault families (one event ``kind`` each):
 
-* ``worker_crash`` — kill one worker process mid-whatever, optionally
-  restarting a replacement on the same instance after
-  ``crash_restart_s``;
+* ``worker_crash`` — kill one worker process mid-whatever, restarting
+  a replacement on the same instance 30 s later;
 * ``preemption_wave`` — reclaim a fraction of the running instances at
   once (a spot-market price spike), interrupting every worker on them;
-* ``queue_chaos`` — a window of queue misbehaviour: elevated empty
-  receives (loss), duplicate deliveries, lost deletes (the delete
-  request drops, so the message reappears) and extra propagation delay;
-* ``storage_chaos`` — a window of elevated retryable 5xx errors on the
-  blob store;
+* ``queue_chaos`` — a 120 s window of queue misbehaviour: elevated
+  empty receives (loss), duplicate deliveries, lost deletes (the delete
+  request drops, so the message reappears) and 0.5 s of extra
+  propagation delay;
+* ``storage_chaos`` — a 120 s window of elevated retryable 5xx errors on
+  the blob store;
 * ``slow_node`` — one instance degrades to ``slow_factor`` of its
-  clock for a window (the classic gray-failure straggler).
+  clock for a 600 s window (the classic gray-failure straggler).
 
 Magnitudes are scaled by :meth:`ChaosPlan.at_intensity`, the campaign's
 single-knob sweep axis.
@@ -35,6 +35,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 __all__ = ["ChaosEvent", "ChaosPlan"]
+
+#: Window lengths, in simulated seconds, per windowed fault family.
+_WINDOW_S = {"queue_chaos": 120.0, "storage_chaos": 120.0, "slow_node": 600.0}
 
 
 @dataclass(frozen=True)
@@ -69,24 +72,19 @@ class ChaosPlan:
     horizon_s: float = 3600.0
 
     worker_crashes: int = 0
-    crash_restart_s: float | None = 30.0
 
     preemption_waves: int = 0
     preemption_fraction: float = 0.25
 
     queue_chaos_windows: int = 0
-    queue_window_s: float = 120.0
     queue_miss_probability: float = 0.10
     queue_duplicate_probability: float = 0.05
     queue_delete_loss_probability: float = 0.05
-    queue_extra_delay_s: float = 0.5
 
     storage_chaos_windows: int = 0
-    storage_window_s: float = 120.0
     storage_error_rate: float = 0.25
 
     slow_nodes: int = 0
-    slow_window_s: float = 600.0
     slow_factor: float = 0.25  # multiplier on the victim's clock
 
     def __post_init__(self) -> None:
@@ -193,7 +191,7 @@ class ChaosPlan:
                 ChaosEvent(
                     at_s=at_s,
                     kind="queue_chaos",
-                    duration_s=self.queue_window_s,
+                    duration_s=_WINDOW_S["queue_chaos"],
                     magnitude=self.queue_miss_probability,
                 )
             )
@@ -202,7 +200,7 @@ class ChaosPlan:
                 ChaosEvent(
                     at_s=at_s,
                     kind="storage_chaos",
-                    duration_s=self.storage_window_s,
+                    duration_s=_WINDOW_S["storage_chaos"],
                     magnitude=self.storage_error_rate,
                 )
             )
@@ -212,7 +210,7 @@ class ChaosPlan:
                     at_s=at_s,
                     kind="slow_node",
                     target=int(rng.integers(1 << 30)),
-                    duration_s=self.slow_window_s,
+                    duration_s=_WINDOW_S["slow_node"],
                     magnitude=self.slow_factor,
                 )
             )

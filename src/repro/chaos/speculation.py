@@ -30,28 +30,22 @@ class SpeculationPolicy:
     Every ``poll_s`` simulated seconds the speculator looks at the
     completed-task durations; once at least ``min_completed`` have
     finished, any task still outstanding after ``threshold_multiplier``
-    times the ``percentile``-th completed duration (counted from its
-    enqueue) earns one backup copy.  ``max_backups`` caps the total
-    number of copies per run (None: unbounded).
+    times the 75th-percentile completed duration (counted from its
+    enqueue) earns one backup copy.  The number of copies per run is
+    not capped.
     """
 
-    percentile: float = 0.75
     threshold_multiplier: float = 2.0
     min_completed: int = 5
     poll_s: float = 30.0
-    max_backups: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.percentile <= 1.0:
-            raise ValueError("percentile must be in (0, 1]")
         if self.threshold_multiplier < 1.0:
             raise ValueError("threshold_multiplier must be >= 1")
         if self.min_completed < 1:
             raise ValueError("min_completed must be >= 1")
         if self.poll_s <= 0:
             raise ValueError("poll_s must be positive")
-        if self.max_backups is not None and self.max_backups < 0:
-            raise ValueError("max_backups must be non-negative")
 
 
 @dataclass(frozen=True)

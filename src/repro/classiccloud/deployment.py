@@ -10,6 +10,7 @@ from repro.autoscale.controller import AutoscaleController, active_in
 from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.billing import BillingReport, CostMeter
 from repro.cloud.compute import CloudProvider
+from repro.cloud.failures import check_bounds
 from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
 from repro.cloud.queue import MessageQueue
 from repro.cloud.storage import BlobStore
@@ -17,7 +18,21 @@ from repro.obs.context import current as _current_obs
 from repro.sim.engine import make_environment
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Deployment"]
+__all__ = ["Deployment", "check_deployment"]
+
+
+def check_deployment(config) -> None:
+    """Reject the out-of-range settings a ``ClassicCloudConfig`` and a
+    ``ServeConfig`` share, when the config is built rather than mid-run."""
+    check_bounds([
+        ("visibility_timeout_s", config.visibility_timeout_s is None
+         or config.visibility_timeout_s >= 0, ">= 0 or None"),
+        ("poll_backoff_s", config.poll_backoff_s >= 0, ">= 0"),
+        ("consistency_window_s", config.consistency_window_s >= 0, ">= 0"),
+        ("max_sim_seconds", config.max_sim_seconds > 0, "> 0"),
+        ("perf_jitter", config.perf_jitter is None or config.perf_jitter >= 0,
+         ">= 0 or None"),
+    ])
 
 
 class Deployment:

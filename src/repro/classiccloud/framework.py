@@ -23,7 +23,7 @@ from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.retry import RetryPolicy
 from repro.chaos.speculation import BackupCopy, SpeculationPolicy
-from repro.classiccloud.deployment import Deployment
+from repro.classiccloud.deployment import Deployment, check_deployment
 from repro.classiccloud.worker import WorkerFleet
 from repro.cloud.compute import CloudProvider
 from repro.cloud.failures import FaultPlan
@@ -127,6 +127,7 @@ class ClassicCloudConfig:
             raise ValueError("instances and workers must be >= 1")
         if self.threads_per_worker < 1:
             raise ValueError("threads_per_worker must be >= 1")
+        check_deployment(self)
         itype = self.resolve_instance_type()
         slots = self.workers_per_instance * self.threads_per_worker
         if slots > itype.machine.cores:
@@ -439,7 +440,7 @@ class _SimRun:
 
         Every poll, once enough tasks have completed to estimate a
         duration distribution, any task still executing after
-        ``threshold_multiplier`` times the ``percentile``-th completed
+        ``threshold_multiplier`` times the 75th-percentile completed
         duration gets one :class:`BackupCopy` enqueued.  Whichever
         attempt finishes first wins; the loser's (identical) result is
         reconciled idempotently by the completion watcher.
@@ -452,17 +453,11 @@ class _SimRun:
             if len(durations) < policy.min_completed:
                 continue
             index = min(
-                len(durations) - 1,
-                max(0, int(policy.percentile * len(durations)) - 1),
+                len(durations) - 1, max(0, int(0.75 * len(durations)) - 1)
             )
             cutoff = durations[index] * policy.threshold_multiplier
             now = self.env.now
             for task in self.tasks:
-                if (
-                    policy.max_backups is not None
-                    and self.speculative_launched >= policy.max_backups
-                ):
-                    break
                 tid = task.task_id
                 if tid in self.completed or tid in self._backup_sent:
                     continue

@@ -9,7 +9,7 @@ termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.cloud.billing import CostMeter
 from repro.cloud.instance_types import InstanceType
 from repro.obs.context import current as _current_obs
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 
 __all__ = ["CloudProvider", "VmInstance"]
 
@@ -36,7 +35,6 @@ class VmInstance:
     env: Environment
     speed_factor: float
     launched_at: float
-    cores: Resource = field(init=False)
     terminated_at: float | None = None
     #: Capacity market: "on-demand" (the paper's setup) or "spot".
     market: str = "on-demand"
@@ -50,9 +48,6 @@ class VmInstance:
     draining: bool = False
     #: Set when the provider reclaimed this (spot) instance.
     preempted: bool = False
-
-    def __post_init__(self) -> None:
-        self.cores = Resource(self.env, capacity=self.instance_type.machine.cores)
 
     @property
     def machine(self):

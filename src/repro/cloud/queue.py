@@ -495,39 +495,22 @@ class MessageQueue:
         self._set_depth()
         return ids
 
-    def receive(
-        self,
-        visibility_timeout_s: float | None = None,
-        wait_time_s: float = 0.0,
-    ) -> Generator:
+    def receive(self, visibility_timeout_s: float | None = None) -> Generator:
         """Receive one message (process).
 
         Returns a :class:`Message` (with a fresh receipt) or ``None`` on an
         empty receive.  The message is hidden for ``visibility_timeout_s``
         (queue default if omitted).
-
-        ``wait_time_s`` > 0 enables *long polling* (SQS
-        ``ReceiveMessage`` with ``WaitTimeSeconds``): the single metered
-        request holds server-side until a message arrives or the wait
-        expires, drastically cutting empty receives on an idle queue.
         """
-        if wait_time_s < 0:
-            raise ValueError("wait_time_s must be non-negative")
         self._catch_up(self.env._now)
         self._meter_request()
         yield self.env.timeout(self._latency())
-        deadline = self.env.now + wait_time_s
-        while True:
-            self._catch_up(self.env._now)
-            self._promote_due()
-            if self._visible:
-                return self._take(visibility_timeout_s)
-            if self.env.now >= deadline:
-                self._empty()
-                return None
-            yield self.env.timeout(
-                min(0.2, max(1e-6, deadline - self.env.now))
-            )
+        self._catch_up(self.env._now)
+        self._promote_due()
+        if self._visible:
+            return self._take(visibility_timeout_s)
+        self._empty()
+        return None
 
     def poll(
         self,
@@ -649,17 +632,6 @@ class MessageQueue:
             self._set_depth()
         if message.message_id in self._visible:
             self._visible.remove(message.message_id)
-
-    def change_visibility(self, message: Message, timeout_s: float) -> Generator:
-        """Extend/shrink the visibility window of an in-flight message."""
-        self._catch_up(self.env._now)
-        self._meter_request()
-        yield self.env.timeout(self._latency())
-        if self._inflight.get(message.message_id) != message.receipt:
-            raise StaleReceiptError("message not in flight under this receipt")
-        live = self._messages[message.message_id]
-        live.visible_at = self.env.now + timeout_s
-        self._push_pending(live.visible_at, message.message_id)
 
     # -- inspection (no simulated time) ---------------------------------------
     def peek_bodies(self) -> list[Any]:

@@ -36,6 +36,10 @@ __all__ = [
     "LocalDryadLinq",
 ]
 
+#: Seconds from job submission to a vertex's start: graph compilation
+#: plus vertex dispatch.
+_JOB_STARTUP_S = 5.0
+
 
 class DryadTable:
     """A partitioned table: the object LINQ queries run against."""
@@ -73,7 +77,6 @@ class DryadLinqConfig:
     straggler_probability: float = 0.0
     straggler_slowdown: float = 5.0
     max_attempts: int = 4
-    job_startup_seconds: float = 5.0  # graph compilation + vertex dispatch
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -193,7 +196,7 @@ class _DryadRun:
         """
         config = self.config
         node = vertex.preferred_node
-        yield self.env.timeout(config.job_startup_seconds)
+        yield self.env.timeout(_JOB_STARTUP_S)
         self._m_dispatches.inc()
         self.tracer.instant(
             "scheduler.dispatch",

@@ -1,15 +1,14 @@
-"""Dryad computation graphs: vertices, channels, staging.
+"""Dryad computation graphs: the vertices of one Select stage.
 
 A Dryad job is a DAG whose vertices are sequential programs and whose
-edges are communication channels.  The pleasingly parallel Select use
-case only needs single-stage graphs, but the model is general: stages
-are computed by topological layering, and cycles are rejected — the
-properties any Dryad scheduler relies on.
+edges are communication channels.  DryadLINQ compiles the pleasingly
+parallel ``Select`` to a single stage of independent vertices, one per
+partition, with no channels between them, so that is all a
+:class:`DryadGraph` holds.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -27,29 +26,16 @@ class Vertex:
 
 
 class DryadGraph:
-    """A directed acyclic graph of vertices and channels."""
+    """One stage of independent vertices, in insertion order."""
 
     def __init__(self):
         self._vertices: dict[str, Vertex] = {}
-        self._out: dict[str, list[str]] = {}
-        self._in: dict[str, list[str]] = {}
 
     def add_vertex(self, vertex: Vertex) -> Vertex:
         if vertex.vertex_id in self._vertices:
             raise ValueError(f"duplicate vertex {vertex.vertex_id!r}")
         self._vertices[vertex.vertex_id] = vertex
-        self._out[vertex.vertex_id] = []
-        self._in[vertex.vertex_id] = []
         return vertex
-
-    def add_channel(self, src: str, dst: str) -> None:
-        """A communication edge from ``src`` to ``dst``."""
-        if src not in self._vertices or dst not in self._vertices:
-            raise KeyError("both endpoints must exist")
-        if src == dst:
-            raise ValueError("self-channels are not allowed")
-        self._out[src].append(dst)
-        self._in[dst].append(src)
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -62,34 +48,3 @@ class DryadGraph:
 
     def vertices(self) -> list[Vertex]:
         return list(self._vertices.values())
-
-    def predecessors(self, vertex_id: str) -> list[str]:
-        return list(self._in[vertex_id])
-
-    def successors(self, vertex_id: str) -> list[str]:
-        return list(self._out[vertex_id])
-
-    def stages(self) -> list[list[Vertex]]:
-        """Topological layers (vertices with no remaining inputs first).
-
-        Raises ``ValueError`` if the graph has a cycle.
-        """
-        in_degree = {v: len(self._in[v]) for v in self._vertices}
-        frontier = deque(
-            sorted(v for v, d in in_degree.items() if d == 0)
-        )
-        layers: list[list[Vertex]] = []
-        seen = 0
-        while frontier:
-            layer = sorted(frontier)
-            frontier.clear()
-            layers.append([self._vertices[v] for v in layer])
-            seen += len(layer)
-            for v in layer:
-                for succ in self._out[v]:
-                    in_degree[succ] -= 1
-                    if in_degree[succ] == 0:
-                        frontier.append(succ)
-        if seen != len(self._vertices):
-            raise ValueError("graph contains a cycle")
-        return layers

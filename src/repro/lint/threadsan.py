@@ -4,7 +4,7 @@ The static RPR1xx rules reason about the threaded runtimes from the
 outside; :class:`ThreadSanitizer` watches them from the inside.  It is
 the threads sibling of :class:`~repro.lint.sanitizer.SanitizedEnvironment`
 (which instruments the *simulated* event loop) and is opt-in the same
-way: ``REPRO_SANIZE`` is never consulted on the hot path unless the
+way: ``REPRO_SANITIZE`` is never consulted on the hot path unless the
 runtime asked for monitored structures.
 
 Two detectors, both classic:

@@ -31,14 +31,14 @@ from functools import partial
 
 from repro.apps.perfmodels import task_runtime_seconds
 from repro.autoscale.plan import AutoscalePlan
-from repro.classiccloud.deployment import Deployment
+from repro.classiccloud.deployment import Deployment, check_deployment
 from repro.cloud.instance_types import InstanceType, get_instance_type
 from repro.core.application import Application, get_application
 from repro.core.task import TaskRecord
 from repro.obs.metrics import Counter
 from repro.serve.admission import AdmissionController, AdmissionOutcome
 from repro.serve.scheduler import FairShareScheduler
-from repro.serve.tenants import TenantSpec, peak_rate, rate_at
+from repro.serve.tenants import APP_JOB_SHAPES, TenantSpec, peak_rate, rate_at
 
 __all__ = [
     "ServeConfig",
@@ -98,6 +98,7 @@ class ServeConfig:
             raise ValueError("max_backlog must be >= 1")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be non-negative")
+        check_deployment(self)
         itype = self.resolve_instance_type()
         if self.workers_per_instance > itype.machine.cores:
             raise ValueError(
@@ -281,7 +282,7 @@ class JobService:
             visibility_timeout_s=deployment.visibility_timeout(
                 task_runtime_seconds(
                     apps[spec.app].perf_model,
-                    3.0 * spec.job_work_units,
+                    3.0 * APP_JOB_SHAPES[spec.app][0],
                     machine,
                     concurrent_workers=config.workers_per_instance,
                 )

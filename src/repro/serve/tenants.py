@@ -25,7 +25,7 @@ __all__ = ["TenantSpec", "APP_JOB_SHAPES", "peak_rate", "rate_at"]
 
 ARRIVAL_KINDS = ("poisson", "burst", "diurnal")
 
-#: Default job shape per application: (work_units, input_bytes,
+#: Job shape per application: (mean work units, input_bytes,
 #: output_bytes).  Work units follow the perf-model calibrations — reads
 #: for Cap3, queries for BLAST, thousands of points for GTM — sized so a
 #: single job is seconds, not minutes: a service request, not a batch.
@@ -34,6 +34,10 @@ APP_JOB_SHAPES: dict[str, tuple[float, int, int]] = {
     "blast": (2.0, 60_000, 120_000),
     "gtm": (10.0, 800_000, 200_000),
 }
+
+#: Shape of the lognormal work-unit draw: a coefficient of variation of
+#: 0.3 around the application's mean.
+_WORK_UNITS_SIGMA = math.sqrt(math.log(1.0 + 0.3**2))
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,6 @@ class TenantSpec:
     period_s: float = 600.0
     #: Diurnal shape: ``rate * (1 + amplitude * sin(2*pi*t/period))``.
     diurnal_amplitude: float = 0.8
-    #: Job shape; ``None`` falls back to :data:`APP_JOB_SHAPES`.
-    work_units_mean: float | None = None
-    work_units_cv: float = 0.3  # lognormal coefficient of variation
-    input_bytes: int | None = None
-    output_bytes: int | None = None
     #: The tenant's latency objective, checked against measured p95.
     slo_p95_s: float = 120.0
 
@@ -99,52 +98,27 @@ class TenantSpec:
             raise ValueError("period_s must be positive")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1]")
-        if self.work_units_cv < 0:
-            raise ValueError("work_units_cv must be non-negative")
         if self.slo_p95_s <= 0:
             raise ValueError("slo_p95_s must be positive")
-
-    # -- resolved job shape ------------------------------------------------
-    @property
-    def job_work_units(self) -> float:
-        if self.work_units_mean is not None:
-            return self.work_units_mean
-        return APP_JOB_SHAPES[self.app][0]
-
-    @property
-    def job_input_bytes(self) -> int:
-        if self.input_bytes is not None:
-            return self.input_bytes
-        return APP_JOB_SHAPES[self.app][1]
-
-    @property
-    def job_output_bytes(self) -> int:
-        if self.output_bytes is not None:
-            return self.output_bytes
-        return APP_JOB_SHAPES[self.app][2]
 
     def make_task(self, index: int, rng: np.random.Generator) -> TaskSpec:
         """Materialise one submitted job as a simulator task.
 
-        Work units are lognormal around the tenant mean with the
-        configured coefficient of variation (clamped at a single unit),
-        so service times vary like real request mixes do.
+        Work units are lognormal around the application's mean with a
+        coefficient of variation of 0.3 (clamped at a single unit), so
+        service times vary like real request mixes do.
         """
-        mean = self.job_work_units
-        if self.work_units_cv > 0:
-            sigma = math.sqrt(math.log(1.0 + self.work_units_cv**2))
-            mu = math.log(mean) - 0.5 * sigma * sigma
-            units = float(rng.lognormal(mu, sigma))
-        else:
-            units = mean
-        units = max(1.0, units)
+        mean, input_bytes, output_bytes = APP_JOB_SHAPES[self.app]
+        sigma = _WORK_UNITS_SIGMA
+        mu = math.log(mean) - 0.5 * sigma * sigma
+        units = max(1.0, float(rng.lognormal(mu, sigma)))
         task_id = f"{self.name}-{index:06d}"
         return TaskSpec(
             task_id=task_id,
             input_key=f"serve/{self.name}/in/{index:06d}",
             output_key=f"serve/{self.name}/out/{index:06d}",
-            input_size=self.job_input_bytes,
-            output_size=self.job_output_bytes,
+            input_size=input_bytes,
+            output_size=output_bytes,
             work_units=units,
         )
 

@@ -10,7 +10,6 @@ through the named streams in :mod:`repro.sim.rng`.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     IdleWait,
@@ -20,22 +19,17 @@ from repro.sim.engine import (
     Timeout,
     make_environment,
 )
-from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "IdleWait",
     "Interrupt",
-    "PriorityStore",
     "Process",
-    "Resource",
     "RngRegistry",
     "SimulationError",
-    "Store",
     "Timeout",
     "make_environment",
 ]

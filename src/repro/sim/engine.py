@@ -40,7 +40,6 @@ from typing import Any, Callable
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "IdleWait",
@@ -356,8 +355,11 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AllOf(Event):
+    """Succeeds when every constituent event has fired.
+
+    Value is a dict mapping each constituent event to its value.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -379,40 +381,6 @@ class _Condition(Event):
             else:
                 event.callbacks.append(self._on_fire)
 
-    def _collect(self) -> dict[Event, Any]:
-        # _processed (not merely triggered) because Timeout pre-sets its
-        # value at construction time, long before it actually fires.
-        return {e: e._value for e in self.events if e._processed and e._ok}
-
-    def _on_fire(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first constituent event fires.
-
-    Value is a dict mapping each already-fired event to its value.
-    """
-
-    __slots__ = ()
-
-    def _on_fire(self, event: Event) -> None:
-        # Guard: several constituents can fire at the same timestamp, so
-        # _on_fire re-entry after the condition triggered must be a no-op
-        # (succeed()/fail() on a triggered event raises SimulationError).
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Succeeds when every constituent event has fired."""
-
-    __slots__ = ()
-
     def _on_fire(self, event: Event) -> None:
         # Guard: two constituents failing at the same timestamp would
         # otherwise call fail() twice on this condition and raise
@@ -424,7 +392,11 @@ class AllOf(_Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect())
+            # _processed (not merely triggered) because Timeout pre-sets
+            # its value at construction time, long before it fires.
+            self.succeed(
+                {e: e._value for e in self.events if e._processed and e._ok}
+            )
 
 
 class Environment:
@@ -500,10 +472,6 @@ class Environment:
     ) -> Process:
         """Start a process from a generator."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event: first of ``events``."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events``."""

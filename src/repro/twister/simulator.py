@@ -30,6 +30,12 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["TwisterAzureSimulator", "TwisterSimConfig"]
 
+#: Bytes of dynamic state (e.g. centroids) broadcast each iteration; each
+#: worker's reduced output is the same size.
+_DYNAMIC_STATE_BYTES = 100_000
+#: Seconds each worker computes per iteration.
+_COMPUTE_S = 5.0
+
 
 @dataclass(frozen=True)
 class TwisterSimConfig:
@@ -39,15 +45,13 @@ class TwisterSimConfig:
     instance_type: str = "Small"
     n_iterations: int = 10
     static_partition_bytes: int = 256_000_000  # per worker
-    dynamic_state_bytes: int = 100_000  # broadcast per iteration
-    compute_seconds_per_iteration: float = 5.0  # per worker, per iter
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1 or self.n_iterations < 1:
             raise ValueError("workers and iterations must be >= 1")
-        if self.static_partition_bytes < 0 or self.dynamic_state_bytes < 0:
-            raise ValueError("sizes must be non-negative")
+        if self.static_partition_bytes < 0:
+            raise ValueError("static_partition_bytes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class TwisterAzureSimulator:
             env, "twister-tasks", rng.stream("queue"), miss_probability=0.0
         )
         storage.stage("static", config.static_partition_bytes)
-        storage.stage("dynamic", config.dynamic_state_bytes)
+        storage.stage("dynamic", _DYNAMIC_STATE_BYTES)
         iteration_times: list[float] = []
 
         def worker(first: bool, index: int, iteration: int):
@@ -101,12 +105,10 @@ class TwisterAzureSimulator:
                 yield env.process(storage.get("static"))
             yield env.process(storage.get("dynamic"))
             download_end = env.now
-            yield env.timeout(config.compute_seconds_per_iteration)
+            yield env.timeout(_COMPUTE_S)
             compute_end = env.now
             # Ship the (small) reduced output back.
-            yield env.process(
-                storage.put("out", config.dynamic_state_bytes)
-            )
+            yield env.process(storage.put("out", _DYNAMIC_STATE_BYTES))
             upload_end = env.now
             yield env.process(queue.delete(msg))
             add_phases(
@@ -136,9 +138,7 @@ class TwisterAzureSimulator:
                 yield barrier
                 # Merge + convergence check at the driver.
                 yield env.process(storage.get("out"))
-                yield env.process(
-                    storage.put("dynamic", config.dynamic_state_bytes)
-                )
+                yield env.process(storage.put("dynamic", _DYNAMIC_STATE_BYTES))
                 iteration_times.append(env.now - start)
                 tracer.add(
                     "twister.iteration",

@@ -57,6 +57,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(threads_per_worker=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("visibility_timeout_s", -3.0),
+            ("poll_backoff_s", -1.0),
+            ("consistency_window_s", -1.0),
+            ("max_sim_seconds", -1.0),
+            ("perf_jitter", -0.01),
+        ],
+    )
+    def test_out_of_range_setting_rejected_when_built(self, field, value):
+        # Each of these used to be accepted: the run completed (negative
+        # timeout, window or jitter) or failed only mid-run.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            small_config(**{field: value})
+
 
 class TestHappyPath:
     def test_all_tasks_complete_exactly_once(self, cap3):

@@ -149,29 +149,6 @@ def test_duplicate_probability_leaves_message_visible():
     assert q.stats.duplicate_deliveries >= 1
 
 
-def test_change_visibility_extends_window():
-    env = Environment()
-    q = make_queue(env, visibility_timeout_s=5.0)
-    drive(env, q.send("t"))
-    msg = drive(env, q.receive())
-    drive(env, q.change_visibility(msg, 60.0))
-    env.run(until=env.now + 10.0)  # original window long past
-    assert drive(env, q.receive()) is None  # still hidden
-    env.run(until=env.now + 60.0)
-    assert drive(env, q.receive()) is not None  # extended window expired
-
-
-def test_change_visibility_with_stale_receipt_fails():
-    env = Environment()
-    q = make_queue(env, visibility_timeout_s=1.0)
-    drive(env, q.send("t"))
-    msg = drive(env, q.receive())
-    env.run(until=env.now + 2.0)
-    drive(env, q.receive())  # reappears, re-received by someone else
-    with pytest.raises(StaleReceiptError):
-        drive(env, q.change_visibility(msg, 60.0))
-
-
 def test_per_receive_visibility_override():
     env = Environment()
     q = make_queue(env, visibility_timeout_s=1000.0)
@@ -191,76 +168,6 @@ def test_request_metering():
     assert meter.queue_requests == 3
     # ~10,000 requests cost $0.01 (Table 4 line item).
     assert AWS_PRICES.queue_cost(10_000) == pytest.approx(0.01)
-
-
-def test_long_polling_waits_for_message():
-    env = Environment()
-    q = make_queue(env)
-
-    def late_sender(env):
-        yield env.timeout(3.0)
-        yield env.process(q.send("eventually"))
-
-    def long_poller(env):
-        msg = yield env.process(q.receive(wait_time_s=10.0))
-        return (env.now, msg.body)
-
-    env.process(late_sender(env))
-    when, body = env.run(until=env.process(long_poller(env)))
-    assert body == "eventually"
-    assert 3.0 <= when < 3.5
-    assert q.stats.empty_receives == 0
-
-
-def test_long_polling_times_out_empty():
-    env = Environment()
-    meter = CostMeter(AWS_PRICES)
-    q = make_queue(env, meter=meter)
-
-    def poller(env):
-        msg = yield env.process(q.receive(wait_time_s=5.0))
-        return (env.now, msg)
-
-    when, msg = env.run(until=env.process(poller(env)))
-    assert msg is None
-    assert when >= 5.0
-    assert meter.queue_requests == 1  # one metered call for the whole wait
-
-
-def test_long_polling_cuts_request_count():
-    """The cost argument for long polling: polling an idle-then-busy
-    queue with short polls burns requests; one long poll does not."""
-    def run_with(wait, poll_gap):
-        env = Environment()
-        meter = CostMeter(AWS_PRICES)
-        q = make_queue(env, meter=meter)
-
-        def sender(env):
-            yield env.timeout(10.0)
-            yield env.process(q.send("task"))
-
-        def worker(env):
-            while True:
-                msg = yield env.process(q.receive(wait_time_s=wait))
-                if msg is not None:
-                    return
-                yield env.timeout(poll_gap)
-
-        env.process(sender(env))
-        env.run(until=env.process(worker(env)))
-        return meter.queue_requests
-
-    short_poll_requests = run_with(wait=0.0, poll_gap=0.5)
-    long_poll_requests = run_with(wait=20.0, poll_gap=0.5)
-    assert long_poll_requests <= 3
-    assert short_poll_requests > 5 * long_poll_requests
-
-
-def test_negative_wait_rejected():
-    env = Environment()
-    q = make_queue(env)
-    with pytest.raises(ValueError):
-        drive(env, q.receive(wait_time_s=-1.0))
 
 
 def test_send_batch_meters_one_request():

@@ -1,10 +1,9 @@
-"""Cross-checks against SciPy / NetworkX reference implementations.
+"""Cross-checks against SciPy reference implementations.
 
 Independent implementations of the same mathematics catch silent errors
 that self-consistent unit tests cannot.
 """
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from repro.apps.gtm import _sqdist, gtm_interpolate, train_gtm
-from repro.dryad.graph import DryadGraph, Vertex
 
 
 class TestSqdistVsScipy:
@@ -60,43 +58,3 @@ class TestGtmVsScipyKmeansBaseline:
                 assignments[labels == true], return_counts=True
             )
             assert counts.max() / counts.sum() > 0.9
-
-
-class TestDryadGraphVsNetworkx:
-    @given(
-        st.integers(min_value=1, max_value=20),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=19),
-                st.integers(min_value=0, max_value=19),
-            ),
-            max_size=40,
-        ),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_stages_match_topological_generations(self, n, raw_edges, seed):
-        del seed
-        graph = DryadGraph()
-        nx_graph = nx.DiGraph()
-        for v in range(n):
-            graph.add_vertex(Vertex(f"v{v}"))
-            nx_graph.add_node(f"v{v}")
-        seen = set()
-        for a, b in raw_edges:
-            a, b = a % n, b % n
-            if a == b or (a, b) in seen:
-                continue
-            seen.add((a, b))
-            graph.add_channel(f"v{a}", f"v{b}")
-            nx_graph.add_edge(f"v{a}", f"v{b}")
-        if not nx.is_directed_acyclic_graph(nx_graph):
-            with pytest.raises(ValueError, match="cycle"):
-                graph.stages()
-            return
-        ours = [[v.vertex_id for v in layer] for layer in graph.stages()]
-        reference = [
-            sorted(generation)
-            for generation in nx.topological_generations(nx_graph)
-        ]
-        assert ours == reference

@@ -402,6 +402,24 @@ class TestConfigValidation:
                 autoscale=AutoscalePlan(),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("visibility_timeout_s", -3.0),
+            ("poll_backoff_s", -1.0),
+            ("consistency_window_s", -1.0),
+            ("max_sim_seconds", -1.0),
+            ("perf_jitter", -0.01),
+        ],
+    )
+    def test_out_of_range_setting_rejected_when_built(self, field, value):
+        # A serve run with a -3 s visibility timeout used to finish with
+        # dozens of duplicate executions and no error.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ServeConfig(
+                tenants=(TenantSpec(name="a", app="cap3"),), **{field: value}
+            )
+
 
 class TestCliServe:
     def test_pooled_trace_merges_every_fleet(self, tmp_path):

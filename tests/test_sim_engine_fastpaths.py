@@ -2,7 +2,7 @@
 
 Covers the same-time FIFO lane (zero-delay events and process resumes
 that skip the heap), the no-allocation resume on already-processed
-targets, the interrupt callback-leak fix, and the AnyOf/AllOf
+targets, the interrupt callback-leak fix, and the AllOf
 same-timestamp double-fire guards — on both the plain environment and
 the instrumented (heap-only) sanitized one.
 """
@@ -274,24 +274,3 @@ class TestConditionSameTimestamp:
         env.process(driver(env))
         env.run()
         assert outcome == ["boom"]
-
-    @pytest.mark.parametrize("env_cls", ENVS, ids=_ids)
-    def test_anyof_two_successes_same_timestamp(self, env_cls):
-        env = env_cls()
-        a, b = env.event(), env.event()
-        got = []
-
-        def waiter(env):
-            value = yield env.any_of([a, b])
-            got.append(value)
-
-        env.process(waiter(env))
-
-        def driver(env):
-            yield env.timeout(1.0)
-            a.succeed("a")
-            b.succeed("b")
-
-        env.process(driver(env))
-        env.run()
-        assert got == [{a: "a"}]

@@ -7,53 +7,10 @@ from repro.cloud.queue import MessageQueue
 from repro.obs.context import observe
 from repro.twister import (
     IterativeMapReduce,
-    MapReduceJob,
     TwisterAzureSimulator,
     TwisterSimConfig,
     kmeans_mapreduce,
 )
-
-
-class TestMapReduceJob:
-    def test_word_count(self):
-        docs = ["a b a", "b c", "a"]
-        job = MapReduceJob(
-            map_fn=lambda doc: [(w, 1) for w in doc.split()],
-            reduce_fn=lambda key, values: sum(values),
-        )
-        assert job.run(docs, n_workers=2) == {"a": 3, "b": 2, "c": 1}
-
-    def test_combiner_preserves_result(self):
-        docs = ["x y x"] * 20
-        job_plain = MapReduceJob(
-            map_fn=lambda doc: [(w, 1) for w in doc.split()],
-            reduce_fn=lambda key, values: sum(values),
-        )
-        job_combined = MapReduceJob(
-            map_fn=lambda doc: [(w, 1) for w in doc.split()],
-            reduce_fn=lambda key, values: sum(values),
-            combiner=lambda key, values: sum(values),
-        )
-        assert job_plain.run(docs) == job_combined.run(docs)
-
-    def test_empty_input(self):
-        job = MapReduceJob(lambda x: [(x, 1)], lambda k, v: sum(v))
-        assert job.run([]) == {}
-
-    def test_parallel_matches_serial(self):
-        items = list(range(100))
-        job = MapReduceJob(
-            map_fn=lambda x: [(x % 7, x)],
-            reduce_fn=lambda key, values: sum(values),
-        )
-        assert job.run(items, n_workers=1) == job.run(items, n_workers=8)
-
-    def test_validation(self):
-        job = MapReduceJob(lambda x: [(x, 1)], lambda k, v: sum(v))
-        with pytest.raises(ValueError):
-            job.run([1], n_workers=0)
-        with pytest.raises(ValueError):
-            job.run([1], n_map_partitions=0)
 
 
 class TestIterativeMapReduce:
