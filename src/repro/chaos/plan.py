@@ -30,7 +30,7 @@ single-knob sweep axis.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,17 +140,6 @@ class ChaosPlan:
             storage_chaos_windows=round(1 * scale),
             storage_error_rate=min(0.8, 0.25 * scale),
             slow_nodes=round(1 * scale),
-        )
-
-    def scaled(self, factor: float) -> "ChaosPlan":
-        """A copy with every event count multiplied by ``factor``."""
-        return replace(
-            self,
-            worker_crashes=round(self.worker_crashes * factor),
-            preemption_waves=round(self.preemption_waves * factor),
-            queue_chaos_windows=round(self.queue_chaos_windows * factor),
-            storage_chaos_windows=round(self.storage_chaos_windows * factor),
-            slow_nodes=round(self.slow_nodes * factor),
         )
 
     def compile(self) -> tuple[ChaosEvent, ...]:

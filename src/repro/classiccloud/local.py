@@ -32,8 +32,8 @@ from repro.apps.executables import Executable
 from repro.classiccloud.localstore import LocalBlobStore
 from repro.core.attempt import run_timed
 from repro.core.task import RunResult, TaskRecord, TaskSpec
-from repro.lint.threadsan import monitor, monitor_lock
 from repro.obs.context import current as _current_obs
+from repro.sim.engine import monitor, monitor_lock
 
 __all__ = ["LocalClassicCloud", "LocalMessage", "LocalQueue"]
 
@@ -60,7 +60,7 @@ class LocalQueue:
             raise ValueError("visibility timeout must be positive")
         self.visibility_timeout_s = visibility_timeout_s
         # Under REPRO_SANITIZE=threads these become monitored objects
-        # (repro.lint.threadsan); in normal runs they are the plain
+        # (repro.sim.engine.monitor); in normal runs they are the plain
         # stdlib types, untouched.
         self._lock = monitor_lock("LocalQueue._lock")
         self._ids = itertools.count()

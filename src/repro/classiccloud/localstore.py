@@ -16,7 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.lint.threadsan import monitor, monitor_lock
+from repro.sim.engine import monitor, monitor_lock
 
 __all__ = ["LocalBlobStore"]
 

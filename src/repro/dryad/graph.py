@@ -40,11 +40,5 @@ class DryadGraph:
     def __len__(self) -> int:
         return len(self._vertices)
 
-    def __contains__(self, vertex_id: str) -> bool:
-        return vertex_id in self._vertices
-
-    def vertex(self, vertex_id: str) -> Vertex:
-        return self._vertices[vertex_id]
-
     def vertices(self) -> list[Vertex]:
         return list(self._vertices.values())

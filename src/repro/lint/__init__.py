@@ -49,12 +49,7 @@ from repro.lint.sanitizer import (
     SanitizerError,
     SanitizerReport,
 )
-from repro.lint.threadsan import (
-    ThreadSanitizer,
-    ThreadSanReport,
-    monitor,
-    monitor_lock,
-)
+from repro.lint.threadsan import ThreadSanitizer, ThreadSanReport
 
 __all__ = [
     "DocProblem",
@@ -81,7 +76,5 @@ __all__ = [
     "lint_paths",
     "lint_rule_codes",
     "load_baseline",
-    "monitor",
-    "monitor_lock",
     "write_baseline",
 ]

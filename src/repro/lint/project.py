@@ -100,10 +100,11 @@ _MUTABLE_CONSTRUCTORS = {
 
 def module_name_for(path: Path) -> str:
     """Dotted module name for a file: ``src/repro/sim/engine.py`` →
-    ``repro.sim.engine``; files outside a ``repro`` tree use the stem."""
+    ``repro.sim.engine``, from the innermost ``repro`` directory (a
+    checkout may itself sit in one); files outside one use the stem."""
     parts = list(path.parts)
     if "repro" in parts:
-        start = parts.index("repro")
+        start = len(parts) - 1 - parts[::-1].index("repro")
         tail = parts[start:-1]
         if path.stem != "__init__":
             tail.append(path.stem)

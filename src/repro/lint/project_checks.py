@@ -1,4 +1,4 @@
-"""Whole-program rules RPR101–RPR106.
+"""Whole-program rules RPR101–RPR107.
 
 Each rule receives the :class:`~repro.lint.project.ProjectModel` built
 from every linted file and reasons across call boundaries.  Violations
@@ -7,7 +7,7 @@ acquisition, the impure call) and, where a call chain is the evidence,
 the message spells the chain out so the finding is actionable without
 re-running the analysis.
 
-Approximation stance (shared by all six rules): only *resolved* call
+Approximation stance (shared by the call-graph rules): only *resolved* call
 edges exist, so a chain through ``getattr`` or duck-typed dispatch is
 invisible — these rules under-report rather than guess.  The runtime
 :class:`~repro.lint.threadsan.ThreadSanitizer` covers the dynamic side
@@ -19,16 +19,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.project import FunctionInfo, ProjectModel
+from repro.lint.project import FunctionInfo, ProjectModel, module_name_for
 from repro.lint.rules import ProjectRule, Violation, register
 
 __all__ = [
+    "LAYERS",
+    "LayerRule",
     "LockOrderRule",
     "PoolCaptureRule",
     "RetryBackoffRule",
     "SharedStateRule",
     "SimPurityRule",
     "SpanLeakRule",
+    "layer_of",
 ]
 
 
@@ -545,3 +548,97 @@ class RetryBackoffRule(ProjectRule):
         )
         return f"{terminal}.{func.attr}()"
 
+
+#: The layers of docs/ARCHITECTURE.md, bottom to top, at module
+#: granularity.  A module sits in the layer of its longest listed
+#: dotted prefix; ``repro`` itself catches whatever no other prefix
+#: names, so an unlisted module counts as a tool.
+LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("kernel", ("repro.sim",)),
+    ("observability", ("repro.obs",)),
+    ("types and substrate", (
+        "repro.core.task", "repro.core.application", "repro.core.attempt",
+        "repro.core.metrics", "repro.core.cost", "repro.cloud",
+        "repro.cluster", "repro.apps", "repro.workloads",
+    )),
+    ("mechanisms", ("repro.autoscale", "repro.chaos")),
+    ("backends", (
+        "repro.classiccloud", "repro.hadoop", "repro.dryad", "repro.twister",
+    )),
+    ("API and studies", (
+        "repro.core", "repro.sweep", "repro.serve", "repro.workloads.store",
+        "repro.autoscale.study", "repro.chaos.campaign", "repro.figures",
+    )),
+    ("tools", ("repro", "repro.cli", "repro.obs.report", "repro.lint")),
+)
+
+_LAYER_BY_PREFIX = {
+    prefix: index
+    for index, (_, prefixes) in enumerate(LAYERS)
+    for prefix in prefixes
+}
+
+
+def layer_of(module: str) -> int | None:
+    """Index into :data:`LAYERS` of a dotted module (or imported name)
+    by its longest listed prefix; ``None`` outside ``repro``."""
+    parts = module.split(".")
+    while parts:
+        index = _LAYER_BY_PREFIX.get(".".join(parts))
+        if index is not None:
+            return index
+        parts.pop()
+    return None
+
+
+@register
+class LayerRule(ProjectRule):
+    code = "RPR107"
+    name = "upward-layer-import"
+    rationale = (
+        "A module-level import of a higher layer (docs/ARCHITECTURE.md) "
+        "makes every run load the tools above it and ties the lower "
+        "layer to them; import it inside the function that needs it."
+    )
+
+    def check_project(self, project: ProjectModel) -> Iterator[Violation]:
+        for info in project.modules.values():
+            path = info.parsed.path
+            if path.stem == "__init__":
+                continue  # package re-exports are not edges
+            importer = module_name_for(path)
+            own = layer_of(importer)
+            if own is None:
+                continue
+            # Only the module body's own statements: an import inside a
+            # function (a lazy opt-in) or under ``if``/``try`` is not one.
+            for stmt in info.parsed.tree.body:
+                for target in self._targets(importer, stmt):
+                    layer = layer_of(target)
+                    if layer is not None and layer > own:
+                        yield self.project_violation(
+                            path,
+                            stmt,
+                            f"{importer} ({LAYERS[own][0]}) imports "
+                            f"{target} ({LAYERS[layer][0]}) at module "
+                            f"level; a layer imports only itself and the "
+                            f"layers below it",
+                        )
+
+    @staticmethod
+    def _targets(importer: str, stmt: ast.stmt) -> list[str]:
+        """Dotted names an import statement binds: ``from a import b``
+        gives ``a.b``, which resolves a submodule ``b`` to its own layer
+        and any other name to ``a``'s."""
+        if isinstance(stmt, ast.Import):
+            return [alias.name for alias in stmt.names]
+        if not isinstance(stmt, ast.ImportFrom):
+            return []
+        base = stmt.module or ""
+        if stmt.level:
+            package = importer.rsplit(".", stmt.level)[0]
+            base = f"{package}.{base}" if base else package
+        return [
+            base if alias.name == "*" else f"{base}.{alias.name}"
+            for alias in stmt.names
+        ]

@@ -2,13 +2,13 @@
 
 Registered from ``tests/conftest.py``.  Entry points:
 
-* ``pytest --repro-sanitize`` sets ``REPRO_SANITIZE=1`` for the whole
-  session, so every simulated backend that builds its event loop through
+* ``pytest --repro-sanitize`` adds ``sim`` to ``REPRO_SANITIZE`` for the
+  whole session, so every simulated backend that builds its event loop through
   :func:`repro.sim.engine.make_environment` runs on a
   :class:`~repro.lint.sanitizer.SanitizedEnvironment`;
 * ``pytest --repro-sanitize-threads`` installs a fresh
   :class:`~repro.lint.threadsan.ThreadSanitizer` around every test (and
-  exports ``REPRO_SANITIZE=threads`` for worker subprocesses); a test
+  adds ``threads`` to ``REPRO_SANITIZE`` for worker subprocesses); a test
   whose threaded runtimes produce lock-order inversions or
   unsynchronized cross-thread writes fails at teardown with the
   findings formatted by :mod:`repro.lint.report`;
@@ -25,6 +25,7 @@ import pytest
 
 from repro.lint import threadsan
 from repro.lint.sanitizer import SanitizedEnvironment
+from repro.sim.engine import sanitize_requested
 
 __all__ = ["sanitized_env"]
 
@@ -39,7 +40,7 @@ def pytest_addoption(parser) -> None:
         action="store_true",
         default=False,
         help="run simulated backends under the determinism sanitizer "
-        "(sets REPRO_SANITIZE=1)",
+        "(adds sim to REPRO_SANITIZE)",
     )
     group.addoption(
         _THREADS_OPTION,
@@ -47,32 +48,31 @@ def pytest_addoption(parser) -> None:
         default=False,
         help="run threaded runtimes under the thread sanitizer; tests "
         "fail on lock-order inversions or unsynchronized writes "
-        "(sets REPRO_SANITIZE=threads)",
+        "(adds threads to REPRO_SANITIZE)",
     )
 
 
-def _add_token(token: str) -> None:
-    tokens = threadsan.sanitize_tokens(os.environ.get("REPRO_SANITIZE"))
-    tokens.add(token)
-    os.environ["REPRO_SANITIZE"] = ",".join(sorted(tokens))
+def _add_token(kind: str) -> None:
+    kinds = sanitize_requested() | {kind}
+    os.environ["REPRO_SANITIZE"] = ",".join(sorted(kinds))
 
 
 def pytest_configure(config) -> None:
+    try:
+        sanitize_requested()
+    except ValueError as exc:  # a bad token is a usage error, not a crash
+        raise pytest.UsageError(str(exc)) from None
     if config.getoption(_OPTION):
-        _add_token("1")
+        _add_token("sim")
     if config.getoption(_THREADS_OPTION):
         _add_token("threads")
 
 
 def pytest_report_header(config) -> str:
-    tokens = threadsan.sanitize_tokens(os.environ.get("REPRO_SANITIZE"))
-    enabled = config.getoption(_OPTION) or bool(tokens - {"threads"})
-    threads = config.getoption(_THREADS_OPTION) or bool(
-        tokens & {"threads", "all"}
-    )
+    kinds = sanitize_requested()
     return (
-        f"repro sanitizer: {'on' if enabled else 'off'} "
-        f"(threads: {'on' if threads else 'off'})"
+        f"repro sanitizer: {'on' if 'sim' in kinds else 'off'} "
+        f"(threads: {'on' if 'threads' in kinds else 'off'})"
     )
 
 

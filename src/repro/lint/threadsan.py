@@ -26,9 +26,9 @@ Two detectors, both classic:
 Activation: install a sanitizer explicitly (the pytest plugin does,
 per test), or set ``REPRO_SANITIZE=threads`` (or ``all``) and the
 first :func:`active` call creates an ambient one.  Runtimes opt their
-structures in via :func:`monitor_lock` / :func:`monitor`, which return
-plain unwrapped objects whenever no sanitizer is active — zero
-overhead in normal runs.
+structures in via :func:`repro.sim.engine.monitor_lock` / ``monitor``,
+which return plain unwrapped objects whenever no sanitizer is active —
+zero overhead in normal runs.
 
 Findings are :class:`~repro.lint.rules.Violation` objects with runtime
 codes ``RPR201`` (inversion) and ``RPR202`` (race), anchored at the
@@ -39,14 +39,13 @@ caller's source line, so they flow through the same
 from __future__ import annotations
 
 import collections
-import os
-import re
 import sys
 import threading
 from dataclasses import dataclass, field
 
 from repro.lint.checker import LintResult
 from repro.lint.rules import Violation
+from repro.sim.engine import sanitize_requested
 
 __all__ = [
     "LOCK_ORDER_CODE",
@@ -56,9 +55,6 @@ __all__ = [
     "ThreadSanReport",
     "active",
     "install",
-    "monitor",
-    "monitor_lock",
-    "sanitize_tokens",
     "uninstall",
 ]
 
@@ -66,18 +62,6 @@ LOCK_ORDER_CODE = "RPR201"
 RACE_CODE = "RPR202"
 
 _THIS_FILE = __file__
-
-
-def sanitize_tokens(value: str | None) -> set[str]:
-    """Parse ``REPRO_SANITIZE`` into lowercase tokens.
-
-    The variable grew from a boolean into a token list: ``1``/``true``/
-    ``sim`` enable the DES sanitizer, ``threads`` enables this one,
-    ``all`` enables both; tokens are comma- or space-separated.
-    """
-    if not value:
-        return set()
-    return {t for t in re.split(r"[,\s]+", value.strip().lower()) if t}
 
 
 def _call_site() -> tuple[str, int]:
@@ -272,6 +256,19 @@ class ThreadSanitizer:
                     )
                 )
 
+    # -- monitored structures ---------------------------------------------
+    def monitor_lock(self, name: str) -> "MonitoredLock":
+        """A lock whose acquisitions this sanitizer observes."""
+        return MonitoredLock(self, name)
+
+    def monitor(self, obj, name: str):
+        """A copy of ``obj`` whose writes this sanitizer observes.
+        Supported: dict, list, set, deque (exact types only — anything
+        else is returned unwrapped).  The copy is seeded by the base
+        constructor, so initial contents are not monitored writes."""
+        wrapper = _WRAPPERS.get(type(obj))
+        return obj if wrapper is None else wrapper(self, name, obj)
+
     # -- reporting --------------------------------------------------------
     def report(self) -> ThreadSanReport:
         with self._internal:
@@ -419,43 +416,9 @@ def active() -> ThreadSanitizer | None:
     global _active
     if _active is not None:
         return _active
-    tokens = sanitize_tokens(os.environ.get("REPRO_SANITIZE"))
-    if tokens & {"threads", "all"}:
+    if "threads" in sanitize_requested():
         with _active_guard:
             if _active is None:
                 _active = ThreadSanitizer()
         return _active
     return None
-
-
-def monitor_lock(name: str):
-    """A lock for runtime shared state: monitored when sanitizing,
-    otherwise a plain ``threading.Lock`` (zero overhead)."""
-    sanitizer = active()
-    if sanitizer is None:
-        return threading.Lock()
-    return MonitoredLock(sanitizer, name)
-
-
-def monitor(obj, name: str):
-    """Wrap a fresh container for write tracking when sanitizing;
-    returns ``obj`` unchanged otherwise.  Supported: dict, list, set,
-    deque (exact types only — subclasses are returned unwrapped)."""
-    sanitizer = active()
-    if sanitizer is None:
-        return obj
-    wrapper = _WRAPPERS.get(type(obj))
-    if wrapper is None:
-        return obj
-    # Seed via the *base* mutators so initial contents don't count as
-    # monitored writes.
-    wrapped = wrapper(sanitizer, name)
-    if isinstance(obj, dict):
-        dict.update(wrapped, obj)
-    elif isinstance(obj, list):
-        list.extend(wrapped, obj)
-    elif isinstance(obj, set):
-        set.update(wrapped, obj)
-    else:
-        collections.deque.extend(wrapped, obj)
-    return wrapped

@@ -13,8 +13,8 @@ Everything defaults to null objects (:data:`NULL_TRACER`,
 this package costs an empty method call per event when nobody is
 observing.  Parallel sweeps capture inside each worker process and
 merge on the way out (see :mod:`repro.obs.context` and
-:mod:`repro.obs.export`); :mod:`repro.obs.report` renders the merged
-story as a self-contained HTML report.
+:mod:`repro.obs.export`); :mod:`repro.obs.report`, a tool imported on
+its own, renders the merged story as a self-contained HTML report.
 """
 
 from repro.obs.context import (
@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.report import bench_compare, format_bench_compare, render_report, write_report
 from repro.obs.timeline import NULL_TIMELINE, NullTimeline, Timeline, series_from_trace
 from repro.obs.tracer import NULL_TRACER, Instant, NullTracer, Records, Span, Tracer
 
@@ -65,19 +64,15 @@ __all__ = [
     "Timeline",
     "Tracer",
     "WorkerCapture",
-    "bench_compare",
     "chrome_trace",
     "current",
-    "format_bench_compare",
     "observe",
     "phase_fractions",
     "phase_fractions_by_point",
-    "render_report",
     "run_captured",
     "series_from_trace",
     "summarize_chrome_trace",
     "validate_chrome_trace",
     "worker_payload",
     "write_chrome_trace",
-    "write_report",
 ]

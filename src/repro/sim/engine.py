@@ -26,12 +26,19 @@ single-heap formulation would produce.  Instrumented subclasses (the
 runtime sanitizer) set ``_use_lane = False``, which routes every action
 through ``_enqueue``/the heap as a traceable :class:`Event` — same
 ``(time, sequence)`` slots, same behaviour, full observability.
+
+The sanitizer opt-in lives here too: :func:`sanitize_requested` is the
+one reader of ``REPRO_SANITIZE``; :func:`make_environment` and the
+threaded runtimes' :func:`monitor_lock` / :func:`monitor` hooks import
+``repro.lint`` inside the call, only when a sanitizer is asked for.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+import threading
 from collections import deque
 from collections.abc import Generator, Iterable
 from functools import partial
@@ -48,6 +55,9 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "make_environment",
+    "monitor",
+    "monitor_lock",
+    "sanitize_requested",
 ]
 
 
@@ -670,18 +680,30 @@ class Environment:
         return None
 
 
-def sanitize_requested() -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for the DES sanitizer.
+#: ``REPRO_SANITIZE`` tokens -> the sanitizers each asks for: ``sim``
+#: (the instrumented event loop) and ``threads`` (the thread sanitizer).
+SANITIZE_TOKENS: dict[str, frozenset[str]] = {
+    **dict.fromkeys(("1", "true", "sim"), frozenset({"sim"})),
+    "threads": frozenset({"threads"}),
+    "all": frozenset({"sim", "threads"}),
+    **dict.fromkeys(("0", "false", "off"), frozenset()),
+}
 
-    The variable is a token list: ``1``/``true``/``sim``/``all`` enable
-    the DES sanitizer; a bare ``threads`` enables only the thread
-    sanitizer (:mod:`repro.lint.threadsan`), which instruments the
-    threaded runtimes and must *not* put simulations on the
-    instrumented loop; ``0``/``false``/``off`` or unset enable nothing.
-    """
+
+def sanitize_requested() -> frozenset[str]:
+    """The sanitizers ``REPRO_SANITIZE`` asks for, read as a comma- or
+    space-separated, case-insensitive list of :data:`SANITIZE_TOKENS`;
+    an unknown token raises a ``ValueError`` that names it."""
+    kinds: frozenset[str] = frozenset()
     raw = os.environ.get("REPRO_SANITIZE", "")
-    tokens = set(raw.replace(",", " ").lower().split())
-    return bool(tokens - {"threads", "0", "false", "off"})
+    for token in raw.replace(",", " ").lower().split():
+        if token not in SANITIZE_TOKENS:
+            raise ValueError(
+                f"REPRO_SANITIZE: unknown token {token!r} "
+                f"(expected one of {', '.join(SANITIZE_TOKENS)})"
+            )
+        kinds |= SANITIZE_TOKENS[token]
+    return kinds
 
 
 def make_environment(
@@ -689,7 +711,7 @@ def make_environment(
 ) -> Environment:
     """Environment factory honouring the sanitizer opt-in.
 
-    With ``sanitize=True`` — or ``sanitize=None`` and
+    With ``sanitize=True`` — or ``sanitize=None`` and ``"sim"`` in
     :func:`sanitize_requested` — returns an instrumented
     :class:`repro.lint.sanitizer.SanitizedEnvironment` (imported lazily
     to keep the kernel free of lint dependencies); otherwise a plain
@@ -697,9 +719,40 @@ def make_environment(
     through this factory.
     """
     if sanitize is None:
-        sanitize = sanitize_requested()
+        sanitize = "sim" in sanitize_requested()
     if sanitize:
         from repro.lint.sanitizer import SanitizedEnvironment
 
         return SanitizedEnvironment(initial_time)
     return Environment(initial_time)
+
+
+def _thread_sanitizer():
+    """The active thread sanitizer, if any.  ``repro.lint.threadsan`` is
+    imported only when threads are asked for or it is already loaded
+    (a sanitizer may have been installed)."""
+    if (
+        "repro.lint.threadsan" not in sys.modules
+        and "threads" not in sanitize_requested()
+    ):
+        return None
+    from repro.lint import threadsan
+
+    return threadsan.active()
+
+
+def monitor_lock(name: str):
+    """A lock for a threaded runtime's shared state: monitored while a
+    thread sanitizer is active, otherwise a plain ``threading.Lock``."""
+    sanitizer = _thread_sanitizer()
+    if sanitizer is None:
+        return threading.Lock()
+    return sanitizer.monitor_lock(name)
+
+
+def monitor(obj, name: str):
+    """A fresh dict, list, set or deque of a threaded runtime, wrapped
+    for write tracking while a thread sanitizer is active; ``obj``
+    itself otherwise."""
+    sanitizer = _thread_sanitizer()
+    return obj if sanitizer is None else sanitizer.monitor(obj, name)

@@ -99,7 +99,7 @@ class SweepPool:
 
     # -- lifecycle --------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        sanitized = sanitize_requested()
+        sanitized = "sim" in sanitize_requested()
         stale = None
         with self._lock:
             if self._executor is not None and self._sanitized != sanitized:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.context import current as _current_obs
+from repro.sim.engine import sanitize_requested
 from repro.sweep.cache import ResultCache
 from repro.sweep.fingerprint import point_fingerprint
 from repro.sweep.points import (
@@ -133,6 +134,9 @@ def run_points(
     pass one own its lifecycle.
     """
     jobs = resolve_jobs(jobs)
+    # A cache hit builds no event loop, so a bad REPRO_SANITIZE token
+    # fails here whether or not the points are cached.
+    sanitize_requested()
     use_cache = cache is not None
     total = len(points)
     obs = _current_obs()

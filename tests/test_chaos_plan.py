@@ -85,12 +85,6 @@ class TestIntensityPresets:
         with pytest.raises(ValueError):
             ChaosPlan.at_intensity(-0.1)
 
-    def test_scaled_multiplies_counts(self):
-        plan = ChaosPlan.at_intensity(1.0, seed=11)
-        doubled = plan.scaled(2.0)
-        assert doubled.worker_crashes == 2 * plan.worker_crashes
-        assert doubled.seed == plan.seed
-
 
 class TestValidation:
     def test_bad_horizon(self):

@@ -38,7 +38,8 @@ SPLIT_DIGESTS = {
 
 # OpenBLAS run-time core -> (data seed, tol) -> (SHA-256 of weights,
 # beta and log-likelihoods, EM steps taken).  None is the default tol,
-# which stops early.  Haswell's were recorded with OPENBLAS_CORETYPE.
+# which stops early.  Haswell's and Sandybridge's were recorded with
+# OPENBLAS_CORETYPE.
 MODEL_DIGESTS = {
     "SkylakeX": {
         (5, 0.0): (
@@ -73,6 +74,24 @@ MODEL_DIGESTS = {
         ),
         (23, None): (
             "3c9c4045e360c57b1ca7feed5bc2379b3f1597081ceeaf4e68010216bb709d12",
+            27,
+        ),
+    },
+    "Sandybridge": {
+        (5, 0.0): (
+            "6eccdd32fa2268158fa24222d0282aa51309a11d125e0f6e42a20c0bcd4c98ec",
+            30,
+        ),
+        (5, None): (
+            "10da6c584c5c264bd6782f2d252d711806832aaa5d218e373d10b7d621c7d093",
+            15,
+        ),
+        (23, 0.0): (
+            "2ec8510f09fae9b93eb28b8019927f79a0d8937a418467f94e96f58ec5dd4ffb",
+            30,
+        ),
+        (23, None): (
+            "4308f8e7001a6f57e5b0819e3f5329072591ef8b8a93b8563f8e5e447a061326",
             27,
         ),
     },

@@ -1,4 +1,4 @@
-"""Tests for the whole-program lint pass (RPR101–RPR106) and the v2
+"""Tests for the whole-program lint pass (RPR101–RPR107) and the v2
 CLI surface: ``--rules``, ``--baseline``, ``--exclude``, JSON schema."""
 
 import io
@@ -10,13 +10,23 @@ import pytest
 from repro.cli import main
 from repro.lint import ProjectModel, lint_file, lint_paths
 from repro.lint.checker import collect_files, parse_file
+from repro.lint.project_checks import LAYERS, layer_of
 
 FIXTURES = Path(__file__).parent / "lint_fixtures" / "project"
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 PROJECT_CODES = (
-    "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106",
+    "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107",
 )
+
+
+def fixture(code, variant):
+    """RPR107's fixtures sit under ``repro/classiccloud/`` so the linter
+    names them as modules of the backends layer."""
+    folder = FIXTURES
+    if code == "RPR107":
+        folder = FIXTURES / "repro" / "classiccloud"
+    return folder / f"rpr{code[3:]}_{variant}.py"
 
 
 def run_cli(*argv):
@@ -33,20 +43,19 @@ def build_model(*names):
 class TestFixtures:
     @pytest.mark.parametrize("code", PROJECT_CODES)
     def test_trigger_fires_exactly_its_rule(self, code):
-        fixture = FIXTURES / f"rpr{code[3:]}_trigger.py"
-        result = lint_file(fixture)
+        result = lint_file(fixture(code, "trigger"))
         assert not result.ok
         assert {v.code for v in result.violations} == {code}
         assert all(v.line > 0 for v in result.violations)
 
     @pytest.mark.parametrize("code", PROJECT_CODES)
     def test_clean_variant_passes(self, code):
-        result = lint_file(FIXTURES / f"rpr{code[3:]}_clean.py")
+        result = lint_file(fixture(code, "clean"))
         assert result.ok, [v.format() for v in result.violations]
 
     @pytest.mark.parametrize("code", PROJECT_CODES)
     def test_noqa_variant_suppresses(self, code):
-        result = lint_file(FIXTURES / f"rpr{code[3:]}_noqa.py")
+        result = lint_file(fixture(code, "noqa"))
         assert result.ok
         assert code in {v.code for v in result.suppressed}
 
@@ -111,6 +120,36 @@ class TestFixtures:
         assert "_driver" in violation.message
         assert "_step" in violation.message
         assert "time.time" in violation.message
+
+
+class TestLayers:
+    def test_layer_of_takes_the_longest_prefix(self):
+        names = [name for name, _ in LAYERS]
+        assert names[layer_of("repro.sim.engine")] == "kernel"
+        assert names[layer_of("repro.core.task")] == "types and substrate"
+        assert names[layer_of("repro.core.api")] == "API and studies"
+        assert names[layer_of("repro.chaos.plan")] == "mechanisms"
+        assert names[layer_of("repro.chaos.campaign")] == "API and studies"
+        assert names[layer_of("repro.obs.report")] == "tools"
+        assert names[layer_of("repro.__main__")] == "tools"
+        assert layer_of("numpy.random") is None
+
+    def test_relative_imports_resolve_and_inits_are_exempt(self, tmp_path):
+        # A checkout inside a directory named repro names modules from
+        # the innermost one.
+        package = tmp_path / "repro" / "src" / "repro" / "sim"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from repro.cli import main\n")
+        (package / "kernel.py").write_text(
+            "from ..cli import main\n"
+            "from . import engine\n"
+            "def lazy():\n"
+            "    from repro.lint import lint_paths\n"
+        )
+        result = lint_paths([package], rules="project")
+        (violation,) = result.violations
+        assert violation.path.endswith("kernel.py") and violation.line == 1
+        assert "repro.cli.main (tools)" in violation.message
 
 
 class TestProjectModel:

@@ -1,17 +1,27 @@
 """Tests for the runtime simulation sanitizer (repro.lint.sanitizer)."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cloud.queue import MessageQueue
+from repro.lint import threadsan
+from repro.lint.pytest_plugin import pytest_report_header
 from repro.lint.sanitizer import (
     SanitizedEnvironment,
     SanitizerError,
 )
+from repro.lint.threadsan import MonitoredLock
 from repro.sim.engine import (
     Environment,
     IdleWait,
     make_environment,
+    monitor_lock,
     sanitize_requested,
 )
 
@@ -39,25 +49,80 @@ class TestFactory:
         env = make_environment()
         assert type(env) is Environment
 
+    # Every REPRO_SANITIZE token: (DES sanitizer, thread sanitizer).
     @pytest.mark.parametrize(
-        "raw, des",
+        "raw, des, threads",
         [
-            ("", False),
-            ("threads", False),
-            ("1", True),
-            ("sim,threads", True),
-            ("all", True),
-            ("off", False),
+            ("", False, False),
+            ("threads", False, True),
+            ("1", True, False),
+            ("sim,threads", True, True),
+            ("all", True, True),
+            ("off", False, False),
+            ("true", True, False),
+            ("sim", True, False),
+            ("0", False, False),
+            ("false", False, False),
+            ("ALL", True, True),
+            ("1 threads", True, True),
+            ("off,threads", False, True),
         ],
-        ids=["empty", "threads", "1", "sim,threads", "all", "off"],
+        ids=[
+            "empty", "threads", "1", "sim,threads", "all", "off", "true",
+            "sim", "0", "false", "ALL", "1 threads", "off,threads",
+        ],
     )
-    def test_env_var_tokens(self, monkeypatch, raw, des):
-        # Only DES tokens put simulations on the instrumented loop; the
-        # sweep runner and serve study read the same helper.
+    def test_env_var_tokens(self, monkeypatch, raw, des, threads):
+        # The event loop, the threaded runtimes' hooks and the pytest
+        # header all read REPRO_SANITIZE through sanitize_requested.
         monkeypatch.setenv("REPRO_SANITIZE", raw)
-        assert sanitize_requested() is des
-        env = make_environment()
-        assert isinstance(env, SanitizedEnvironment) is des
+        monkeypatch.setattr(threadsan, "_active", None)
+        kinds = {"sim": des, "threads": threads}
+        assert sanitize_requested() == {k for k, on in kinds.items() if on}
+        assert isinstance(make_environment(), SanitizedEnvironment) is des
+        assert isinstance(monitor_lock("x"), MonitoredLock) is threads
+        assert pytest_report_header(None) == (
+            f"repro sanitizer: {'on' if des else 'off'} "
+            f"(threads: {'on' if threads else 'off'})"
+        )
+
+    @pytest.mark.parametrize("raw", ["none", "no", "thread", "bogus", "1,x"])
+    def test_unknown_tokens_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SANITIZE", raw)
+        monkeypatch.setattr(threadsan, "_active", None)
+        token = repr(raw.split(",")[-1])
+        for read in (
+            make_environment,
+            lambda: monitor_lock("x"),
+            lambda: pytest_report_header(None),
+        ):
+            with pytest.raises(ValueError, match=re.escape(token)):
+                read()
+
+    def test_cli_run_rejects_unknown_token_on_a_cache_hit(self, tmp_path):
+        # The first run fills the cache, so the second would build no
+        # event loop: the token must still be read, and rejected.
+        argv = ["run", "--app", "cap3", "--files", "2", "--instances", "1"]
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+            REPRO_CACHE_DIR=str(tmp_path),
+        )
+        env.pop("REPRO_NO_CACHE", None)
+        env.pop("REPRO_SANITIZE", None)
+        first = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert first.returncode == 0, first.stderr
+        env["REPRO_SANITIZE"] = "bogus"
+        second = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert second.returncode == 2
+        (line,) = second.stdout.splitlines()  # before the cache lookup
+        assert line.startswith("error:") and "'bogus'" in line
 
     def test_explicit_flag_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -9,11 +9,10 @@ from repro.cli import main
 from repro.cloud.failures import FaultPlan
 from repro.core.application import get_application
 from repro.core.backends import make_backend
-from repro.obs import (
+from repro.obs import chrome_trace, observe
+from repro.obs.report import (
     bench_compare,
-    chrome_trace,
     format_bench_compare,
-    observe,
     render_report,
     write_report,
 )

@@ -18,6 +18,7 @@ from repro.lint.threadsan import (
     MonitoredLock,
     ThreadSanitizer,
 )
+from repro.sim.engine import monitor, monitor_lock
 
 
 @pytest.fixture
@@ -36,9 +37,9 @@ class BuggyRuntime:
     """
 
     def __init__(self) -> None:
-        self.lock_a = threadsan.monitor_lock("BuggyRuntime.lock_a")
-        self.lock_b = threadsan.monitor_lock("BuggyRuntime.lock_b")
-        self.shared = threadsan.monitor({}, "BuggyRuntime.shared")
+        self.lock_a = monitor_lock("BuggyRuntime.lock_a")
+        self.lock_b = monitor_lock("BuggyRuntime.lock_b")
+        self.shared = monitor({}, "BuggyRuntime.shared")
 
     def run_inversion(self) -> None:
         def forward():
@@ -159,15 +160,15 @@ class TestActivation:
             pytest.skip("--repro-sanitize-threads keeps a sanitizer installed")
         assert threadsan.active() is None
         payload = {"a": 1}
-        assert threadsan.monitor(payload, "x") is payload
-        lock = threadsan.monitor_lock("x")
+        assert monitor(payload, "x") is payload
+        lock = monitor_lock("x")
         assert isinstance(lock, type(threading.Lock()))
 
     def test_env_token_activates_ambient_sanitizer(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "threads")
         try:
             assert threadsan.active() is not None
-            assert isinstance(threadsan.monitor_lock("x"), MonitoredLock)
+            assert isinstance(monitor_lock("x"), MonitoredLock)
         finally:
             threadsan.uninstall()
 
@@ -184,7 +185,7 @@ class TestActivation:
         assert isinstance(make_environment(), SanitizedEnvironment)
 
     def test_monitored_lock_supports_lock_protocol(self, sanitizer):
-        lock = threadsan.monitor_lock("proto")
+        lock = monitor_lock("proto")
         assert lock.acquire()
         assert lock.locked()
         lock.release()
@@ -193,8 +194,8 @@ class TestActivation:
             assert lock.locked()
 
     def test_reentrant_same_lock_is_not_an_inversion(self, sanitizer):
-        lock = threadsan.monitor_lock("outer")
-        other = threadsan.monitor_lock("inner")
+        lock = monitor_lock("outer")
+        other = monitor_lock("inner")
         with lock:
             with other:
                 pass
@@ -206,8 +207,8 @@ class TestActivation:
     def test_exclusive_phase_setup_is_amnestied(self, sanitizer):
         # Unlocked single-threaded setup, then locked multi-thread use:
         # the classic init pattern must not be flagged.
-        guard = threadsan.monitor_lock("guard")
-        shared = threadsan.monitor({}, "state")
+        guard = monitor_lock("guard")
+        shared = monitor({}, "state")
         for i in range(10):
             shared[i] = i  # main thread, no lock: exclusive phase
 
